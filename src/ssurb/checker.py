@@ -225,36 +225,6 @@ def snapshot_all_consistent(
     return True
 
 
-def diffuse_predicate(snapshot: dict, node_id: int, payload: str) -> bool:
-    """True iff the node buffers the payload undelivered."""
-    node = _node_map(snapshot)[node_id]
-    return any(r["payload"] == payload and not r["delivered"] for r in node["buffer"])
-
-
-def completely_delivered(snapshot: dict, mid: tuple[int, int]) -> bool:
-    """True iff no MSG/MSGACK for the message is in transit toward a live node
-    and every live node's record of it is delivered and acknowledged by all
-    live nodes."""
-    nodes = _node_map(snapshot)
-    live = {k for k, entry in nodes.items() if not entry["crashed"]}
-    sender, seq = mid
-    for entry in snapshot["channels"]:
-        if entry["dst"] not in live:
-            continue
-        for packet in entry["packets"]:
-            if packet["kind"] in ("MSG", "MSGACK") and (
-                packet["sender"],
-                packet["seq"],
-            ) == (sender, seq):
-                return False
-    for k in live:
-        for r in nodes[k]["buffer"]:
-            if (r["sender"], r["seq"]) == (sender, seq):
-                if not r["delivered"] or not live.issubset(set(r["rec_by"])):
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # trace indexing
 # ---------------------------------------------------------------------------

@@ -63,9 +63,6 @@ class ThetaState:
         self.n = n
         self.suspected: set[int] = set()
 
-    def on_crash_notice(self, crashed: int) -> None:
-        self.suspected.add(crashed)
-
     def reconcile(self, oracle_crashed: set[int]) -> None:
         """Overwrite with the (delayed) ground truth; repairs corrupted suspicion."""
         self.suspected = set(oracle_crashed)

@@ -75,19 +75,12 @@ class NodeState:
 
     # -- macros -------------------------------------------------------
 
-    def max_seq(self, k: int) -> int:
-        """Highest sequence number buffered for sender k (0 if none).
+    def max_seqs(self) -> list[int]:
+        """Highest sequence number buffered per sender (0 if none), index 0 unused.
 
         FIFO mode also counts next_deliver[k] - 1, so a skewed delivery
         cursor is visible to the gossip repair path.
         """
-        best = self.next_deliver[k] - 1 if self.fifo else 0
-        for r in self.buffer:
-            if r.sender == k and r.seq > best:
-                best = r.seq
-        return best
-
-    def _max_seq_map(self) -> list[int]:
         m = [0] * (self.n + 1)
         if self.fifo:
             for k in range(1, self.n + 1):
@@ -180,12 +173,12 @@ class NodeState:
             self.tx_obs = [self.seq] * (self.n + 1)
 
         # (c) clamp receive watermarks to the buffered horizon
+        max_map = self.max_seqs()
         for k in range(1, self.n + 1):
-            horizon = self.max_seq(k) - b
+            horizon = max_map[k] - b
             if horizon > self.rx_obs[k]:
                 self.rx_obs[k] = horizon
-            if self.fifo and self.rx_obs[k] + 1 > self.next_deliver[k]:
-                self.next_deliver[k] = self.rx_obs[k] + 1
+        self._lift_cursors()
 
         # (d) advance watermarks over obsolete records, ascending (sender, seq)
         self.buffer.sort(key=_record_key)
@@ -196,17 +189,14 @@ class NodeState:
                 if self.is_obsolete(r, trusted):
                     self.rx_obs[r.sender] += 1
                     progress = True
-        if self.fifo:
-            # keep the delivery cursor ahead of the obsolete watermark before
-            # the delivery pass runs
-            for k in range(1, self.n + 1):
-                if self.rx_obs[k] + 1 > self.next_deliver[k]:
-                    self.next_deliver[k] = self.rx_obs[k] + 1
+        # keep the delivery cursor ahead of the obsolete watermark before
+        # the delivery pass runs
+        self._lift_cursors()
 
         # (e) trim: own records stay while some trusted receiver still needs them,
         # foreign records stay while inside the receive window
         ms = self.min_tx_obs(trusted)
-        max_map = self._max_seq_map()
+        max_map = self.max_seqs()
         self.buffer = [
             r
             for r in self.buffer
@@ -241,7 +231,7 @@ class NodeState:
 
         # (g) gossip the flow-control triple to every peer; fold the own triple
         # locally (the self-addressed gossip without a packet)
-        max_map = self._max_seq_map()
+        max_map = self.max_seqs()
         for k in range(1, self.n + 1):
             if k != self.self_id:
                 out.outgoing.append(
@@ -263,14 +253,19 @@ class NodeState:
                 self.update(payload, me, self.seq, me)
                 out.accepted.append(((me, self.seq), payload))
 
-        if self.fifo:
-            # final cursor normalization: the obsolete walk and the local
-            # gossip fold may have moved watermarks past the clamp of (c)
-            for k in range(1, self.n + 1):
-                if self.rx_obs[k] + 1 > self.next_deliver[k]:
-                    self.next_deliver[k] = self.rx_obs[k] + 1
+        # final cursor normalization: the obsolete walk and the local
+        # gossip fold may have moved watermarks past the clamp of (c)
+        self._lift_cursors()
 
         return out
+
+    def _lift_cursors(self) -> None:
+        """FIFO mode: keep every delivery cursor above its obsolete watermark."""
+        if not self.fifo:
+            return
+        for k in range(1, self.n + 1):
+            if self.rx_obs[k] + 1 > self.next_deliver[k]:
+                self.next_deliver[k] = self.rx_obs[k] + 1
 
     # -- packet handlers ------------------------------------------------
 

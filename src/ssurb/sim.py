@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from . import corruption
-from .checker import snapshot_all_consistent
+from .checker import snapshot_all_consistent, stale_packets_in_flight
 from .config import ASAP, ScenarioConfig
 from .detectors import DetectorView, HeartbeatState, ThetaState
 from .node import DISABLED, NORMAL, RESETTING, NodeState
@@ -162,6 +162,19 @@ class Simulation:
         record.update(fields)
         self.trace.append(record)
 
+    def _packet_event(
+        self, etype: str, src: int, dst: int, msg: WireMessage, cause: str | None = None
+    ) -> None:
+        # SEND/RECV are nearly all events, so the record is built here
+        # rather than through _event's keyword dict
+        record = {"type": etype, "step": self.step, "src": src, "dst": dst, "kind": msg.kind}
+        mid = message_id(msg)
+        if mid is not None:
+            record["mid"] = list(mid)
+        if cause is not None:
+            record["cause"] = cause
+        self.trace.append(record)
+
     def _emit_snapshot(self, boundary: bool = True) -> None:
         nodes_ser = []
         for i in sorted(self.nodes):
@@ -211,19 +224,11 @@ class Simulation:
     # ---- packet plumbing ---------------------------------------------------
 
     def _send(self, src: int, dst: int, msg: WireMessage) -> None:
-        mid = message_id(msg)
-        kind = msg.kind
-        self.counts["sends"][kind] += 1
-        if mid is None:
-            self._event("SEND", src=src, dst=dst, kind=kind)
-        else:
-            self._event("SEND", src=src, dst=dst, kind=kind, mid=list(mid))
+        self.counts["sends"][msg.kind] += 1
+        self._packet_event("SEND", src, dst, msg)
         if not self.channels[(src, dst)].push(msg, self.step):
             self.counts["omissions"] += 1
-            if mid is None:
-                self._event("OMIT", src=src, dst=dst, kind=kind, cause="overflow")
-            else:
-                self._event("OMIT", src=src, dst=dst, kind=kind, mid=list(mid), cause="overflow")
+            self._packet_event("OMIT", src, dst, msg, cause="overflow")
 
     def _deliver_action(self, src: int, dst: int) -> None:
         plan = self.cfg.fault_plan
@@ -235,26 +240,15 @@ class Simulation:
         if len(channel) > 1 and self.rng.random() < reorder:
             idx = self.rng.randrange(len(channel))
         msg, birth = channel.pop(idx)
-        mid = message_id(msg)
-        kind = msg.kind
         if self.rng.random() < plan.omission_prob:
             self.counts["omissions"] += 1
-            if mid is None:
-                self._event("OMIT", src=src, dst=dst, kind=kind, cause="drop")
-            else:
-                self._event("OMIT", src=src, dst=dst, kind=kind, mid=list(mid), cause="drop")
+            self._packet_event("OMIT", src, dst, msg, cause="drop")
             return
         if self.rng.random() < plan.duplication_prob:
             if channel.push(msg, birth):
                 self.counts["duplications"] += 1
-                if mid is None:
-                    self._event("DUP", src=src, dst=dst, kind=kind)
-                else:
-                    self._event("DUP", src=src, dst=dst, kind=kind, mid=list(mid))
-        if mid is None:
-            self._event("RECV", src=src, dst=dst, kind=kind)
-        else:
-            self._event("RECV", src=src, dst=dst, kind=kind, mid=list(mid))
+                self._packet_event("DUP", src, dst, msg)
+        self._packet_event("RECV", src, dst, msg)
 
         node = self.nodes[dst]
         if isinstance(msg, Msg):
@@ -464,17 +458,6 @@ class Simulation:
                 return False
         return True
 
-    def _stale_free_now(self) -> bool:
-        if self.last_corrupt_step is None:
-            return True
-        for (_, dst), channel in self.channels.items():
-            if self.nodes[dst].crashed:
-                continue
-            for msg, birth in channel.packets:
-                if not isinstance(msg, Heartbeat) and birth <= self.last_corrupt_step:
-                    return False
-        return True
-
     def _on_cycle_boundary(self) -> None:
         self.cycle_count += 1
         self._event("CYCLE", k=self.cycle_count)
@@ -488,7 +471,8 @@ class Simulation:
         elif mode == "stabilized":
             # mirror the checker's marker eligibility: corruption-era packets
             # drained, plus one full cycle for their effects to be observed
-            if self._stale_free_now():
+            snapshot = self.trace.events[-1]
+            if not stale_packets_in_flight(snapshot, self.last_corrupt_step):
                 if self.stale_free_cycle is None:
                     self.stale_free_cycle = self.cycle_count
                 eligible = (
@@ -499,9 +483,7 @@ class Simulation:
                     eligible
                     and self.sched_ptr >= len(self.schedule)
                     and snapshot_all_consistent(
-                        self.trace.events[-1],
-                        self.trace.header,
-                        self.last_corrupt_step,
+                        snapshot, self.trace.header, self.last_corrupt_step
                     )
                 )
         if not settled:
@@ -567,42 +549,6 @@ class Simulation:
     # ---- metrics -----------------------------------------------------------------
 
     def _metrics(self, reason: str) -> dict:
-        per_broadcast: dict[str, dict] = {}
-        cycles_seen = 0
-        epoch = 0
-        bcast_cycle: dict[tuple[int, int, int], int] = {}
-        for event in self.trace.events:
-            etype = event["type"]
-            if etype == "CYCLE":
-                cycles_seen += 1
-            elif etype == "RESET":
-                epoch += 1
-            elif etype == "BROADCAST":
-                mid = (epoch, event["mid"][0], event["mid"][1])
-                bcast_cycle[mid] = cycles_seen
-                per_broadcast[f"{epoch}:{mid[1]}:{mid[2]}"] = {
-                    "msg_sends": 0,
-                    "ack_sends": 0,
-                    "delivery_cycle_latency_max": None,
-                    "deliveries": 0,
-                }
-            elif etype == "SEND" and "mid" in event:
-                mid = (epoch, event["mid"][0], event["mid"][1])
-                key = f"{epoch}:{mid[1]}:{mid[2]}"
-                if key in per_broadcast:
-                    field = "msg_sends" if event["kind"] == "MSG" else "ack_sends"
-                    per_broadcast[key][field] += 1
-            elif etype == "DELIVER":
-                mid = (epoch, event["mid"][0], event["mid"][1])
-                key = f"{epoch}:{mid[1]}:{mid[2]}"
-                if key in per_broadcast:
-                    entry = per_broadcast[key]
-                    entry["deliveries"] += 1
-                    latency = cycles_seen - bcast_cycle[mid]
-                    if entry["delivery_cycle_latency_max"] is None or latency > entry[
-                        "delivery_cycle_latency_max"
-                    ]:
-                        entry["delivery_cycle_latency_max"] = latency
         return {
             "status": reason,
             "steps": self.step,
@@ -614,7 +560,6 @@ class Simulation:
             "duplications": self.counts["duplications"],
             "resets": self.counts["resets"],
             "peak_buffer": {str(i): self.peak_buffer[i] for i in sorted(self.peak_buffer)},
-            "per_broadcast": per_broadcast,
         }
 
 

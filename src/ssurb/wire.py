@@ -1,21 +1,17 @@
 """Wire messages exchanged between nodes.
 
-Five packet kinds: MSG carries an application payload with its identity
+Four packet kinds: MSG carries an application payload with its identity
 (original broadcaster, sequence number), MSGACK acknowledges one, GOSSIP
-carries the per-peer flow-control triple, HEARTBEAT carries liveness
-counters, and RESET is the control kind used by the bounded-counter
-restart. Encoding is JSON-dict based; `decode` rejects anything a node
-must never see (unknown kind, missing field, a MSG with a null payload).
+carries the per-peer flow-control triple, and HEARTBEAT carries liveness
+counters. `encode` gives the JSON-dict form that traces and snapshots
+record. The bounded-counter reset barrier is driven by the simulator and
+sends no packets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import ClassVar, Union
-
-
-class WireDecodeError(ValueError):
-    """Raised for packets that do not decode to a well-formed message."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,15 +51,7 @@ class Heartbeat:
     dst_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class Reset:
-    kind: ClassVar[str] = "RESET"
-    phase: str  # "disable" | "reset"
-
-
-WireMessage = Union[Msg, MsgAck, Gossip, Heartbeat, Reset]
-
-RESET_PHASES = ("disable", "reset")
+WireMessage = Union[Msg, MsgAck, Gossip, Heartbeat]
 
 
 def message_id(msg: WireMessage) -> tuple[int, int] | None:
@@ -82,39 +70,5 @@ def encode(msg: WireMessage) -> dict:
         return {"kind": "GOSSIP", "max_seq": msg.max_seq, "rx_obs": msg.rx_obs, "tx_obs": msg.tx_obs}
     if isinstance(msg, Heartbeat):
         return {"kind": "HEARTBEAT", "sender_count": msg.sender_count, "dst_count": msg.dst_count}
-    if isinstance(msg, Reset):
-        return {"kind": "RESET", "phase": msg.phase}
     raise TypeError(f"not a wire message: {msg!r}")
 
-
-def _field(raw: dict, name: str, typ) -> object:
-    if name not in raw:
-        raise WireDecodeError(f"missing field {name!r}")
-    value = raw[name]
-    if typ is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise WireDecodeError(f"field {name!r} must be an integer, got {value!r}")
-    if typ is str and not isinstance(value, str):
-        raise WireDecodeError(f"field {name!r} must be a string, got {value!r}")
-    return value
-
-
-def decode(raw: dict) -> WireMessage:
-    if not isinstance(raw, dict):
-        raise WireDecodeError(f"packet must be an object, got {raw!r}")
-    kind = raw.get("kind")
-    if kind == "MSG":
-        if raw.get("payload") is None:
-            raise WireDecodeError("MSG with null payload")
-        return Msg(_field(raw, "payload", str), _field(raw, "sender", int), _field(raw, "seq", int))
-    if kind == "MSGACK":
-        return MsgAck(_field(raw, "sender", int), _field(raw, "seq", int))
-    if kind == "GOSSIP":
-        return Gossip(_field(raw, "max_seq", int), _field(raw, "rx_obs", int), _field(raw, "tx_obs", int))
-    if kind == "HEARTBEAT":
-        return Heartbeat(_field(raw, "sender_count", int), _field(raw, "dst_count", int))
-    if kind == "RESET":
-        phase = _field(raw, "phase", str)
-        if phase not in RESET_PHASES:
-            raise WireDecodeError(f"unknown RESET phase {phase!r}")
-        return Reset(phase)
-    raise WireDecodeError(f"unknown packet kind {kind!r}")

@@ -321,7 +321,9 @@ def test_criterion_9_bounded_mode_reset():
     )
     resets = run["metrics"]["resets"]
     post_reset_broadcasts = [
-        key for key in run["metrics"]["per_broadcast"] if not key.startswith("0:")
+        key
+        for key in run["reports"]["message-cost"].measured["per_broadcast"]
+        if not key.startswith("0:")
     ]
     names = ["validity", "integrity", "termination", "quiescence"]
     verdicts = {name: run["reports"][name].verdict for name in names}

@@ -121,44 +121,6 @@ def test_stale_packet_blocks_all_consistent_after_corruption():
     assert checker.snapshot_all_consistent(snap, h, 2)  # packet born after it
 
 
-# -- Def-3/Def-4 predicates -------------------------------------------------------
-
-
-def test_diffuse_predicate_literal():
-    node1 = fresh_node(1, 3)
-    node1["buffer"] = [rec("m", 2, 1, 3, delivered=False)]
-    snap = snapshot([node1, fresh_node(2, 3), fresh_node(3, 3)])
-    assert checker.diffuse_predicate(snap, 1, "m")
-    node1["buffer"][0]["delivered"] = True
-    assert not checker.diffuse_predicate(snap, 1, "m")
-    assert not checker.diffuse_predicate(snap, 2, "m")
-
-
-def test_completely_delivered():
-    nodes = [fresh_node(i, 3) for i in (1, 2, 3)]
-    nodes[0]["buffer"] = [rec("m", 1, 1, 3, delivered=True, rec_by=[1, 2, 3])]
-    snap = snapshot(nodes)
-    assert checker.completely_delivered(snap, (1, 1))
-
-    in_flight = snapshot(
-        nodes,
-        [{"src": 1, "dst": 2, "packets": [
-            {"kind": "MSG", "payload": "m", "sender": 1, "seq": 1, "birth_step": 0}]}],
-    )
-    assert not checker.completely_delivered(in_flight, (1, 1))
-
-    nodes[0]["buffer"][0]["rec_by"] = [1, 2]
-    assert not checker.completely_delivered(snapshot(nodes), (1, 1))
-
-
-def test_completely_delivered_ignores_channels_into_crashed():
-    nodes = [fresh_node(i, 3) for i in (1, 2, 3)]
-    nodes[2]["crashed"] = True
-    stuck = [{"src": 1, "dst": 3, "packets": [
-        {"kind": "MSG", "payload": "m", "sender": 1, "seq": 1, "birth_step": 0}]}]
-    assert checker.completely_delivered(snapshot(nodes, stuck), (1, 1))
-
-
 # -- event-level checks -------------------------------------------------------------
 
 

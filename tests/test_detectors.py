@@ -44,13 +44,6 @@ def test_on_heartbeat_smaller_values_ignored():
     assert hb.hb[1] == 5 and hb.hb[2] == 5
 
 
-def test_crash_notice_and_trusted_view():
-    theta = ThetaState(1, 4)
-    theta.on_crash_notice(2)
-    theta.on_crash_notice(2)  # idempotent
-    assert theta.trusted_view() == frozenset({1, 3, 4})
-
-
 def test_trusted_view_fresh():
     theta = ThetaState(1, 3)
     assert theta.trusted_view() == frozenset({1, 2, 3})

@@ -28,18 +28,18 @@ def record(payload, sender, seq, n, delivered=False, rec_by=None, prev_hb=None):
 def test_max_seq_over_buffered_records():
     node = NodeState(1, 3, 4)
     node.buffer = [record("a", 2, 3, 3), record("b", 2, 7, 3), record("c", 3, 1, 3)]
-    assert node.max_seq(2) == 7
+    assert node.max_seqs()[2] == 7
 
 
 def test_max_seq_fifo_uses_next_cursor():
     node = NodeState(1, 3, 4, fifo=True)
     node.next_deliver[2] = 5
-    assert node.max_seq(2) == 4
+    assert node.max_seqs()[2] == 4
 
 
 def test_max_seq_empty_defaults_to_zero():
     node = NodeState(1, 3, 4)
-    assert node.max_seq(2) == 0
+    assert node.max_seqs()[2] == 0
 
 
 def test_min_tx_obs_minimum_over_trusted():
@@ -196,7 +196,7 @@ def test_rx_clamp_bounds_receive_window():
     node.buffer = [record("x", 2, 9, 2)]
     node.do_forever_iteration(view(2))
     assert node.rx_obs[2] >= 7  # maxSeq(2) - bufferUnitSize
-    assert all(node.max_seq(k) - node.rx_obs[k] <= 2 for k in (1, 2))
+    assert all(node.max_seqs()[k] - node.rx_obs[k] <= 2 for k in (1, 2))
 
 
 def test_fifo_next_clamped_above_watermark():

@@ -53,7 +53,7 @@ def test_single_iteration_repairs_any_state(case):
     assert all(r.payload is not None for r in node.buffer)
     assert len(identities) == len(set(identities))
     for k in range(1, n + 1):
-        assert node.max_seq(k) - node.rx_obs[k] <= b
+        assert node.max_seqs()[k] - node.rx_obs[k] <= b
     assert len(node.buffer) <= b * n + n
     if node.fifo:
         for k in range(1, n + 1):

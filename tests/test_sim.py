@@ -4,6 +4,7 @@ draws, cycle accounting, transient-fault repairs, and the reset barrier."""
 from ssurb import checker, corruption
 from ssurb.config import from_dict
 from ssurb.sim import Simulation, run_scenario
+from ssurb.wire import encode
 
 
 def scenario(**kw):
@@ -198,6 +199,9 @@ def test_channel_garbage_respects_capacity_and_decodes():
     in_channels = [sim.channels[(src, 2)] for src in (1, 2, 3)]
     corruption.inject("CHANNEL-GARBAGE", sim.nodes[2].state, in_channels, sim.rng, sim.step)
     assert all(len(ch) <= 3 for ch in in_channels)
+    injected = [m for ch in in_channels for m, birth in ch.packets if birth == sim.step]
+    assert injected
+    assert all(encode(m)["kind"] == m.kind for m in injected)
 
 
 def test_global_reset_barrier_full_cycle():
@@ -286,6 +290,67 @@ def test_two_node_message_cost_frozen():
     assert (
         result.metrics["trace_digest"]
         == "a3cf5adba354196d664f80fb22b48d3cad426679ef65b48547cedc909295e72c"
+    )
+
+
+def test_benign_fault_fifo_digest_frozen():
+    # drop and duplicate draws, a detected crash and the FIFO cursor lifts:
+    # paths the fault-free frozen run above never takes
+    cfg = from_dict(
+        {
+            "n": 3,
+            "buffer_unit_size": 2,
+            "fifo_enabled": True,
+            "scheduler_profile": "reorder-heavy",
+            "seed": 5,
+            "broadcasts": [
+                {"node": 1, "payload": "a"},
+                {"node": 2, "payload": "b"},
+                {"node": 3, "step": 60, "payload": "c"},
+            ],
+            "fault_plan": {
+                "omission_prob": 0.2,
+                "duplication_prob": 0.1,
+                "crashes": [{"node": 3, "step": 400}],
+                "detection_latency": 30,
+            },
+        }
+    )
+    result = run_scenario(cfg)
+    faults = [e for e in result.trace.events if e["type"] in ("OMIT", "DUP")]
+    assert result.metrics["status"] == "complete-delivery"
+    assert result.metrics["steps"] == 529
+    assert len(faults) == 178
+    assert (
+        result.metrics["trace_digest"]
+        == "66943d2a5f4969b2cd669d5beb2b49caa4dee7ad8eac92aafbf606ef228de203"
+    )
+
+
+def test_corruption_stabilized_digest_frozen():
+    # the stabilized stop branch: stale-packet drain, then all-consistent
+    cfg = from_dict(
+        {
+            "n": 3,
+            "buffer_unit_size": 2,
+            "fifo_enabled": True,
+            "stop_mode": "stabilized",
+            "seed": 7,
+            "broadcasts": [{"node": 1, "payload": "a"}],
+            "fault_plan": {
+                "corruptions": [
+                    {"node": 2, "step": 100, "kind": "CHANNEL-GARBAGE"},
+                    {"node": 1, "step": 150, "kind": "NEXT-SKEW"},
+                ]
+            },
+        }
+    )
+    result = run_scenario(cfg)
+    assert result.metrics["status"] == "stabilized"
+    assert result.metrics["steps"] == 461
+    assert (
+        result.metrics["trace_digest"]
+        == "f7db09900e680f2c524bd8f259f6486130420c1991ef8ad65f36bb9de7b6e6f7"
     )
 
 
