@@ -143,7 +143,12 @@ def _sweep_cell(base: config.ScenarioConfig, overrides: dict, seeds: list[int]) 
 
 
 def sweep(base: config.ScenarioConfig, grid: dict[str, list], seeds: list[int], workers: int = 1) -> dict:
-    """Run the full grid; cells are independent and merge deterministically."""
+    """Run the full grid; cells are independent and merge deterministically.
+
+    `workers` > 1 runs cells on a thread pool. The cells are CPU-bound pure
+    Python and the threads share the interpreter lock, so this gives no
+    speedup over `workers=1`; results are identical for any worker count.
+    """
     cells: list[dict] = [{}]
     for key, values in grid.items():
         cells = [dict(cell, **{key: v}) for cell in cells for v in values]
@@ -205,7 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--out", required=True)
     sweep_p.add_argument("--seeds", default="0:10", help="range lo:hi or comma list")
     sweep_p.add_argument("--vary", action="append", metavar="KEY=V1,V2", help="grid dimension")
-    sweep_p.add_argument("--workers", type=int, default=1)
+    sweep_p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="threads to run cells on; they share the interpreter lock, so "
+        "they give no CPU speedup (results are the same for any count)",
+    )
     sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.add_argument("--max-steps", type=int, default=None)
     sweep_p.add_argument("--profile", default=None)

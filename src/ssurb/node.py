@@ -324,10 +324,6 @@ class NodeState:
 
     # -- serialization ----------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Canonical dict form of the live state."""
-        return self._observe(sorted(k for k in range(1, self.n + 1)))
-
     def _observe(self, trusted: list[int]) -> dict:
         return {
             "id": self.self_id,

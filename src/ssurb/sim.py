@@ -9,6 +9,16 @@ asynchronous cycles (every live node completed an iteration, its
 request-reply messages round-tripped or their targets became suspected,
 and a gossip from it reached every live peer), drives the bounded-mode
 global reset barrier, and appends everything to the trace.
+
+The scheduler is incremental. Every possible action has a fixed slot, the
+n node iterations first and then the n^2 channels in (src, dst) order, and
+the slot weights sit in a Fenwick tree that each channel push, pop and
+clear and each crash update in place. A draw searches the tree's prefix
+sums the way `random.choices` bisects its cumulative weights, so a step
+costs O(log n^2) rather than a rebuild of the whole action list, and the
+seeded schedule is the one an explicit weighted list would give. Cycle
+accounting likewise keeps a running count of the live gossip pairs not yet
+seen instead of scanning live x live on every step.
 """
 
 from __future__ import annotations
@@ -30,23 +40,100 @@ def payload_hash(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-class Channel:
-    """Ordered bounded multiset of in-transit packets for one (src, dst) pair."""
+class WeightTree:
+    """Integer weights over fixed slots, kept in a Fenwick tree (Fenwick 1994).
 
-    def __init__(self, src: int, dst: int, capacity: int):
+    `pick` draws exactly as `random.choices(slots, weights)` would over the
+    slots of non-zero weight, in slot order: one `random()` scaled by the
+    total, the first slot whose prefix sum exceeds it, and the last such
+    slot when rounding puts the draw at or past the total. Zero-weight
+    slots can never be picked.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.weights = [0] * size
+        self.total = 0
+        self._tree = [0] * (size + 1)
+        self._top = 1 << (size.bit_length() - 1)
+
+    def set(self, slot: int, weight: int) -> None:
+        delta = weight - self.weights[slot]
+        if not delta:
+            return
+        self.weights[slot] = weight
+        self.total += delta
+        tree, size = self._tree, self.size
+        i = slot + 1
+        while i <= size:
+            tree[i] += delta
+            i += i & -i
+
+    def _count_at_most(self, x: float) -> int:
+        """Number of leading slots whose prefix sum is <= x."""
+        tree, size = self._tree, self.size
+        pos = acc = 0
+        step = self._top
+        while step:
+            nxt = pos + step
+            if nxt <= size:
+                grown = acc + tree[nxt]  # int vs float compares exactly
+                if grown <= x:
+                    pos, acc = nxt, grown
+            step >>= 1
+        return pos
+
+    def pick(self, rng: random.Random) -> int:
+        total = self.total
+        slot = self._count_at_most(rng.random() * float(total))
+        if slot == self.size:
+            slot = self._count_at_most(total - 1)
+        return slot
+
+
+class Channel:
+    """Ordered bounded multiset of in-transit packets for one (src, dst) pair.
+
+    A full iteration floods up to ~2(n-1) packets while one delivery drains
+    a single packet, so a channel's scheduler weight grows with its
+    occupancy, 4 + 4*len, to keep the network from sitting at capacity. It
+    is 0 while the channel is empty or its destination has crashed, and is
+    kept current at `slot` of `weights` by every push, pop and clear.
+    """
+
+    def __init__(self, src: int, dst: int, capacity: int, weights: WeightTree, slot: int):
         self.src = src
         self.dst = dst
         self.capacity = capacity
         self.packets: list[tuple[WireMessage, int]] = []  # (message, birth step)
+        self.dst_live = True
+        self._weights = weights
+        self._slot = slot
+
+    def _reweigh(self) -> None:
+        size = len(self.packets)
+        self._weights.set(self._slot, 4 + 4 * size if size and self.dst_live else 0)
 
     def push(self, msg: WireMessage, step: int) -> bool:
         if len(self.packets) >= self.capacity:
             return False
         self.packets.append((msg, step))
+        self._reweigh()
         return True
 
     def pop(self, idx: int) -> tuple[WireMessage, int]:
-        return self.packets.pop(idx)
+        packet = self.packets.pop(idx)
+        self._reweigh()
+        return packet
+
+    def clear(self) -> None:
+        self.packets.clear()
+        self._reweigh()
+
+    def close(self) -> None:
+        """The destination crashed: nothing here is ever delivered."""
+        self.dst_live = False
+        self._reweigh()
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -78,11 +165,19 @@ class Simulation:
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         self.trace = Trace(make_header(cfg))
-        self.nodes = {i: SimNode(i, cfg) for i in range(1, cfg.n + 1)}
+        n = cfg.n
+        self.nodes = {i: SimNode(i, cfg) for i in range(1, n + 1)}
+        self.live = list(self.nodes)  # rebound, never mutated: events hold it
+        # scheduler slots: iterate node i at i-1, channel (a, b) at
+        # n + (a-1)*n + (b-1), i.e. nodes ascending, then channels sorted
+        self.weights = WeightTree(n + n * n)
+        for i in self.nodes:
+            starved = i == 1 and cfg.scheduler_profile == "starve-one-node"
+            self.weights.set(i - 1, 1 if starved else 8)
         self.channels = {
-            (a, b): Channel(a, b, cfg.channel_capacity)
-            for a in range(1, cfg.n + 1)
-            for b in range(1, cfg.n + 1)
+            (a, b): Channel(a, b, cfg.channel_capacity, self.weights, n + (a - 1) * n + (b - 1))
+            for a in range(1, n + 1)
+            for b in range(1, n + 1)
         }
         self.step = 0
         self.cycle_count = 0
@@ -136,9 +231,6 @@ class Simulation:
 
     # ---- helpers -------------------------------------------------------
 
-    def live_nodes(self) -> list[int]:
-        return [i for i in self.nodes if not self.nodes[i].crashed]
-
     def _delayed_crashed(self) -> set[int]:
         latency = self.cfg.fault_plan.detection_latency
         return {i for i, at in self.crashed_at.items() if at + latency <= self.step}
@@ -154,6 +246,18 @@ class Simulation:
             i: [] for i in self.nodes
         }
         self.ct_gossip_seen: dict[int, set[int]] = {i: set() for i in self.nodes}
+        self.missing_gossip = self._count_missing_gossip()
+
+    def _count_missing_gossip(self) -> int:
+        """Pairs (i, k) of distinct live nodes with no gossip from i at k yet;
+        the self-channels carry GOSSIP too, but (i, i) is no clause."""
+        live = self.live
+        return sum(
+            1
+            for i in live
+            for k in live
+            if k != i and k not in self.ct_gossip_seen[i]
+        )
 
     # ---- event emission --------------------------------------------------
 
@@ -262,7 +366,11 @@ class Simulation:
                     pending.discard(key)
         elif isinstance(msg, Gossip):
             node.state.on_gossip(msg.max_seq, msg.rx_obs, msg.tx_obs, src)
-            self.ct_gossip_seen[src].add(dst)
+            seen = self.ct_gossip_seen[src]
+            if dst not in seen:
+                seen.add(dst)
+                if src != dst and not self.nodes[src].crashed:
+                    self.missing_gossip -= 1
         elif isinstance(msg, Heartbeat):
             node.hb.on_heartbeat(msg.sender_count, msg.dst_count, src)
         if self.cfg.bounded_mode and node.state.check_overflow():
@@ -303,6 +411,11 @@ class Simulation:
         if self.nodes[i].crashed:
             return
         self.nodes[i].crashed = True
+        self.live = [k for k in self.live if k != i]
+        self.weights.set(i - 1, 0)
+        for src in self.nodes:
+            self.channels[(src, i)].close()
+        self.missing_gossip = self._count_missing_gossip()
         self.crashed_at[i] = self.step
         self._event("CRASH", node=i)
 
@@ -352,14 +465,14 @@ class Simulation:
         if self.barrier_active:
             return
         self.barrier_active = True
-        live = self.live_nodes()
+        live = self.live
         for i in live:
             if self.nodes[i].state.reset_phase == NORMAL:
                 self.nodes[i].state.reset_phase = DISABLED
         self._event("DISABLE", nodes=live)
 
     def _barrier_ready(self) -> bool:
-        for i in self.live_nodes():
+        for i in self.live:
             state = self.nodes[i].state
             if state.reset_phase != DISABLED:
                 return False
@@ -368,14 +481,14 @@ class Simulation:
         return True
 
     def _apply_global_reset(self) -> None:
-        live = self.live_nodes()
+        live = self.live
         for i in live:
             self.nodes[i].state.reset_phase = RESETTING
         for i in live:
             self.nodes[i].state.perform_global_reset()
             self.nodes[i].hb.reset()
         for channel in self.channels.values():
-            channel.packets.clear()
+            channel.clear()
         self._event("RESET", nodes=live)
         self.counts["resets"] += 1
         self.epoch += 1
@@ -389,11 +502,10 @@ class Simulation:
     # ---- asynchronous-cycle accounting -------------------------------------------
 
     def _cycle_complete(self) -> bool:
-        live = self.live_nodes()
-        if not live:
+        if self.missing_gossip or not self.live:
             return False
         suspected: set[int] | None = None
-        for i in live:
+        for i in self.live:
             if i not in self.ct_satisfied:
                 done = False
                 for pending in self.ct_pending[i]:
@@ -410,10 +522,6 @@ class Simulation:
                     return False
                 self.ct_satisfied.add(i)
                 self.ct_pending[i] = []
-            seen = self.ct_gossip_seen[i]
-            for k in live:
-                if k != i and k not in seen:
-                    return False
         return True
 
     # ---- stop predicate ---------------------------------------------------------
@@ -421,7 +529,7 @@ class Simulation:
     def _settled_complete_delivery(self) -> bool:
         if self.sched_ptr < len(self.schedule):
             return False
-        live = self.live_nodes()
+        live = self.live
         live_set = set(live)
         for i in live:
             if self.nodes[i].state.pending:
@@ -500,31 +608,17 @@ class Simulation:
 
     def step_once(self) -> None:
         self._prologue()
-        live = self.live_nodes()
-        if not live:
+        if not self.live:
             self.stop_reason = "all-crashed"
             return
 
-        # a full iteration floods up to ~2(n-1) packets while one delivery
-        # drains a single packet, so drains are weighted by channel occupancy
-        # to keep the network from sitting at capacity
-        actions: list[tuple] = [("iterate", i) for i in live]
-        weights = [8] * len(actions)
-        if self.cfg.scheduler_profile == "starve-one-node":
-            for pos, action in enumerate(actions):
-                if action[1] == 1:
-                    weights[pos] = 1
-        for key in sorted(self.channels):
-            channel = self.channels[key]
-            if channel.packets and not self.nodes[key[1]].crashed:
-                actions.append(("deliver", key[0], key[1]))
-                weights.append(4 + 4 * len(channel.packets))
-
-        choice = self.rng.choices(actions, weights=weights, k=1)[0]
-        if choice[0] == "iterate":
-            self._iterate_action(choice[1])
+        n = self.cfg.n
+        slot = self.weights.pick(self.rng)
+        if slot < n:
+            self._iterate_action(slot + 1)
         else:
-            self._deliver_action(choice[1], choice[2])
+            src, dst = divmod(slot - n, n)
+            self._deliver_action(src + 1, dst + 1)
 
         if self.cfg.bounded_mode and self.barrier_active and self._barrier_ready():
             self._apply_global_reset()

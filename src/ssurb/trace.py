@@ -4,19 +4,67 @@ A trace is a header record followed by one JSON object per event, in
 simulation order. Snapshots embed every node's full protocol state plus
 channel contents in canonical field order, which is what the state-level
 checkers consume. The digest is a SHA-256 over the canonical encoding of
-all records and is the replay-equality witness.
+all records and is the replay-equality witness. SEND/RECV/OMIT/DUP
+records, nearly all of a trace, are rendered from fixed templates that
+give the same bytes as `canonical`; every other record goes through
+`canonical` itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 
 TRACE_FORMAT = "ssurb-trace-v1"
+
+# the closing `"type"` field of each packet record, the last key in sorted order
+_PACKET_TAILS = {t: f',"type":"{t}"}}' for t in ("SEND", "RECV", "OMIT", "DUP")}
 
 
 def canonical(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def encode_record(record: dict) -> str:
+    """`canonical(record)`, from a template for the simulator's packet records."""
+    etype = record.get("type")
+    tail = _PACKET_TAILS.get(etype) if type(etype) is str else None
+    if tail is not None:
+        line = _packet_line(record, tail)
+        if line is not None:
+            return line
+    return canonical(record)
+
+
+def _packet_line(record: dict, tail: str) -> str | None:
+    # keys type, step, src, dst, kind and optionally mid and cause; anything
+    # else, or a value json would render differently from str(), is None
+    get = record.get
+    step, src, dst, kind = get("step"), get("src"), get("dst"), get("kind")
+    mid, cause = get("mid"), get("cause")
+    if (
+        len(record) != 5 + (mid is not None) + (cause is not None)
+        or type(step) is not int
+        or type(src) is not int
+        or type(dst) is not int
+        or type(kind) is not str
+    ):
+        return None
+    head = "{"
+    if cause is not None:
+        if type(cause) is not str:
+            return None
+        head = f'{{"cause":{encode_basestring_ascii(cause)},'
+    body = f'"dst":{dst},"kind":{encode_basestring_ascii(kind)},'
+    if mid is not None:
+        if type(mid) is not list or len(mid) != 2:
+            return None
+        sender, seq = mid
+        if type(sender) is not int or type(seq) is not int:
+            return None
+        body += f'"mid":[{sender},{seq}],'
+    return f'{head}{body}"src":{src},"step":{step}{tail}'
 
 
 def make_header(cfg) -> dict:
@@ -49,7 +97,7 @@ class Trace:
     def append(self, event: dict) -> None:
         self.events.append(event)
         self._hasher.update(b"\n")
-        self._hasher.update(canonical(event).encode())
+        self._hasher.update(encode_record(event).encode())
 
     def digest(self) -> str:
         return self._hasher.hexdigest()
@@ -58,7 +106,7 @@ class Trace:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(canonical(self.header) + "\n")
             for event in self.events:
-                fh.write(canonical(event) + "\n")
+                fh.write(encode_record(event) + "\n")
 
 
 def read(path: str) -> Trace:

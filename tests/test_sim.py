@@ -354,6 +354,51 @@ def test_corruption_stabilized_digest_frozen():
     )
 
 
+def test_crash_starve_one_node_digest_frozen():
+    # the starved node's weight 1, a crash zeroing a node's iterate and
+    # inbound-channel weights, and the live x live gossip recount it forces
+    cfg = from_dict(
+        {
+            "n": 4,
+            "buffer_unit_size": 3,
+            "seed": 13,
+            "scheduler_profile": "starve-one-node",
+            "broadcasts": [
+                {"node": 1, "payload": "a"},
+                {"node": 2, "payload": "b"},
+                {"node": 4, "step": 90, "payload": "c"},
+                {"node": 1, "step": 200, "payload": "d"},
+            ],
+            "fault_plan": {"crashes": [{"node": 3, "step": 250}], "detection_latency": 25},
+        }
+    )
+    result = run_scenario(cfg)
+    assert result.metrics["status"] == "complete-delivery"
+    assert result.metrics["steps"] == 1486
+    assert result.metrics["cycles"] == 10
+    assert (
+        result.metrics["trace_digest"]
+        == "2eec7e11150d58683f2a1a06e2358fa75fd9cec20e21eb0e06432ba8f47a4d72"
+    )
+
+
+def test_n32_fault_free_digest_frozen():
+    # 32 nodes, 1 056 scheduler slots: the benchmark's broadcast schedule,
+    # two as soon as possible, then one every 60 steps from step 120
+    broadcasts = [{"node": 1, "payload": "m0"}, {"node": 2, "payload": "m1"}] + [
+        {"node": 1 + k, "step": 60 * k, "payload": f"m{k}"} for k in (2, 3, 4)
+    ]
+    cfg = from_dict({"n": 32, "seed": 0, "max_steps": 400_000, "broadcasts": broadcasts})
+    result = run_scenario(cfg)
+    assert result.metrics["status"] == "complete-delivery"
+    assert result.metrics["steps"] == 102_481
+    assert result.metrics["cycles"] == 8
+    assert (
+        result.metrics["trace_digest"]
+        == "e95b8c1c7714196d79fcabc26fa450a02377c8405b58b16e37614f6e95b0afac"
+    )
+
+
 def test_detector_contracts_over_crash_run():
     cfg = scenario(
         n=3,
