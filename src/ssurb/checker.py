@@ -15,9 +15,15 @@ Conventions shared by all checks:
 * Traces are segmented into epochs at global-reset events; identities do
   not carry across epochs.
 * The "stabilization marker" of an epoch is its first snapshot at which
-  every live node's state is consistent. Events before the marker are
-  the recovery window and are exempt from the safety checks; FAIL always
-  refers to the post-marker suffix.
+  every live node's state is consistent. After a corruption it must also
+  come late enough: no corruption-era packet may still be in flight, and
+  the marker waits one more cycle past the first snapshot at which none
+  is, two if that snapshot was taken mid-cycle (`drained_cycle`; the
+  simulator's `stabilized` stop rule applies the same function). Events
+  before the marker are the recovery window and are exempt from the
+  safety checks; FAIL always refers to the post-marker suffix.
+* `TraceIndex` makes one pass over the events, and evaluates each
+  snapshot's consistency at most once for all the checks together.
 * Liveness-flavoured checks report INCONCLUSIVE rather than FAIL when
   the run was cut off by the step budget: a finite prefix cannot refute
   them.
@@ -25,7 +31,7 @@ Conventions shared by all checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -225,97 +231,101 @@ def snapshot_all_consistent(
     return True
 
 
+def drained_cycle(snapshot: dict, last_corrupt_step: int | None) -> int | None:
+    """First cycle whose snapshots may serve as the stabilization marker, as
+    judged at `snapshot`; None while corruption-era packets are in flight.
+
+    Effects of consumed corruption-era packets surface in a node's observed
+    state only at its next repair pass, so once the backlog has drained the
+    marker waits one full cycle past a boundary snapshot, or two past a
+    mid-cycle one: by then every live node has iterated past its last stale
+    intake. Without a corruption there is nothing to wait for.
+    """
+    if last_corrupt_step is None:
+        return snapshot["cycle"]
+    if stale_packets_in_flight(snapshot, last_corrupt_step):
+        return None
+    return snapshot["cycle"] + (1 if snapshot.get("boundary", True) else 2)
+
+
 # ---------------------------------------------------------------------------
 # trace indexing
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Epoch:
-    events: list[dict] = field(default_factory=list)
-    # positions (into self.events) of SNAPSHOT events, with effective
-    # last-corrupt step at that point
-    snapshots: list[tuple[int, int | None]] = field(default_factory=list)
-    marker_pos: int | None = None
-
-
-def _find_marker(
-    events: list[dict], snapshots: list[tuple[int, int | None]], header: dict
-) -> int | None:
-    """Position of the first snapshot at which the checked suffix starts.
-
-    Without corruption this is simply the first all-consistent snapshot.
-    After a corruption, effects of consumed corruption-era packets surface in
-    a node's observed state only at its next repair pass, so the marker must
-    additionally sit at least one full cycle after the in-flight backlog
-    drained: by then every live node has iterated past its last stale intake.
-    """
-    corrupt_positions = [pos for pos, e in enumerate(events) if e["type"] == "CORRUPT"]
-    if not corrupt_positions:
-        for pos, ctx in snapshots:
-            if snapshot_all_consistent(events[pos], header, ctx):
-                return pos
-        return None
-    frontier = corrupt_positions[-1]
-    need_cycle = None
-    for pos, ctx in snapshots:
-        if pos < frontier:
-            continue
-        snapshot = events[pos]
-        if not stale_packets_in_flight(snapshot, ctx):
-            lag = 1 if snapshot.get("boundary", True) else 2
-            need_cycle = snapshot["cycle"] + lag
-            break
-    if need_cycle is None:
-        return None
-    for pos, ctx in snapshots:
-        if pos < frontier:
-            continue
-        snapshot = events[pos]
-        if snapshot["cycle"] < need_cycle:
-            continue
-        if snapshot_all_consistent(snapshot, header, ctx):
-            return pos
-    return None
-
-
 class TraceIndex:
-    """Pre-digested view of a trace: epochs, markers, crash sets, end status."""
+    """One pass over a trace: crash set, end reason, CORRUPT positions,
+    snapshots, epochs as ranges of event positions, and each epoch's
+    stabilization marker. Every snapshot verdict is computed at most once."""
 
     def __init__(self, header: dict, events: list[dict]):
         self.header = header
         self.events = events
-        self.crashed: set[int] = {
-            e["node"] for e in events if e["type"] == "CRASH"
-        }
+        self.crashed: set[int] = set()
+        self.end_reason: str | None = None
+        self.corrupt_positions: list[int] = []
+        # (position, step of the last CORRUPT before it) of every SNAPSHOT
+        self.snapshots: list[tuple[int, int | None]] = []
+        self.epochs: list[range] = []
+        self._verdicts: dict[int, bool] = {}
+        last_corrupt: int | None = None
+        start = 0
+        for pos, event in enumerate(events):
+            etype = event["type"]
+            if etype == "SNAPSHOT":
+                self.snapshots.append((pos, last_corrupt))
+            elif etype == "CORRUPT":
+                self.corrupt_positions.append(pos)
+                last_corrupt = event["step"]
+            elif etype == "CRASH":
+                self.crashed.add(event["node"])
+            elif etype == "END":
+                self.end_reason = event["reason"]
+            elif etype == "RESET":
+                self.epochs.append(range(start, pos + 1))
+                start = pos + 1
+        self.epochs.append(range(start, len(events)))
         self.never_crashed: list[int] = [
             i for i in range(1, header["n"] + 1) if i not in self.crashed
         ]
-        end = [e for e in events if e["type"] == "END"]
-        self.end_reason: str | None = end[-1]["reason"] if end else None
-        self.had_corruption = any(e["type"] == "CORRUPT" for e in events)
-
-        self.epochs: list[_Epoch] = [_Epoch()]
-        last_corrupt: int | None = None
-        for event in events:
-            etype = event["type"]
-            if etype == "CORRUPT":
-                last_corrupt = event["step"]
-            epoch = self.epochs[-1]
-            epoch.events.append(event)
-            if etype == "SNAPSHOT":
-                epoch.snapshots.append((len(epoch.events) - 1, last_corrupt))
-            if etype == "RESET":
-                self.epochs.append(_Epoch())
+        # per epoch: its marker position, and its snapshots from the marker on
+        self.markers: list[int | None] = []
+        self.checked: list[tuple[int, int | None]] = []
         for epoch in self.epochs:
-            epoch.marker_pos = _find_marker(epoch.events, epoch.snapshots, header)
+            snaps = [s for s in self.snapshots if s[0] in epoch]
+            corrupt = [pos for pos in self.corrupt_positions if pos in epoch]
+            marker = self.marker(snaps, corrupt[-1] if corrupt else None)
+            self.markers.append(marker)
+            if marker is not None:
+                self.checked += [s for s in snaps if s[0] >= marker]
 
-    def window(self, epoch: _Epoch) -> list[tuple[int, dict]]:
-        """Post-marker events of an epoch (the whole epoch when it never
-        stabilized is exempt, so the window is empty)."""
-        if epoch.marker_pos is None:
-            return []
-        return list(enumerate(epoch.events))[epoch.marker_pos:]
+    def consistent(self, pos: int, last_corrupt_step: int | None) -> bool:
+        """`snapshot_all_consistent` of the snapshot at `pos`, evaluated once."""
+        verdict = self._verdicts.get(pos)
+        if verdict is None:
+            verdict = snapshot_all_consistent(self.events[pos], self.header, last_corrupt_step)
+            self._verdicts[pos] = verdict
+        return verdict
+
+    def marker(
+        self, snapshots: list[tuple[int, int | None]], frontier: int | None
+    ) -> int | None:
+        """Position of the first of `snapshots` at which the checked suffix
+        starts: the first all-consistent one when there is no corruption
+        (`frontier` None); otherwise the first all-consistent one after the
+        last corruption at `frontier` that `drained_cycle` admits."""
+        need = None if frontier is not None else 0
+        for pos, ctx in snapshots:
+            if frontier is not None and pos < frontier:
+                continue
+            snapshot = self.events[pos]
+            if need is None:
+                need = drained_cycle(snapshot, ctx)
+                if need is None:
+                    continue
+            if snapshot["cycle"] >= need and self.consistent(pos, ctx):
+                return pos
+        return None
 
 
 def index_trace(header: dict, events: list[dict]) -> TraceIndex:
@@ -331,12 +341,13 @@ def validity_check(ti: TraceIndex) -> CheckReport:
     """Every checked delivery traces back to an earlier broadcast of the same
     identity; deliveries in the recovery window, or of identities already
     present in the system state at the marker, are exempt."""
+    events = ti.events
     exemptions = 0
-    for epoch in ti.epochs:
-        if epoch.marker_pos is None:
-            exemptions += sum(1 for e in epoch.events if e["type"] == "DELIVER")
+    for epoch, marker in zip(ti.epochs, ti.markers):
+        if marker is None:
+            exemptions += sum(1 for e in events[epoch.start:epoch.stop] if e["type"] == "DELIVER")
             continue
-        marker_snapshot = epoch.events[epoch.marker_pos]
+        marker_snapshot = events[marker]
         preexisting: set[tuple[int, int]] = set()
         for entry in marker_snapshot["nodes"]:
             for r in entry["buffer"]:
@@ -347,11 +358,12 @@ def validity_check(ti: TraceIndex) -> CheckReport:
                     preexisting.add((packet["sender"], packet["seq"]))
         # identities that moved through the recovery window may be buffered
         # live without showing in the marker's observed states yet
-        for event in epoch.events[: epoch.marker_pos]:
+        for event in events[epoch.start:marker]:
             if event["type"] in ("SEND", "RECV", "OMIT", "DUP") and "mid" in event:
                 preexisting.add((event["mid"][0], event["mid"][1]))
         broadcast_at: dict[tuple[int, int], int] = {}
-        for pos, event in enumerate(epoch.events):
+        for pos in epoch:
+            event = events[pos]
             if event["type"] == "BROADCAST":
                 mid = (event["mid"][0], event["mid"][1])
                 if mid not in broadcast_at:
@@ -360,7 +372,7 @@ def validity_check(ti: TraceIndex) -> CheckReport:
                 mid = (event["mid"][0], event["mid"][1])
                 if mid in broadcast_at and broadcast_at[mid] < pos:
                     continue
-                if pos < epoch.marker_pos or mid in preexisting:
+                if pos < marker or mid in preexisting:
                     exemptions += 1
                     continue
                 return CheckReport(
@@ -373,9 +385,11 @@ def validity_check(ti: TraceIndex) -> CheckReport:
 
 def integrity_check(ti: TraceIndex) -> CheckReport:
     """No (node, identity) pair is delivered twice in the checked window."""
-    for epoch in ti.epochs:
+    for epoch, marker in zip(ti.epochs, ti.markers):
+        if marker is None:
+            continue
         seen: set[tuple[int, int, int]] = set()
-        for _, event in ti.window(epoch):
+        for event in ti.events[marker:epoch.stop]:
             if event["type"] != "DELIVER":
                 continue
             key = (event["node"], event["mid"][0], event["mid"][1])
@@ -394,15 +408,15 @@ def termination_check(ti: TraceIndex) -> CheckReport:
     window, every never-crashed node delivered within the epoch."""
     survivors = set(ti.never_crashed)
     incomplete = ti.end_reason != "complete-delivery"
-    for epoch in ti.epochs:
+    for epoch, marker in zip(ti.epochs, ti.markers):
+        if marker is None:
+            continue
         antecedent: set[tuple[int, int]] = set()
-        for _, event in ti.window(epoch):
-            if event["type"] == "BROADCAST" and event["node"] in survivors:
-                antecedent.add((event["mid"][0], event["mid"][1]))
-            elif event["type"] == "DELIVER" and event["node"] in survivors:
+        for event in ti.events[marker:epoch.stop]:
+            if event["type"] in ("BROADCAST", "DELIVER") and event["node"] in survivors:
                 antecedent.add((event["mid"][0], event["mid"][1]))
         delivered: set[tuple[int, tuple[int, int]]] = set()
-        for event in epoch.events:
+        for event in ti.events[epoch.start:epoch.stop]:
             if event["type"] == "DELIVER":
                 delivered.add((event["node"], (event["mid"][0], event["mid"][1])))
         for mid in sorted(antecedent):
@@ -420,7 +434,7 @@ def termination_check(ti: TraceIndex) -> CheckReport:
     return CheckReport("termination", "PASS")
 
 
-def quiescence_check(ti: TraceIndex, mid: tuple[int, int] | None = None) -> CheckReport:
+def quiescence_check(ti: TraceIndex) -> CheckReport:
     """Zero MSG/MSGACK traffic for delivered broadcasts inside the final
     quiescence window; control gossip and heartbeats keep flowing."""
     if ti.end_reason != "complete-delivery":
@@ -431,26 +445,18 @@ def quiescence_check(ti: TraceIndex, mid: tuple[int, int] | None = None) -> Chec
         )
     w = ti.header["quiescence_window_cycles"]
     epoch = ti.epochs[-1]
-    cycles = [pos for pos, e in enumerate(epoch.events) if e["type"] == "CYCLE"]
+    events = ti.events[epoch.start:epoch.stop]
+    cycles = [pos for pos, e in enumerate(events) if e["type"] == "CYCLE"]
     if len(cycles) < w:
         return CheckReport(
             "quiescence", "INCONCLUSIVE", witness={"reason": "fewer cycles than the window"}
         )
-    start = cycles[-w]
-    tracked = (
-        {mid}
-        if mid is not None
-        else {
-            (e["mid"][0], e["mid"][1])
-            for e in epoch.events
-            if e["type"] == "BROADCAST"
-        }
-    )
+    tracked = {(e["mid"][0], e["mid"][1]) for e in events if e["type"] == "BROADCAST"}
     msg_events = 0
     gossip_events = 0
     heartbeat_events = 0
     witness = None
-    for event in epoch.events[start:]:
+    for event in events[cycles[-w]:]:
         if event["type"] not in ("SEND", "RECV"):
             continue
         kind = event["kind"]
@@ -475,22 +481,27 @@ def quiescence_check(ti: TraceIndex, mid: tuple[int, int] | None = None) -> Chec
     return CheckReport("quiescence", "PASS", measured=measured)
 
 
+def _inconsistency(snapshot: dict, header: dict, last_corrupt_step: int | None) -> dict:
+    """FAIL witness for a snapshot that is not all-consistent: the first live
+    node whose state breaks a clause, and that clause."""
+    for entry in snapshot["nodes"]:
+        if entry["crashed"]:
+            continue
+        ok, clause = consistency_check(snapshot, entry["id"], header, last_corrupt_step)
+        if not ok:
+            return {"node": entry["id"], "clause": clause, "step": snapshot["step"]}
+    return {"reason": "stale packets never drained", "step": snapshot["step"]}
+
+
 def consistency_closure_check(ti: TraceIndex) -> CheckReport:
     """Once the marker is reached, consistency holds at every later snapshot
     of the epoch (the marker already sits after the epoch's last corruption)."""
-    for epoch in ti.epochs:
-        if epoch.marker_pos is None:
-            continue
-        for pos, corrupt_step in epoch.snapshots:
-            if pos <= epoch.marker_pos:
-                continue
-            snapshot = epoch.events[pos]
-            if not snapshot_all_consistent(snapshot, ti.header, corrupt_step):
-                return CheckReport(
-                    "consistency-closure",
-                    "FAIL",
-                    witness={"step": snapshot["step"], "cycle": snapshot["cycle"]},
-                )
+    for pos, corrupt_step in ti.checked:
+        if not ti.consistent(pos, corrupt_step):
+            snapshot = ti.events[pos]
+            witness = _inconsistency(snapshot, ti.header, corrupt_step)
+            witness["cycle"] = snapshot["cycle"]
+            return CheckReport("consistency-closure", "FAIL", witness=witness)
     return CheckReport("consistency-closure", "PASS")
 
 
@@ -500,85 +511,53 @@ def buffer_bound_check(ti: TraceIndex) -> CheckReport:
     b = ti.header["buffer_unit_size"]
     n = ti.header["n"]
     peak_total = 0
-    for epoch in ti.epochs:
-        if epoch.marker_pos is None:
-            continue
-        for pos, _ in epoch.snapshots:
-            if pos < epoch.marker_pos:
+    for pos, _ in ti.checked:
+        snapshot = ti.events[pos]
+        for entry in snapshot["nodes"]:
+            if entry["crashed"]:
                 continue
-            snapshot = epoch.events[pos]
-            for entry in snapshot["nodes"]:
-                if entry["crashed"]:
-                    continue
-                per_sender: dict[int, int] = {}
-                for r in entry["buffer"]:
-                    per_sender[r["sender"]] = per_sender.get(r["sender"], 0) + 1
-                total = len(entry["buffer"])
-                peak_total = max(peak_total, total)
-                if total > b * n or any(c > b for c in per_sender.values()):
-                    return CheckReport(
-                        "buffer-bounds",
-                        "FAIL",
-                        witness={
-                            "step": snapshot["step"],
-                            "node": entry["id"],
-                            "total": total,
-                            "per_sender": per_sender,
-                        },
-                    )
+            per_sender: dict[int, int] = {}
+            for r in entry["buffer"]:
+                per_sender[r["sender"]] = per_sender.get(r["sender"], 0) + 1
+            total = len(entry["buffer"])
+            peak_total = max(peak_total, total)
+            if total > b * n or any(c > b for c in per_sender.values()):
+                return CheckReport(
+                    "buffer-bounds",
+                    "FAIL",
+                    witness={
+                        "step": snapshot["step"],
+                        "node": entry["id"],
+                        "total": total,
+                        "per_sender": per_sender,
+                    },
+                )
     return CheckReport("buffer-bounds", "PASS", measured={"peak_total": peak_total})
 
 
 def stabilization_time(ti: TraceIndex) -> CheckReport:
     """Cycles between the last corruption and the first marker-eligible
     snapshot from which every live node stays consistent for the rest of the
-    trace."""
-    if not ti.had_corruption:
+    trace. The marker search runs over the whole trace, across resets."""
+    if not ti.corrupt_positions:
         return CheckReport("stabilization-time", "PASS", measured={"cycles": 0})
-    last_corrupt_pos = max(
-        pos for pos, e in enumerate(ti.events) if e["type"] == "CORRUPT"
-    )
-    snaps: list[tuple[int, int | None]] = []  # (global pos, corrupt step context)
-    last_corrupt: int | None = None
-    for pos, event in enumerate(ti.events):
-        if event["type"] == "CORRUPT":
-            last_corrupt = event["step"]
-        if event["type"] == "SNAPSHOT":
-            snaps.append((pos, last_corrupt))
-    marker = _find_marker(ti.events, snaps, ti.header)
-    flags = {
-        pos: snapshot_all_consistent(ti.events[pos], ti.header, corrupt)
-        for pos, corrupt in snaps
-        if pos > last_corrupt_pos
-    }
+    frontier = ti.corrupt_positions[-1]
+    marker = ti.marker(ti.snapshots, frontier)
+    floor = frontier if marker is None else marker
+    # read from the end: the trailing run of consistent snapshots from the
+    # marker on, and the last inconsistent snapshot as the FAIL witness
     stable_pos: int | None = None
-    if marker is not None:
-        later = [pos for pos in flags if pos >= marker]
-        for candidate in sorted(later):
-            if all(flags[pos] for pos in later if pos >= candidate):
-                stable_pos = candidate
-                break
-    if stable_pos is None:
-        failing = [pos for pos, ok in sorted(flags.items()) if not ok]
-        witness: dict = {"reason": "never stabilized"}
-        if failing:
-            snapshot = ti.events[failing[-1]]
-            ctx = dict(snaps)[failing[-1]]
-            for entry in snapshot["nodes"]:
-                if entry["crashed"]:
-                    continue
-                ok, clause = consistency_check(snapshot, entry["id"], ti.header, ctx)
-                if not ok:
-                    witness = {"node": entry["id"], "clause": clause, "step": snapshot["step"]}
-                    break
-            else:
-                witness = {"reason": "stale packets never drained", "step": snapshot["step"]}
+    witness: dict = {"reason": "never stabilized"}
+    for pos, corrupt_step in reversed(ti.snapshots):
+        if pos < floor:
+            break
+        if not ti.consistent(pos, corrupt_step):
+            witness = _inconsistency(ti.events[pos], ti.header, corrupt_step)
+            break
+        stable_pos = pos
+    if marker is None or stable_pos is None:
         return CheckReport("stabilization-time", "FAIL", witness=witness)
-    cycles = sum(
-        1
-        for event in ti.events[last_corrupt_pos:stable_pos]
-        if event["type"] == "CYCLE"
-    )
+    cycles = sum(1 for event in ti.events[frontier:stable_pos] if event["type"] == "CYCLE")
     return CheckReport("stabilization-time", "PASS", measured={"cycles": cycles})
 
 
@@ -589,9 +568,11 @@ def fifo_check(ti: TraceIndex) -> CheckReport:
         return CheckReport(
             "fifo-order", "INCONCLUSIVE", witness={"reason": "fifo disabled in this run"}
         )
-    for epoch in ti.epochs:
+    for epoch, marker in zip(ti.epochs, ti.markers):
+        if marker is None:
+            continue
         last_seq: dict[tuple[int, int], int] = {}
-        for _, event in ti.window(epoch):
+        for event in ti.events[marker:epoch.stop]:
             if event["type"] != "DELIVER":
                 continue
             node = event["node"]
@@ -607,21 +588,19 @@ def fifo_check(ti: TraceIndex) -> CheckReport:
     return CheckReport("fifo-order", "PASS")
 
 
-def message_cost(ti: TraceIndex, mid: tuple[int, int] | None = None) -> CheckReport:
+def message_cost(ti: TraceIndex) -> CheckReport:
     """Per-broadcast MSG+MSGACK send counts and broadcast-to-last-delivery
     latency in cycles. A measurement, aggregated by the scaling experiments."""
     per_mid: dict[str, dict] = {}
     for eidx, epoch in enumerate(ti.epochs):
         cycles = 0
         bcast_cycle: dict[tuple[int, int], int] = {}
-        for event in epoch.events:
+        for event in ti.events[epoch.start:epoch.stop]:
             etype = event["type"]
             if etype == "CYCLE":
                 cycles += 1
             elif etype == "BROADCAST":
                 emid = (event["mid"][0], event["mid"][1])
-                if mid is not None and emid != mid:
-                    continue
                 bcast_cycle[emid] = cycles
                 per_mid[f"{eidx}:{emid[0]}:{emid[1]}"] = {
                     "msg_sends": 0,

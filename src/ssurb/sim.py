@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from . import corruption
-from .checker import snapshot_all_consistent, stale_packets_in_flight
+from .checker import drained_cycle, snapshot_all_consistent
 from .config import ASAP, ScenarioConfig
 from .detectors import DetectorView, HeartbeatState, ThetaState
 from .node import DISABLED, NORMAL, RESETTING, NodeState
@@ -217,7 +217,7 @@ class Simulation:
         self.barrier_active = False
         self.stop_counter: int | None = None
         self.stop_reason: str | None = None
-        self.stale_free_cycle: int | None = None
+        self.marker_cycle: int | None = None  # see checker.drained_cycle
 
         self.peak_buffer = {i: 0 for i in self.nodes}
         self.counts = {
@@ -428,7 +428,7 @@ class Simulation:
         # make the damage visible to the next snapshot, not one iteration later
         state.observed = state._observe(sorted(self.nodes[i].theta.trusted_view()))
         self.last_corrupt_step = self.step
-        self.stale_free_cycle = None
+        self.marker_cycle = None
         self._event("CORRUPT", node=i, kind=kind)
         if self.cfg.bounded_mode and self.nodes[i].state.check_overflow():
             self._start_barrier()
@@ -577,23 +577,17 @@ class Simulation:
         if mode == "complete-delivery":
             settled = self._settled_complete_delivery()
         elif mode == "stabilized":
-            # mirror the checker's marker eligibility: corruption-era packets
-            # drained, plus one full cycle for their effects to be observed
+            # the checker's marker rule: from the cycle drained_cycle admits
+            # on, the first all-consistent snapshot
             snapshot = self.trace.events[-1]
-            if not stale_packets_in_flight(snapshot, self.last_corrupt_step):
-                if self.stale_free_cycle is None:
-                    self.stale_free_cycle = self.cycle_count
-                eligible = (
-                    self.last_corrupt_step is None
-                    or self.cycle_count > self.stale_free_cycle
-                )
-                settled = (
-                    eligible
-                    and self.sched_ptr >= len(self.schedule)
-                    and snapshot_all_consistent(
-                        snapshot, self.trace.header, self.last_corrupt_step
-                    )
-                )
+            if self.marker_cycle is None:
+                self.marker_cycle = drained_cycle(snapshot, self.last_corrupt_step)
+            settled = (
+                self.marker_cycle is not None
+                and self.cycle_count >= self.marker_cycle
+                and self.sched_ptr >= len(self.schedule)
+                and snapshot_all_consistent(snapshot, self.trace.header, self.last_corrupt_step)
+            )
         if not settled:
             self.stop_counter = None
             return

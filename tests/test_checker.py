@@ -1,7 +1,8 @@
 """Checker oracles against hand-built snapshots and event sequences."""
 
 from ssurb import checker
-from ssurb.config import ScenarioConfig
+from ssurb.config import ScenarioConfig, from_dict
+from ssurb.sim import run_scenario
 from ssurb.trace import make_header
 
 
@@ -302,6 +303,50 @@ def test_stabilization_fail_reports_clause():
     report = checker.stabilization_time(checker.index_trace(h, events))
     assert report.verdict == "FAIL"
     assert report.witness["clause"] == "null-payload"
+
+
+def test_closure_fail_names_node_and_clause():
+    h = header()
+    broken = [fresh_node(i, 3) for i in (1, 2, 3)]
+    broken[1] = dict(broken[1], buffer=[rec(None, 3, 1, 3)])
+    events = base_events() + [
+        ev("CYCLE", k=1, step=5),
+        snapshot([fresh_node(i, 3) for i in (1, 2, 3)], step=5, cycle=1),
+        ev("CYCLE", k=2, step=9),
+        snapshot(broken, step=9, cycle=2),
+        ev("END", reason="max-steps", step=10),
+    ]
+    report = checker.consistency_closure_check(checker.index_trace(h, events))
+    assert report.verdict == "FAIL"
+    assert report.witness == {"node": 2, "clause": "null-payload", "step": 9, "cycle": 2}
+
+
+def test_each_snapshot_evaluated_once(monkeypatch):
+    cfg = from_dict(
+        {
+            "n": 4,
+            "buffer_unit_size": 2,
+            "seed": 3,
+            "stop_mode": "stabilized",
+            "quiescence_window_cycles": 3,
+            "broadcasts": [{"node": k, "payload": f"m{k}"} for k in (1, 2, 3, 4)],
+            "fault_plan": {"corruptions": [{"node": 2, "step": 250, "kind": "RANDOMIZE-ALL"}]},
+        }
+    )
+    result = run_scenario(cfg)
+    assert result.metrics["status"] == "stabilized"
+    events = result.trace.events
+    calls = []
+    original = checker.snapshot_all_consistent
+
+    def counting(snapshot, header, last_corrupt_step):
+        calls.append(snapshot["step"])
+        return original(snapshot, header, last_corrupt_step)
+
+    monkeypatch.setattr(checker, "snapshot_all_consistent", counting)
+    reports = checker.check_all(result.trace.header, events)
+    assert not [r.name for r in reports if r.verdict == "FAIL"]
+    assert len(calls) <= sum(1 for e in events if e["type"] == "SNAPSHOT")
 
 
 def test_gate_exit_semantics():

@@ -1,6 +1,9 @@
 """Simulator behavior: determinism, channel bounds, crash semantics, fault
 draws, cycle accounting, transient-fault repairs, and the reset barrier."""
 
+import hashlib
+import json
+
 from ssurb import checker, corruption
 from ssurb.config import from_dict
 from ssurb.sim import Simulation, run_scenario
@@ -277,6 +280,14 @@ def test_interval_snapshots_emitted():
     assert len(interval_snaps) >= 5
 
 
+def report_digest(result):
+    """SHA-256 of the whole report battery: a moved verdict, witness or
+    measured value of any check changes it."""
+    reports = checker.check_all(result.trace.header, result.trace.events)
+    blob = json.dumps([r.to_dict() for r in reports], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def test_two_node_message_cost_frozen():
     # one broadcast, two nodes, seed 42: the seeded schedule yields exactly
     # these counts; any change to transition or scheduler logic shows up here
@@ -290,6 +301,9 @@ def test_two_node_message_cost_frozen():
     assert (
         result.metrics["trace_digest"]
         == "a3cf5adba354196d664f80fb22b48d3cad426679ef65b48547cedc909295e72c"
+    )
+    assert report_digest(result) == (
+        "7d0dca7fd832d9a37a6d06c0255335287566165e0808b64335ad2a35a8d6b5eb"
     )
 
 
@@ -325,6 +339,9 @@ def test_benign_fault_fifo_digest_frozen():
         result.metrics["trace_digest"]
         == "66943d2a5f4969b2cd669d5beb2b49caa4dee7ad8eac92aafbf606ef228de203"
     )
+    assert report_digest(result) == (
+        "cfcddd751d4896f7bef9d1fa1f7ed68f18037f4f99c64dd7fe19f0101d75352d"
+    )
 
 
 def test_corruption_stabilized_digest_frozen():
@@ -351,6 +368,9 @@ def test_corruption_stabilized_digest_frozen():
     assert (
         result.metrics["trace_digest"]
         == "f7db09900e680f2c524bd8f259f6486130420c1991ef8ad65f36bb9de7b6e6f7"
+    )
+    assert report_digest(result) == (
+        "0aa9e0a63bccec37b39573299632163fa5a22063f35d86b6fec4ae7ea99b9058"
     )
 
 
@@ -380,6 +400,9 @@ def test_crash_starve_one_node_digest_frozen():
         result.metrics["trace_digest"]
         == "2eec7e11150d58683f2a1a06e2358fa75fd9cec20e21eb0e06432ba8f47a4d72"
     )
+    assert report_digest(result) == (
+        "dec0e981f3e66e9d91b32e5563e732399f2a6fc5d87298eff328b9751f851f18"
+    )
 
 
 def test_n32_fault_free_digest_frozen():
@@ -396,6 +419,78 @@ def test_n32_fault_free_digest_frozen():
     assert (
         result.metrics["trace_digest"]
         == "e95b8c1c7714196d79fcabc26fa450a02377c8405b58b16e37614f6e95b0afac"
+    )
+    assert report_digest(result) == (
+        "de2168ded15d56dc0036a75085fc1d34ed43f185d3f3761f866f6cda061d52e0"
+    )
+
+
+def test_mid_cycle_drain_stabilized_digest_frozen():
+    # interval snapshots between cycle boundaries: the first one without a
+    # corruption-era packet in flight is a mid-cycle one, so the marker waits
+    # two cycles past it, and consistent snapshots one cycle past it are skipped
+    cfg = from_dict(
+        {
+            "n": 3,
+            "buffer_unit_size": 2,
+            "seed": 1,
+            "max_steps": 6000,
+            "stop_mode": "stabilized",
+            "snapshot_interval": 7,
+            "quiescence_window_cycles": 3,
+            "broadcasts": [{"node": 1, "payload": "a"}, {"node": 2, "payload": "b"}],
+            "fault_plan": {"corruptions": [{"node": 2, "step": 120, "kind": "CHANNEL-GARBAGE"}]},
+        }
+    )
+    result = run_scenario(cfg)
+    events = result.trace.events
+    corrupt = next(e for e in events if e["type"] == "CORRUPT")
+    drained = next(
+        e
+        for e in events
+        if e["type"] == "SNAPSHOT"
+        and e["step"] > corrupt["step"]
+        and not checker.stale_packets_in_flight(e, corrupt["step"])
+    )
+    assert not drained["boundary"]
+    assert result.metrics["status"] == "stabilized"
+    assert result.metrics["steps"] == 507
+    assert (
+        result.metrics["trace_digest"]
+        == "4270e39abf3bc99806d2828df9f1f3e7d25617e9ee1160d61f04507ee927ec87"
+    )
+    assert report_digest(result) == (
+        "df8ac4190895690c37bc42e490a097a278ac296e36326f8de585bce3ac15ec95"
+    )
+
+
+def test_corruption_before_reset_digest_frozen():
+    # bounded mode: a corruption shortly before a global reset, so the
+    # stabilization-time search runs from the corruption across the reset
+    # and finds its marker in the next epoch
+    cfg = from_dict(
+        {
+            "n": 3,
+            "buffer_unit_size": 2,
+            "bounded_mode": True,
+            "maxint": 12,
+            "seed": 2,
+            "max_steps": 40000,
+            "broadcasts": [{"node": 1, "payload": f"p{k}"} for k in range(16)],
+            "fault_plan": {"corruptions": [{"node": 2, "step": 900, "kind": "WINDOW-SKEW"}]},
+        }
+    )
+    result = run_scenario(cfg)
+    order = [e["type"] for e in result.trace.events if e["type"] in ("CORRUPT", "RESET")]
+    assert order == ["CORRUPT", "RESET"]
+    assert result.metrics["status"] == "complete-delivery"
+    assert result.metrics["steps"] == 2094
+    assert (
+        result.metrics["trace_digest"]
+        == "c114e827a23aab3ae1dd0081dfb6982290d11b5f141246cf9db629aa3823c7f5"
+    )
+    assert report_digest(result) == (
+        "6395f390943a9ad9652c429d4c9e7fc859bdc7da422cc65b997f430945271579"
     )
 
 
