@@ -19,11 +19,20 @@ costs O(log n^2) rather than a rebuild of the whole action list, and the
 seeded schedule is the one an explicit weighted list would give. Cycle
 accounting likewise keeps a running count of the live gossip pairs not yet
 seen instead of scanning live x live on every step.
+
+SEND/RECV/OMIT/DUP records, about two per step, take one fused path: the
+record dict (which the checkers read) and its trace line are both built in
+`_packet_event` from the same typed fields, the message class's `kind`
+and, for MSG/MSGACK, its `sender` and `seq`, so the line is never read
+back from the dict. A delivery draws from fault probabilities read once at
+set-up, dispatches on the message's class, and the scheduled-fault
+prologue does nothing until the next crash, corruption or broadcast is due.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 
@@ -32,7 +41,7 @@ from .checker import drained_cycle, snapshot_all_consistent
 from .config import ASAP, ScenarioConfig
 from .detectors import DetectorView, HeartbeatState, ThetaState
 from .node import DISABLED, NORMAL, RESETTING, NodeState
-from .trace import Trace, canonical, make_header
+from .trace import Trace, canonical, make_header, packet_line
 from .wire import Gossip, Heartbeat, Msg, MsgAck, WireMessage, encode, message_id
 
 
@@ -110,30 +119,31 @@ class Channel:
         self._weights = weights
         self._slot = slot
 
-    def _reweigh(self) -> None:
-        size = len(self.packets)
-        self._weights.set(self._slot, 4 + 4 * size if size and self.dst_live else 0)
-
     def push(self, msg: WireMessage, step: int) -> bool:
-        if len(self.packets) >= self.capacity:
+        packets = self.packets
+        if len(packets) >= self.capacity:
             return False
-        self.packets.append((msg, step))
-        self._reweigh()
+        packets.append((msg, step))
+        if self.dst_live:
+            self._weights.set(self._slot, 4 + 4 * len(packets))
         return True
 
     def pop(self, idx: int) -> tuple[WireMessage, int]:
-        packet = self.packets.pop(idx)
-        self._reweigh()
+        packets = self.packets
+        packet = packets.pop(idx)
+        size = len(packets)
+        if self.dst_live:
+            self._weights.set(self._slot, 4 + 4 * size if size else 0)
         return packet
 
     def clear(self) -> None:
         self.packets.clear()
-        self._reweigh()
+        self._weights.set(self._slot, 0)
 
     def close(self) -> None:
         """The destination crashed: nothing here is ever delivered."""
         self.dst_live = False
-        self._reweigh()
+        self._weights.set(self._slot, 0)
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -164,6 +174,14 @@ class Simulation:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
+        plan = cfg.fault_plan
+        self.reorder_prob = plan.reorder_prob
+        if cfg.scheduler_profile == "reorder-heavy":
+            self.reorder_prob = max(self.reorder_prob, 0.9)
+        self.omission_prob = plan.omission_prob
+        self.duplication_prob = plan.duplication_prob
+        self.snapshot_interval = cfg.snapshot_interval
+        self.bounded_mode = cfg.bounded_mode
         self.trace = Trace(make_header(cfg))
         n = cfg.n
         self.nodes = {i: SimNode(i, cfg) for i in range(1, n + 1)}
@@ -179,6 +197,7 @@ class Simulation:
             for a in range(1, n + 1)
             for b in range(1, n + 1)
         }
+        self.channel_slots = list(self.channels.values())  # slot n + k holds the k-th
         self.step = 0
         self.cycle_count = 0
         self.crashed_at: dict[int, int] = {}
@@ -204,6 +223,7 @@ class Simulation:
             )
         )
         self.corrupt_ptr = 0
+        self.next_due = self._next_due()
 
         # current-epoch broadcast bookkeeping for the stop predicate
         self.epoch_mids: list[tuple[int, int]] = []
@@ -269,15 +289,17 @@ class Simulation:
     def _packet_event(
         self, etype: str, src: int, dst: int, msg: WireMessage, cause: str | None = None
     ) -> None:
-        # SEND/RECV are nearly all events, so the record is built here
-        # rather than through _event's keyword dict
-        record = {"type": etype, "step": self.step, "src": src, "dst": dst, "kind": msg.kind}
-        mid = message_id(msg)
-        if mid is not None:
-            record["mid"] = list(mid)
+        # SEND/RECV are nearly all events, so the record is built here rather
+        # than through _event's keyword dict, and its line is rendered from
+        # the same typed fields rather than read back from the dict
+        step, kind = self.step, msg.kind
+        record = {"type": etype, "step": step, "src": src, "dst": dst, "kind": kind}
+        mid = None
+        if type(msg) is Msg or type(msg) is MsgAck:
+            mid = record["mid"] = [msg.sender, msg.seq]
         if cause is not None:
             record["cause"] = cause
-        self.trace.append(record)
+        self.trace.append(record, packet_line(etype, step, src, dst, kind, mid, cause))
 
     def _emit_snapshot(self, boundary: bool = True) -> None:
         nodes_ser = []
@@ -334,48 +356,48 @@ class Simulation:
             self.counts["omissions"] += 1
             self._packet_event("OMIT", src, dst, msg, cause="overflow")
 
-    def _deliver_action(self, src: int, dst: int) -> None:
-        plan = self.cfg.fault_plan
-        channel = self.channels[(src, dst)]
-        reorder = plan.reorder_prob
-        if self.cfg.scheduler_profile == "reorder-heavy":
-            reorder = max(reorder, 0.9)
+    def _deliver_action(self, channel: Channel) -> None:
+        src, dst, rng = channel.src, channel.dst, self.rng
         idx = 0
-        if len(channel) > 1 and self.rng.random() < reorder:
-            idx = self.rng.randrange(len(channel))
+        size = len(channel.packets)
+        if size > 1 and rng.random() < self.reorder_prob:
+            idx = rng.randrange(size)
         msg, birth = channel.pop(idx)
-        if self.rng.random() < plan.omission_prob:
+        if rng.random() < self.omission_prob:
             self.counts["omissions"] += 1
             self._packet_event("OMIT", src, dst, msg, cause="drop")
             return
-        if self.rng.random() < plan.duplication_prob:
+        if rng.random() < self.duplication_prob:
             if channel.push(msg, birth):
                 self.counts["duplications"] += 1
                 self._packet_event("DUP", src, dst, msg)
         self._packet_event("RECV", src, dst, msg)
 
         node = self.nodes[dst]
-        if isinstance(msg, Msg):
+        cls = type(msg)
+        if cls is Msg:
             ack = node.state.on_msg(msg.payload, msg.sender, msg.seq, src)
             self._send(dst, src, ack)
-        elif isinstance(msg, MsgAck):
+        elif cls is MsgAck:
             node.state.on_msg_ack(msg.sender, msg.seq, src)
             if dst not in self.ct_satisfied:
                 key = (src, msg.sender, msg.seq)
                 for pending in self.ct_pending[dst]:
                     pending.discard(key)
-        elif isinstance(msg, Gossip):
+        elif cls is Gossip:
             node.state.on_gossip(msg.max_seq, msg.rx_obs, msg.tx_obs, src)
             seen = self.ct_gossip_seen[src]
             if dst not in seen:
                 seen.add(dst)
                 if src != dst and not self.nodes[src].crashed:
                     self.missing_gossip -= 1
-        elif isinstance(msg, Heartbeat):
+        elif cls is Heartbeat:
             node.hb.on_heartbeat(msg.sender_count, msg.dst_count, src)
-        if self.cfg.bounded_mode and node.state.check_overflow():
+        if self.bounded_mode and node.state.check_overflow():
             self._start_barrier()
-        self.peak_buffer[dst] = max(self.peak_buffer[dst], len(node.state.buffer))
+        held = len(node.state.buffer)
+        if held > self.peak_buffer[dst]:
+            self.peak_buffer[dst] = held
 
     def _iterate_action(self, i: int) -> None:
         node = self.nodes[i]
@@ -386,7 +408,7 @@ class Simulation:
         result = node.state.do_forever_iteration(view)
         msg_sends: set[tuple[int, int, int]] = set()
         for dst, msg in result.outgoing:
-            if isinstance(msg, Msg):
+            if type(msg) is Msg:
                 msg_sends.add((dst, msg.sender, msg.seq))
             self._send(i, dst, msg)
         for sender, seq in result.delivered:
@@ -395,7 +417,7 @@ class Simulation:
         for mid, payload in result.accepted:
             self._event("BROADCAST", node=i, mid=list(mid), payload_hash=payload_hash(payload))
             self.epoch_mids.append(mid)
-        if self.cfg.bounded_mode and node.state.check_overflow():
+        if self.bounded_mode and node.state.check_overflow():
             self._start_barrier()
         if i not in self.ct_satisfied:
             if msg_sends:
@@ -430,7 +452,7 @@ class Simulation:
         self.last_corrupt_step = self.step
         self.marker_cycle = None
         self._event("CORRUPT", node=i, kind=kind)
-        if self.cfg.bounded_mode and self.nodes[i].state.check_overflow():
+        if self.bounded_mode and self.nodes[i].state.check_overflow():
             self._start_barrier()
 
     def _request_broadcast(self, i: int, payload: str) -> None:
@@ -442,7 +464,20 @@ class Simulation:
             self._event("BROADCAST", node=i, mid=list(mid), payload_hash=payload_hash(payload))
             self.epoch_mids.append(mid)
 
+    def _next_due(self) -> float:
+        """The step of the earliest crash, corruption or broadcast still to come."""
+        return min(
+            plan[ptr][0] if ptr < len(plan) else math.inf
+            for plan, ptr in (
+                (self.crash_plan, self.crash_ptr),
+                (self.corrupt_plan, self.corrupt_ptr),
+                (self.schedule, self.sched_ptr),
+            )
+        )
+
     def _prologue(self) -> None:
+        if self.step < self.next_due:
+            return
         while self.crash_ptr < len(self.crash_plan) and self.crash_plan[self.crash_ptr][0] <= self.step:
             _, _, node = self.crash_plan[self.crash_ptr]
             self.crash_ptr += 1
@@ -458,6 +493,7 @@ class Simulation:
             _, _, node, payload = self.schedule[self.sched_ptr]
             self.sched_ptr += 1
             self._request_broadcast(node, payload)
+        self.next_due = self._next_due()
 
     # ---- bounded-counter reset barrier -------------------------------------------
 
@@ -611,19 +647,15 @@ class Simulation:
         if slot < n:
             self._iterate_action(slot + 1)
         else:
-            src, dst = divmod(slot - n, n)
-            self._deliver_action(src + 1, dst + 1)
+            self._deliver_action(self.channel_slots[slot - n])
 
-        if self.cfg.bounded_mode and self.barrier_active and self._barrier_ready():
+        if self.bounded_mode and self.barrier_active and self._barrier_ready():
             self._apply_global_reset()
 
         if self._cycle_complete():
             self._on_cycle_boundary()
-        if (
-            self.cfg.snapshot_interval
-            and self.step > 0
-            and self.step % self.cfg.snapshot_interval == 0
-        ):
+        interval = self.snapshot_interval
+        if interval and self.step > 0 and self.step % interval == 0:
             self._emit_snapshot(boundary=False)
         self.step += 1
 

@@ -4,10 +4,16 @@ A trace is a header record followed by one JSON object per event, in
 simulation order. Snapshots embed every node's full protocol state plus
 channel contents in canonical field order, which is what the state-level
 checkers consume. The digest is a SHA-256 over the canonical encoding of
-all records and is the replay-equality witness. SEND/RECV/OMIT/DUP
-records, nearly all of a trace, are rendered from fixed templates that
-give the same bytes as `canonical`; every other record goes through
-`canonical` itself.
+all records joined by newlines and is the replay-equality witness.
+
+SEND/RECV/OMIT/DUP records, nearly all of a trace, have one line format,
+`packet_line`, which gives the same bytes as `canonical`. The simulator
+renders each packet line from its typed fields and hands it to
+`Trace.append` with the record; `encode_record` validates any other dict
+that claims a packet type and renders it through the same template, and
+every other record goes through `canonical` itself. `Trace` keeps the
+lines not yet hashed and feeds SHA-256 one chunk at a time; SHA-256 is a
+streaming hash, so the digest is the one a line-by-line update gives.
 """
 
 from __future__ import annotations
@@ -18,28 +24,50 @@ from json.encoder import encode_basestring_ascii
 
 TRACE_FORMAT = "ssurb-trace-v1"
 
-# the closing `"type"` field of each packet record, the last key in sorted order
-_PACKET_TAILS = {t: f',"type":"{t}"}}' for t in ("SEND", "RECV", "OMIT", "DUP")}
+PACKET_TYPES = frozenset(("SEND", "RECV", "OMIT", "DUP"))
+_CHUNK_LINES = 256  # lines hashed per SHA-256 update; few, to keep memory flat
 
 
 def canonical(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+def packet_line(
+    etype: str,
+    step: int,
+    src: int,
+    dst: int,
+    kind: str,
+    mid: list[int] | None = None,
+    cause: str | None = None,
+) -> str:
+    """`canonical` of the packet record with these fields: the keys cause,
+    dst, kind, mid, src, step and type, in that (sorted) order, the absent
+    optional ones left out. `etype` is one of PACKET_TYPES, `mid` a
+    (sender, seq) pair of ints."""
+    cause_field = "" if cause is None else f'"cause":{encode_basestring_ascii(cause)},'
+    mid_field = "" if mid is None else f'"mid":[{mid[0]},{mid[1]}],'
+    return (
+        f'{{{cause_field}"dst":{dst},"kind":{encode_basestring_ascii(kind)},{mid_field}'
+        f'"src":{src},"step":{step},"type":"{etype}"}}'
+    )
+
+
 def encode_record(record: dict) -> str:
-    """`canonical(record)`, from a template for the simulator's packet records."""
+    """`canonical(record)`, through `packet_line` for packet records."""
     etype = record.get("type")
-    tail = _PACKET_TAILS.get(etype) if type(etype) is str else None
-    if tail is not None:
-        line = _packet_line(record, tail)
-        if line is not None:
-            return line
+    if type(etype) is str and etype in PACKET_TYPES:
+        fields = _packet_fields(record)
+        if fields is not None:
+            return packet_line(etype, *fields)
     return canonical(record)
 
 
-def _packet_line(record: dict, tail: str) -> str | None:
-    # keys type, step, src, dst, kind and optionally mid and cause; anything
-    # else, or a value json would render differently from str(), is None
+def _packet_fields(record: dict) -> tuple | None:
+    # (step, src, dst, kind, mid, cause) when `packet_line` renders the
+    # record as json would: keys type, step, src, dst, kind and optionally
+    # mid and cause. Anything else, or a value json renders differently
+    # from the template (a bool, a tuple), is None.
     get = record.get
     step, src, dst, kind = get("step"), get("src"), get("dst"), get("kind")
     mid, cause = get("mid"), get("cause")
@@ -49,22 +77,17 @@ def _packet_line(record: dict, tail: str) -> str | None:
         or type(src) is not int
         or type(dst) is not int
         or type(kind) is not str
+        or (cause is not None and type(cause) is not str)
     ):
         return None
-    head = "{"
-    if cause is not None:
-        if type(cause) is not str:
-            return None
-        head = f'{{"cause":{encode_basestring_ascii(cause)},'
-    body = f'"dst":{dst},"kind":{encode_basestring_ascii(kind)},'
-    if mid is not None:
-        if type(mid) is not list or len(mid) != 2:
-            return None
-        sender, seq = mid
-        if type(sender) is not int or type(seq) is not int:
-            return None
-        body += f'"mid":[{sender},{seq}],'
-    return f'{head}{body}"src":{src},"step":{step}{tail}'
+    if mid is not None and (
+        type(mid) is not list
+        or len(mid) != 2
+        or type(mid[0]) is not int
+        or type(mid[1]) is not int
+    ):
+        return None
+    return step, src, dst, kind, mid, cause
 
 
 def make_header(cfg) -> dict:
@@ -91,15 +114,25 @@ class Trace:
     def __init__(self, header: dict):
         self.header = header
         self.events: list[dict] = []
-        self._hasher = hashlib.sha256()
-        self._hasher.update(canonical(header).encode())
+        self._hasher = hashlib.sha256(canonical(header).encode())
+        self._pending: list[str] = []  # encoded events not yet hashed
 
-    def append(self, event: dict) -> None:
+    def append(self, event: dict, line: str | None = None) -> None:
+        """Record `event`; `line` is its `encode_record` line when the caller
+        has rendered it already."""
         self.events.append(event)
-        self._hasher.update(b"\n")
-        self._hasher.update(encode_record(event).encode())
+        pending = self._pending
+        pending.append(encode_record(event) if line is None else line)
+        if len(pending) >= _CHUNK_LINES:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._pending:
+            self._hasher.update(("\n" + "\n".join(self._pending)).encode())
+            self._pending.clear()
 
     def digest(self) -> str:
+        self._flush()
         return self._hasher.hexdigest()
 
     def write(self, path: str) -> None:

@@ -1,12 +1,16 @@
-"""The packet-record templates render exactly what `canonical` renders, and
-every other record is encoded by `canonical` itself."""
+"""The packet-record template renders exactly what `canonical` renders,
+every other record is encoded by `canonical` itself, and the batched
+digest is the SHA-256 of the canonical records joined by newlines."""
 
+import hashlib
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssurb import trace
+from ssurb.config import from_dict
+from ssurb.sim import Simulation, run_scenario
 from ssurb.trace import canonical, encode_record
 
 PACKET_TYPES = ("SEND", "RECV", "OMIT", "DUP")
@@ -90,3 +94,103 @@ def test_written_trace_reads_back_with_the_same_digest(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == [canonical(header)] + [canonical(e) for e in written.events]
     assert trace.read(str(path)).digest() == written.digest()
+
+
+def _reference_digest(header, events):
+    lines = [canonical(header)] + [canonical(e) for e in events]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_empty_pending_chunk_hashes_nothing_extra():
+    header = {"type": "HEADER", "format": trace.TRACE_FORMAT, "n": 2}
+    t = trace.Trace(header)
+    assert t.digest() == _reference_digest(header, [])
+    assert t.digest() == _reference_digest(header, [])
+    # whole chunks only: each flush empties the pending lines
+    for step in range(2 * trace._CHUNK_LINES):
+        t.append({"type": "SEND", "step": step, "src": 1, "dst": 2, "kind": "HEARTBEAT"})
+    expected = _reference_digest(header, t.events)
+    assert t.digest() == expected
+    assert t.digest() == expected
+
+
+def test_digest_mid_run_leaves_the_final_digest_unchanged():
+    raw = {
+        "n": 4,
+        "seed": 5,
+        "max_steps": 3000,
+        "stop_mode": "max-steps",
+        "broadcasts": [{"node": 1 + k % 4, "payload": f"m{k}"} for k in range(6)],
+        "fault_plan": {"omission_prob": 0.1, "duplication_prob": 0.1},
+    }
+    sim = Simulation(from_dict(raw))
+    while sim.step < sim.cfg.max_steps and sim.stop_reason is None:
+        sim.step_once()
+        if sim.step % 97 == 0:
+            sim.trace.digest()
+    assert len(sim.trace.events) > 2 * trace._CHUNK_LINES
+    assert sim.run().metrics["trace_digest"] == run_scenario(from_dict(raw)).metrics["trace_digest"]
+
+
+# every packet-record shape the simulator emits, plus the runs around them
+TYPED_RENDER_BATTERY = [
+    # SEND/RECV of every kind, drop omissions and duplicates
+    {
+        "n": 3,
+        "seed": 1,
+        "max_steps": 3000,
+        "scheduler_profile": "reorder-heavy",
+        "broadcasts": [{"node": 1 + k % 3, "payload": f"m{k}"} for k in range(4)],
+        "fault_plan": {"omission_prob": 0.2, "duplication_prob": 0.2},
+    },
+    # overflow omissions
+    {
+        "n": 5,
+        "seed": 2,
+        "max_steps": 3000,
+        "channel_capacity": 2,
+        "broadcasts": [{"node": 1 + k % 5, "payload": f"m{k}"} for k in range(4)],
+    },
+    # CHANNEL-GARBAGE packets, then a crash under starve-one-node
+    {
+        "n": 4,
+        "seed": 3,
+        "max_steps": 4000,
+        "scheduler_profile": "starve-one-node",
+        "broadcasts": [{"node": 2, "payload": f"m{k}"} for k in range(3)],
+        "fault_plan": {
+            "corruptions": [{"node": 3, "step": 150, "kind": "CHANNEL-GARBAGE"}],
+            "crashes": [{"node": 4, "step": 300}],
+            "detection_latency": 10,
+        },
+    },
+    # a bounded-mode global reset
+    {
+        "n": 4,
+        "buffer_unit_size": 2,
+        "bounded_mode": True,
+        "maxint": 12,
+        "seed": 3,
+        "max_steps": 20000,
+        "broadcasts": [{"node": 2, "payload": f"p{k}"} for k in range(16)],
+    },
+]
+
+
+def test_typed_packet_lines_match_canonical():
+    shapes = set()
+    for raw in TYPED_RENDER_BATTERY:
+        result = run_scenario(from_dict(raw))
+        events = result.trace.events
+        assert result.trace.digest() == _reference_digest(result.trace.header, events)
+        for e in events:
+            if e["type"] in trace.PACKET_TYPES:
+                shapes.add((e["type"], e["kind"], e.get("cause")))
+            else:
+                shapes.add((e["type"],))
+    kinds = ("MSG", "MSGACK", "GOSSIP", "HEARTBEAT")
+    expected = {(etype, kind, None) for etype in ("SEND", "RECV") for kind in kinds}
+    expected |= {("CRASH",), ("CORRUPT",), ("RESET",)}
+    assert expected <= shapes
+    assert any(s[0] == "DUP" for s in shapes)
+    assert {s[2] for s in shapes if s[0] == "OMIT"} == {"drop", "overflow"}
