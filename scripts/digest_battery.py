@@ -1,0 +1,201 @@
+#!/usr/bin/env python3
+"""Fixed battery of scenarios for byte-identity checks between two trees.
+
+Runs a fixed list of scenarios that reaches every simulator path: n 1-6,
+every corruption kind, crashes with detection latency, channel capacities
+1-16, the starve-one-node and reorder-heavy profiles, omission and
+duplication, interval snapshots, every stop mode and bounded-mode global
+resets. For each scenario it prints one JSON line: the run's metrics
+(trace digest included), the SHA-256 of the trace file `Trace.write`
+produces, and the SHA-256 of the checker reports sorted by name.
+
+Run it on two checkouts and compare; a change that must keep behaviour
+prints the same lines:
+
+    python3 scripts/digest_battery.py > after.jsonl
+    (cd ../parent && python3 scripts/digest_battery.py) > before.jsonl
+    diff before.jsonl after.jsonl
+
+The scenarios come from this script alone (a seeded generator picks the
+mixed cells), so both sides run the same list.
+"""
+
+import hashlib
+import json
+import os
+import random
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from ssurb import checker  # noqa: E402
+from ssurb.config import CORRUPTION_KINDS, STOP_MODES, from_dict  # noqa: E402
+from ssurb.sim import run_scenario  # noqa: E402
+
+
+def broadcasts(n: int, count: int, spacing: int = 40) -> list[dict]:
+    return [
+        {"node": 1 + k % n, "payload": f"m{k}", **({"step": spacing * k} if k > 1 else {})}
+        for k in range(count)
+    ]
+
+
+def scenarios() -> list[tuple[str, dict]]:
+    out: list[tuple[str, dict]] = []
+
+    def add(name: str, **raw) -> None:
+        raw.setdefault("max_steps", 20_000)
+        out.append((name, raw))
+
+    for n in range(1, 7):
+        for seed in range(3):
+            add(f"fault-free/n{n}/s{seed}", n=n, seed=seed, broadcasts=broadcasts(n, 3))
+    for kind in CORRUPTION_KINDS:
+        for b in (1, 2, 4):
+            for n, stop in ((3, "stabilized"), (4, "complete-delivery")):
+                add(
+                    f"corrupt/{kind}/b{b}/n{n}",
+                    n=n,
+                    buffer_unit_size=b,
+                    seed=b * 10 + n,
+                    fifo_enabled=kind == "NEXT-SKEW",
+                    stop_mode=stop,
+                    quiescence_window_cycles=3,
+                    broadcasts=broadcasts(n, 4),
+                    fault_plan={"corruptions": [{"node": 2, "step": 120, "kind": kind}]},
+                )
+    for n in (3, 4, 5, 6):
+        for latency in (0, 10, 30):
+            add(
+                f"crash/n{n}/lat{latency}",
+                n=n,
+                seed=n + latency,
+                broadcasts=broadcasts(n, 4),
+                fault_plan={
+                    "crashes": [{"node": n, "step": 60 + 7 * latency}],
+                    "detection_latency": latency,
+                },
+            )
+    for capacity in (1, 2, 3, 4, 8, 16):
+        for n in (2, 3, 5):
+            add(
+                f"capacity/c{capacity}/n{n}",
+                n=n,
+                seed=capacity,
+                channel_capacity=capacity,
+                max_steps=4000,
+                broadcasts=broadcasts(n, 3),
+            )
+    for profile in ("starve-one-node", "reorder-heavy"):
+        for n in (2, 4, 5):
+            add(
+                f"profile/{profile}/n{n}",
+                n=n,
+                seed=7,
+                scheduler_profile=profile,
+                broadcasts=broadcasts(n, 4),
+                fault_plan={"crashes": [{"node": n, "step": 300}], "detection_latency": 20},
+            )
+    for omission, duplication in ((0.2, 0.0), (0.0, 0.2), (0.2, 0.1), (0.3, 0.3)):
+        for n in (2, 3, 5):
+            add(
+                f"lossy/o{omission}/d{duplication}/n{n}",
+                n=n,
+                seed=n,
+                fifo_enabled=n == 3,
+                scheduler_profile="reorder-heavy" if n == 5 else "uniform",
+                broadcasts=broadcasts(n, 4),
+                fault_plan={"omission_prob": omission, "duplication_prob": duplication},
+            )
+    for interval in (7, 37):
+        for stop in STOP_MODES:
+            add(
+                f"snapshots/i{interval}/{stop}",
+                n=3,
+                seed=interval,
+                snapshot_interval=interval,
+                stop_mode=stop,
+                max_steps=1500,
+                broadcasts=broadcasts(3, 3),
+                fault_plan={
+                    "corruptions": [{"node": 2, "step": 90, "kind": "CHANNEL-GARBAGE"}],
+                    "crashes": [{"node": 3, "step": 400}],
+                    "detection_latency": 15,
+                },
+            )
+    for seed in range(4):
+        for kind in ("WINDOW-SKEW", "CHANNEL-GARBAGE", "RANDOMIZE-ALL"):
+            add(
+                f"bounded/{kind}/s{seed}",
+                n=3,
+                buffer_unit_size=2,
+                bounded_mode=True,
+                maxint=12,
+                seed=seed,
+                max_steps=40_000,
+                broadcasts=[{"node": 1 + k % 2, "payload": f"p{k}"} for k in range(16)],
+                fault_plan={"corruptions": [{"node": 2, "step": 300 + 50 * seed, "kind": kind}]},
+            )
+        add(
+            f"bounded/crash/s{seed}",
+            n=4,
+            buffer_unit_size=2,
+            bounded_mode=True,
+            maxint=12,
+            seed=seed,
+            max_steps=40_000,
+            broadcasts=[{"node": 1, "payload": f"p{k}"} for k in range(16)],
+            fault_plan={"crashes": [{"node": 4, "step": 500}], "detection_latency": 10},
+        )
+    gen = random.Random(2001)
+    for k in range(24):
+        n = gen.randint(2, 6)
+        kind = gen.choice(CORRUPTION_KINDS)
+        add(
+            f"mixed/{k}",
+            n=n,
+            buffer_unit_size=gen.choice((1, 2, 3, 4)),
+            channel_capacity=gen.choice((2, 4, 16)),
+            fifo_enabled=gen.random() < 0.5 or kind == "NEXT-SKEW",
+            seed=gen.randrange(1000),
+            scheduler_profile=gen.choice(("uniform", "starve-one-node", "reorder-heavy")),
+            snapshot_interval=gen.choice((0, 0, 11)),
+            broadcasts=broadcasts(n, gen.randint(1, 5), spacing=gen.randint(10, 80)),
+            fault_plan={
+                "omission_prob": gen.choice((0.0, 0.1, 0.2)),
+                "duplication_prob": gen.choice((0.0, 0.1)),
+                "crashes": [{"node": n, "step": gen.randint(50, 400)}] if n > 2 else [],
+                "detection_latency": gen.randint(0, 30),
+                "corruptions": [{"node": 1, "step": gen.randint(50, 300), "kind": kind}],
+            },
+        )
+    return out
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        for name, raw in scenarios():
+            result = run_scenario(from_dict(raw))
+            result.trace.write(path)
+            with open(path, "rb") as fh:
+                file_digest = hashlib.sha256(fh.read()).hexdigest()
+            reports = checker.check_all(result.trace.header, result.trace.events)
+            ordered = sorted((r.to_dict() for r in reports), key=lambda r: r["name"])
+            line = {
+                "scenario": name,
+                "metrics": result.metrics,
+                "file_digest": file_digest,
+                "reports_digest": sha256(json.dumps(ordered, sort_keys=True)),
+            }
+            print(json.dumps(line, sort_keys=True), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

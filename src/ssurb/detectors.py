@@ -36,7 +36,7 @@ class HeartbeatState:
         self.hb[self.self_id] += 1
         own = self.hb[self.self_id]
         return [
-            (j, Heartbeat(sender_count=own, dst_count=self.hb[j]))
+            (j, Heartbeat(own, self.hb[j]))
             for j in range(1, self.n + 1)
             if j != self.self_id
         ]
@@ -62,10 +62,18 @@ class ThetaState:
         self.self_id = self_id
         self.n = n
         self.suspected: set[int] = set()
+        self._trusted = frozenset(range(1, n + 1))
+        self._trusted_of: frozenset[int] = frozenset()  # the suspected set it excludes
 
     def reconcile(self, oracle_crashed: set[int]) -> None:
         """Overwrite with the (delayed) ground truth; repairs corrupted suspicion."""
-        self.suspected = set(oracle_crashed)
+        if oracle_crashed != self.suspected:
+            self.suspected = set(oracle_crashed)
 
     def trusted_view(self) -> frozenset[int]:
-        return frozenset(k for k in range(1, self.n + 1) if k not in self.suspected)
+        """Rebuilt only when the suspected set differs from the last view's."""
+        suspected = self.suspected
+        if suspected != self._trusted_of:
+            self._trusted_of = frozenset(suspected)
+            self._trusted = frozenset(k for k in range(1, self.n + 1) if k not in suspected)
+        return self._trusted

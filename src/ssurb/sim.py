@@ -12,21 +12,34 @@ global reset barrier, and appends everything to the trace.
 
 The scheduler is incremental. Every possible action has a fixed slot, the
 n node iterations first and then the n^2 channels in (src, dst) order, and
-the slot weights sit in a Fenwick tree that each channel push, pop and
-clear and each crash update in place. A draw searches the tree's prefix
+the slot weights sit in a Fenwick tree. A draw searches the tree's prefix
 sums the way `random.choices` bisects its cumulative weights, so a step
 costs O(log n^2) rather than a rebuild of the whole action list, and the
-seeded schedule is the one an explicit weighted list would give. Cycle
-accounting likewise keeps a running count of the live gossip pairs not yet
-seen instead of scanning live x live on every step.
+seeded schedule is the one an explicit weighted list would give.
 
-SEND/RECV/OMIT/DUP records, about two per step, take one fused path: the
-record dict (which the checkers read) and its trace line are both built in
-`_packet_event` from the same typed fields, the message class's `kind`
-and, for MSG/MSGACK, its `sender` and `seq`, so the line is never read
-back from the dict. A delivery draws from fault probabilities read once at
-set-up, dispatches on the message's class, and the scheduled-fault
-prologue does nothing until the next crash, corruption or broadcast is due.
+A `Channel` only holds its packets. On the hot path `_send` and
+`_deliver_action` own each packet's channel occupancy and weight: each
+pushes onto or pops from the packet list itself and moves the channel's
+weight, 4 + 4*len while non-empty towards a live node and 0 otherwise, with
+one `WeightTree.add` of +-4 (+-8 when the channel turns non-empty or
+empty). The rare paths, a DUP, CHANNEL-GARBAGE, a crash and a global reset,
+re-weigh the channels they touch by the same rule.
+
+Cycle accounting is O(1) per step: two running counts, the live gossip
+pairs not yet seen and the live nodes whose round-trip clause is not yet
+satisfied, are kept by the GOSSIP and MSGACK handlers and the iteration.
+Only while crashes are known are the unsatisfied nodes' pending
+round-trips rescanned, because the suspicion clause changes with the step.
+
+SEND/RECV/OMIT/DUP records, about two per step, are built once with their
+trace line, from the same typed fields: the message class's `kind` and,
+for MSG/MSGACK, its `sender` and `seq`, so the line is never read back
+from the dict. A SNAPSHOT encodes its `nodes` once and renders its
+in-flight packets from their fields (`wire.encode_json`), and assembles
+both its digest input and its line from the two strings. A
+delivery draws from fault probabilities read once at set-up, dispatches on
+the message's class, and the scheduled-fault prologue runs only when the
+next crash, corruption or broadcast is due.
 """
 
 from __future__ import annotations
@@ -41,8 +54,11 @@ from .checker import drained_cycle, snapshot_all_consistent
 from .config import ASAP, ScenarioConfig
 from .detectors import DetectorView, HeartbeatState, ThetaState
 from .node import DISABLED, NORMAL, RESETTING, NodeState
-from .trace import Trace, canonical, make_header, packet_line
-from .wire import Gossip, Heartbeat, Msg, MsgAck, WireMessage, encode, message_id
+from .trace import Trace, canonical, make_header, packet_line, snapshot_line, snapshot_state
+from .wire import Gossip, Heartbeat, Msg, MsgAck, WireMessage, encode, encode_json, message_id
+
+
+_NOBODY: frozenset[int] = frozenset()
 
 
 def payload_hash(payload: str) -> str:
@@ -66,17 +82,19 @@ class WeightTree:
         self._tree = [0] * (size + 1)
         self._top = 1 << (size.bit_length() - 1)
 
-    def set(self, slot: int, weight: int) -> None:
-        delta = weight - self.weights[slot]
-        if not delta:
-            return
-        self.weights[slot] = weight
+    def add(self, slot: int, delta: int) -> None:
+        self.weights[slot] += delta
         self.total += delta
         tree, size = self._tree, self.size
         i = slot + 1
         while i <= size:
             tree[i] += delta
             i += i & -i
+
+    def set(self, slot: int, weight: int) -> None:
+        delta = weight - self.weights[slot]
+        if delta:
+            self.add(slot, delta)
 
     def _count_at_most(self, x: float) -> int:
         """Number of leading slots whose prefix sum is <= x."""
@@ -105,45 +123,30 @@ class Channel:
 
     A full iteration floods up to ~2(n-1) packets while one delivery drains
     a single packet, so a channel's scheduler weight grows with its
-    occupancy, 4 + 4*len, to keep the network from sitting at capacity. It
-    is 0 while the channel is empty or its destination has crashed, and is
-    kept current at `slot` of `weights` by every push, pop and clear.
+    occupancy, `weight()`: 4 + 4*len, and 0 while the channel is empty or
+    its destination has crashed. The channel only holds the packets; the
+    simulation pushes, pops and re-weighs it at `slot`.
     """
 
-    def __init__(self, src: int, dst: int, capacity: int, weights: WeightTree, slot: int):
+    __slots__ = ("src", "dst", "capacity", "packets", "dst_live", "slot")
+
+    def __init__(self, src: int, dst: int, capacity: int, slot: int):
         self.src = src
         self.dst = dst
         self.capacity = capacity
         self.packets: list[tuple[WireMessage, int]] = []  # (message, birth step)
         self.dst_live = True
-        self._weights = weights
-        self._slot = slot
+        self.slot = slot
 
     def push(self, msg: WireMessage, step: int) -> bool:
-        packets = self.packets
-        if len(packets) >= self.capacity:
+        """Append unless full; the caller re-weighs the channel."""
+        if len(self.packets) >= self.capacity:
             return False
-        packets.append((msg, step))
-        if self.dst_live:
-            self._weights.set(self._slot, 4 + 4 * len(packets))
+        self.packets.append((msg, step))
         return True
 
-    def pop(self, idx: int) -> tuple[WireMessage, int]:
-        packets = self.packets
-        packet = packets.pop(idx)
-        size = len(packets)
-        if self.dst_live:
-            self._weights.set(self._slot, 4 + 4 * size if size else 0)
-        return packet
-
-    def clear(self) -> None:
-        self.packets.clear()
-        self._weights.set(self._slot, 0)
-
-    def close(self) -> None:
-        """The destination crashed: nothing here is ever delivered."""
-        self.dst_live = False
-        self._weights.set(self._slot, 0)
+    def weight(self) -> int:
+        return 4 + 4 * len(self.packets) if self.packets and self.dst_live else 0
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -193,7 +196,7 @@ class Simulation:
             starved = i == 1 and cfg.scheduler_profile == "starve-one-node"
             self.weights.set(i - 1, 1 if starved else 8)
         self.channels = {
-            (a, b): Channel(a, b, cfg.channel_capacity, self.weights, n + (a - 1) * n + (b - 1))
+            (a, b): Channel(a, b, cfg.channel_capacity, n + (a - 1) * n + (b - 1))
             for a in range(1, n + 1)
             for b in range(1, n + 1)
         }
@@ -251,7 +254,9 @@ class Simulation:
 
     # ---- helpers -------------------------------------------------------
 
-    def _delayed_crashed(self) -> set[int]:
+    def _delayed_crashed(self) -> frozenset[int] | set[int]:
+        if not self.crashed_at:
+            return _NOBODY
         latency = self.cfg.fault_plan.detection_latency
         return {i for i, at in self.crashed_at.items() if at + latency <= self.step}
 
@@ -260,13 +265,23 @@ class Simulation:
 
     def _reset_cycle_tracker(self) -> None:
         # a node satisfies the round-trip clause once any iteration it started
-        # in the window has all of its MSG sends acked (or targets suspected)
+        # in the window has all of its MSG sends acked (or targets suspected);
+        # `unsatisfied` counts the live nodes that have not yet
         self.ct_satisfied: set[int] = set()
         self.ct_pending: dict[int, list[set[tuple[int, int, int]]]] = {
             i: [] for i in self.nodes
         }
+        self.unsatisfied = len(self.live)
         self.ct_gossip_seen: dict[int, set[int]] = {i: set() for i in self.nodes}
         self.missing_gossip = self._count_missing_gossip()
+
+    def _reweigh(self, channel: Channel) -> None:
+        self.weights.set(channel.slot, channel.weight())
+
+    def _satisfy(self, i: int) -> None:
+        self.ct_satisfied.add(i)
+        self.ct_pending[i] = []
+        self.unsatisfied -= 1
 
     def _count_missing_gossip(self) -> int:
         """Pairs (i, k) of distinct live nodes with no gossip from i at k yet;
@@ -289,9 +304,8 @@ class Simulation:
     def _packet_event(
         self, etype: str, src: int, dst: int, msg: WireMessage, cause: str | None = None
     ) -> None:
-        # SEND/RECV are nearly all events, so the record is built here rather
-        # than through _event's keyword dict, and its line is rendered from
-        # the same typed fields rather than read back from the dict
+        # the rare packet records, OMIT and DUP; SEND and RECV are built in
+        # _send and _deliver_action the same way
         step, kind = self.step, msg.kind
         record = {"type": etype, "step": step, "src": src, "dst": dst, "kind": kind}
         mid = None
@@ -321,60 +335,89 @@ class Simulation:
                 r.seq for r in node.state.buffer if r.sender == i
             )
             nodes_ser.append(entry)
-        channels_ser = []
-        for key in sorted(self.channels):
-            channel = self.channels[key]
+        # the in-flight packets, nearly all of a snapshot, are rendered from
+        # their fields rather than sorted and encoded as dicts
+        channels_ser, channel_lines = [], []
+        for channel in self.channel_slots:  # in sorted (src, dst) order
             if not channel.packets:
                 continue
-            channels_ser.append(
-                {
-                    "src": channel.src,
-                    "dst": channel.dst,
-                    "packets": [
-                        dict(encode(m), birth_step=birth) for m, birth in channel.packets
-                    ],
-                }
-            )
-        digest = hashlib.sha256(
-            canonical({"nodes": nodes_ser, "channels": channels_ser}).encode()
-        ).hexdigest()
-        self._event(
-            "SNAPSHOT",
-            cycle=self.cycle_count,
-            boundary=boundary,
-            nodes=nodes_ser,
-            channels=channels_ser,
-            digest=digest,
+            packets, packet_lines = [], []
+            for m, birth in channel.packets:
+                packet = encode(m)
+                packet["birth_step"] = birth
+                packets.append(packet)
+                packet_lines.append(encode_json(m, birth))
+            src, dst = channel.src, channel.dst
+            channels_ser.append({"src": src, "dst": dst, "packets": packets})
+            packets_json = ",".join(packet_lines)
+            channel_lines.append(f'{{"dst":{dst},"packets":[{packets_json}],"src":{src}}}')
+        # each half is encoded once; the digest input and the trace line are
+        # both assembled from the two strings
+        nodes_json, channels_json = canonical(nodes_ser), f'[{",".join(channel_lines)}]'
+        digest = hashlib.sha256(snapshot_state(nodes_json, channels_json).encode()).hexdigest()
+        step, cycle = self.step, self.cycle_count
+        record = {
+            "type": "SNAPSHOT",
+            "step": step,
+            "cycle": cycle,
+            "boundary": boundary,
+            "nodes": nodes_ser,
+            "channels": channels_ser,
+            "digest": digest,
+        }
+        self.trace.append(
+            record, snapshot_line(step, cycle, boundary, nodes_json, channels_json, digest)
         )
 
     # ---- packet plumbing ---------------------------------------------------
 
     def _send(self, src: int, dst: int, msg: WireMessage) -> None:
-        self.counts["sends"][msg.kind] += 1
-        self._packet_event("SEND", src, dst, msg)
-        if not self.channels[(src, dst)].push(msg, self.step):
+        step, kind = self.step, msg.kind
+        self.counts["sends"][kind] += 1
+        record = {"type": "SEND", "step": step, "src": src, "dst": dst, "kind": kind}
+        mid = None
+        if type(msg) is Msg or type(msg) is MsgAck:
+            mid = record["mid"] = [msg.sender, msg.seq]
+        self.trace.append(record, packet_line("SEND", step, src, dst, kind, mid))
+        channel = self.channels[(src, dst)]
+        packets = channel.packets
+        size = len(packets)
+        if size >= channel.capacity:
             self.counts["omissions"] += 1
             self._packet_event("OMIT", src, dst, msg, cause="overflow")
+            return
+        packets.append((msg, step))
+        if channel.dst_live:
+            self.weights.add(channel.slot, 4 if size else 8)
 
     def _deliver_action(self, channel: Channel) -> None:
+        # only channels of positive weight are drawn: non-empty, live destination
         src, dst, rng = channel.src, channel.dst, self.rng
+        packets = channel.packets
+        size = len(packets)
         idx = 0
-        size = len(channel.packets)
         if size > 1 and rng.random() < self.reorder_prob:
             idx = rng.randrange(size)
-        msg, birth = channel.pop(idx)
+        msg, birth = packets.pop(idx)
+        self.weights.add(channel.slot, -4 if size > 1 else -8)
         if rng.random() < self.omission_prob:
             self.counts["omissions"] += 1
             self._packet_event("OMIT", src, dst, msg, cause="drop")
             return
         if rng.random() < self.duplication_prob:
             if channel.push(msg, birth):
+                self._reweigh(channel)
                 self.counts["duplications"] += 1
                 self._packet_event("DUP", src, dst, msg)
-        self._packet_event("RECV", src, dst, msg)
+        step, kind = self.step, msg.kind
+        record = {"type": "RECV", "step": step, "src": src, "dst": dst, "kind": kind}
+        cls = type(msg)
+        mid = None
+        if cls is Msg or cls is MsgAck:
+            mid = record["mid"] = [msg.sender, msg.seq]
+        self.trace.append(record, packet_line("RECV", step, src, dst, kind, mid))
 
         node = self.nodes[dst]
-        cls = type(msg)
         if cls is Msg:
             ack = node.state.on_msg(msg.payload, msg.sender, msg.seq, src)
             self._send(dst, src, ack)
@@ -384,6 +427,9 @@ class Simulation:
                 key = (src, msg.sender, msg.seq)
                 for pending in self.ct_pending[dst]:
                     pending.discard(key)
+                    if not pending:
+                        self._satisfy(dst)
+                        break
         elif cls is Gossip:
             node.state.on_gossip(msg.max_seq, msg.rx_obs, msg.tx_obs, src)
             seen = self.ct_gossip_seen[src]
@@ -402,15 +448,24 @@ class Simulation:
     def _iterate_action(self, i: int) -> None:
         node = self.nodes[i]
         node.theta.reconcile(self._delayed_crashed())
+        send = self._send
         for dst, beat in node.hb.tick():
-            self._send(i, dst, beat)
+            send(i, dst, beat)
         view = self._view(node)
         result = node.state.do_forever_iteration(view)
-        msg_sends: set[tuple[int, int, int]] = set()
-        for dst, msg in result.outgoing:
-            if type(msg) is Msg:
-                msg_sends.add((dst, msg.sender, msg.seq))
-            self._send(i, dst, msg)
+        if i in self.ct_satisfied:
+            for dst, msg in result.outgoing:
+                send(i, dst, msg)
+        else:
+            msg_sends: set[tuple[int, int, int]] = set()
+            for dst, msg in result.outgoing:
+                if type(msg) is Msg:
+                    msg_sends.add((dst, msg.sender, msg.seq))
+                send(i, dst, msg)
+            if msg_sends:
+                self.ct_pending[i].append(msg_sends)
+            else:
+                self._satisfy(i)
         for sender, seq in result.delivered:
             self._event("DELIVER", node=i, mid=[sender, seq])
             self.delivered_sets[i].add((sender, seq))
@@ -419,13 +474,9 @@ class Simulation:
             self.epoch_mids.append(mid)
         if self.bounded_mode and node.state.check_overflow():
             self._start_barrier()
-        if i not in self.ct_satisfied:
-            if msg_sends:
-                self.ct_pending[i].append(msg_sends)
-            else:
-                self.ct_satisfied.add(i)
-                self.ct_pending[i] = []
-        self.peak_buffer[i] = max(self.peak_buffer[i], len(node.state.buffer))
+        held = len(node.state.buffer)
+        if held > self.peak_buffer[i]:
+            self.peak_buffer[i] = held
 
     # ---- scheduled faults and broadcasts --------------------------------------
 
@@ -436,7 +487,11 @@ class Simulation:
         self.live = [k for k in self.live if k != i]
         self.weights.set(i - 1, 0)
         for src in self.nodes:
-            self.channels[(src, i)].close()
+            channel = self.channels[(src, i)]
+            channel.dst_live = False  # nothing here is ever delivered
+            self._reweigh(channel)
+        if i not in self.ct_satisfied:
+            self.unsatisfied -= 1
         self.missing_gossip = self._count_missing_gossip()
         self.crashed_at[i] = self.step
         self._event("CRASH", node=i)
@@ -447,6 +502,8 @@ class Simulation:
         in_channels = [self.channels[(src, i)] for src in sorted(self.nodes)]
         state = self.nodes[i].state
         corruption.inject(kind, state, in_channels, self.rng, self.step)
+        for channel in in_channels:
+            self._reweigh(channel)
         # make the damage visible to the next snapshot, not one iteration later
         state.observed = state._observe(sorted(self.nodes[i].theta.trusted_view()))
         self.last_corrupt_step = self.step
@@ -476,8 +533,6 @@ class Simulation:
         )
 
     def _prologue(self) -> None:
-        if self.step < self.next_due:
-            return
         while self.crash_ptr < len(self.crash_plan) and self.crash_plan[self.crash_ptr][0] <= self.step:
             _, _, node = self.crash_plan[self.crash_ptr]
             self.crash_ptr += 1
@@ -523,8 +578,9 @@ class Simulation:
         for i in live:
             self.nodes[i].state.perform_global_reset()
             self.nodes[i].hb.reset()
-        for channel in self.channels.values():
-            channel.clear()
+        for channel in self.channel_slots:
+            channel.packets.clear()
+            self._reweigh(channel)
         self._event("RESET", nodes=live)
         self.counts["resets"] += 1
         self.epoch += 1
@@ -538,27 +594,20 @@ class Simulation:
     # ---- asynchronous-cycle accounting -------------------------------------------
 
     def _cycle_complete(self) -> bool:
-        if self.missing_gossip or not self.live:
-            return False
-        suspected: set[int] | None = None
-        for i in self.live:
-            if i not in self.ct_satisfied:
-                done = False
-                for pending in self.ct_pending[i]:
-                    if not pending:
-                        done = True
-                    else:
-                        if suspected is None:
-                            suspected = self._delayed_crashed()
-                        if all(dst in suspected for dst, _, _ in pending):
-                            done = True
-                    if done:
-                        break
-                if not done:
-                    return False
-                self.ct_satisfied.add(i)
-                self.ct_pending[i] = []
-        return True
+        """Called once every gossip pair is seen: whether every live node has
+        met the round-trip clause too. O(1) unless crashes are known; then
+        the unsatisfied nodes' pending round-trips are rescanned, because
+        the clause that counts suspected targets changes with the step."""
+        if self.unsatisfied and self.crashed_at:
+            suspected = self._delayed_crashed()
+            if suspected:
+                for i in self.live:
+                    if i not in self.ct_satisfied and any(
+                        all(dst in suspected for dst, _, _ in pending)
+                        for pending in self.ct_pending[i]
+                    ):
+                        self._satisfy(i)
+        return not self.unsatisfied
 
     # ---- stop predicate ---------------------------------------------------------
 
@@ -637,7 +686,8 @@ class Simulation:
     # ---- the main loop ----------------------------------------------------------
 
     def step_once(self) -> None:
-        self._prologue()
+        if self.step >= self.next_due:
+            self._prologue()
         if not self.live:
             self.stop_reason = "all-crashed"
             return
@@ -649,10 +699,10 @@ class Simulation:
         else:
             self._deliver_action(self.channel_slots[slot - n])
 
-        if self.bounded_mode and self.barrier_active and self._barrier_ready():
+        if self.barrier_active and self._barrier_ready():
             self._apply_global_reset()
 
-        if self._cycle_complete():
+        if not self.missing_gossip and self._cycle_complete():
             self._on_cycle_boundary()
         interval = self.snapshot_interval
         if interval and self.step > 0 and self.step % interval == 0:

@@ -11,9 +11,13 @@ SEND/RECV/OMIT/DUP records, nearly all of a trace, have one line format,
 renders each packet line from its typed fields and hands it to
 `Trace.append` with the record; `encode_record` validates any other dict
 that claims a packet type and renders it through the same template, and
-every other record goes through `canonical` itself. `Trace` keeps the
-lines not yet hashed and feeds SHA-256 one chunk at a time; SHA-256 is a
-streaming hash, so the digest is the one a line-by-line update gives.
+every other record goes through `canonical` itself. A SNAPSHOT's line,
+`snapshot_line`, is assembled from the `canonical` strings of its two
+halves. `Trace` keeps the lines not yet hashed and feeds SHA-256 one chunk
+at a time; SHA-256 is a streaming hash, so the digest is the one a
+line-by-line update gives. It also notes, one byte per event, which
+records came with their line, so that `write` renders those packet
+records from their fields without validating them again.
 """
 
 from __future__ import annotations
@@ -26,10 +30,15 @@ TRACE_FORMAT = "ssurb-trace-v1"
 
 PACKET_TYPES = frozenset(("SEND", "RECV", "OMIT", "DUP"))
 _CHUNK_LINES = 256  # lines hashed per SHA-256 update; few, to keep memory flat
+_WRITE_CHUNK = 1024  # lines per file write
 
 
-def canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical(record) -> str:
+    """`json.dumps(record, sort_keys=True, separators=(",", ":"))`."""
+    return _CANONICAL.encode(record)
 
 
 def packet_line(
@@ -50,6 +59,24 @@ def packet_line(
     return (
         f'{{{cause_field}"dst":{dst},"kind":{encode_basestring_ascii(kind)},{mid_field}'
         f'"src":{src},"step":{step},"type":"{etype}"}}'
+    )
+
+
+def snapshot_state(nodes_json: str, channels_json: str) -> str:
+    """`canonical({"nodes": nodes, "channels": channels})` from the two halves'
+    `canonical` strings: the input of a SNAPSHOT's digest."""
+    return f'{{"channels":{channels_json},"nodes":{nodes_json}}}'
+
+
+def snapshot_line(
+    step: int, cycle: int, boundary: bool, nodes_json: str, channels_json: str, digest: str
+) -> str:
+    """`canonical` of the SNAPSHOT record with these fields, `nodes_json` and
+    `channels_json` being the `canonical` strings of its two lists."""
+    return (
+        f'{{"boundary":{"true" if boundary else "false"},"channels":{channels_json},'
+        f'"cycle":{cycle},"digest":"{digest}","nodes":{nodes_json},'
+        f'"step":{step},"type":"SNAPSHOT"}}'
     )
 
 
@@ -116,13 +143,21 @@ class Trace:
         self.events: list[dict] = []
         self._hasher = hashlib.sha256(canonical(header).encode())
         self._pending: list[str] = []  # encoded events not yet hashed
+        # per event, 1 when the caller rendered its line: a record the
+        # simulator built from typed fields, which `write` renders unchecked
+        self._rendered = bytearray()
 
     def append(self, event: dict, line: str | None = None) -> None:
         """Record `event`; `line` is its `encode_record` line when the caller
         has rendered it already."""
         self.events.append(event)
+        if line is None:
+            line = encode_record(event)
+            self._rendered.append(0)
+        else:
+            self._rendered.append(1)
         pending = self._pending
-        pending.append(encode_record(event) if line is None else line)
+        pending.append(line)
         if len(pending) >= _CHUNK_LINES:
             self._flush()
 
@@ -136,10 +171,36 @@ class Trace:
         return self._hasher.hexdigest()
 
     def write(self, path: str) -> None:
+        """The header and one line per event, each as `encode_record` gives it.
+        Packet records the simulator rendered go straight through
+        `packet_line`, other such records through `canonical`."""
+        events, rendered = self.events, self._rendered
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical(self.header) + "\n")
-            for event in self.events:
-                fh.write(encode_record(event) + "\n")
+            fh.write(canonical(self.header))
+            for start in range(0, len(events), _WRITE_CHUNK):
+                stop = start + _WRITE_CHUNK
+                lines = []
+                for event, by_caller in zip(events[start:stop], rendered[start:stop]):
+                    if not by_caller:
+                        lines.append(encode_record(event))
+                        continue
+                    etype = event["type"]
+                    if etype in PACKET_TYPES:
+                        lines.append(
+                            packet_line(
+                                etype,
+                                event["step"],
+                                event["src"],
+                                event["dst"],
+                                event["kind"],
+                                event.get("mid"),
+                                event.get("cause"),
+                            )
+                        )
+                    else:
+                        lines.append(canonical(event))
+                fh.write("\n" + "\n".join(lines))
+            fh.write("\n")
 
 
 def read(path: str) -> Trace:

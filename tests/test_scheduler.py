@@ -1,7 +1,7 @@
 """The incremental scheduler and cycle accounting: the Fenwick-tree draw
 picks what `random.choices` over the explicit weighted action list picks,
-and the weights and the missing-gossip count kept up to date step by step
-equal the rule recomputed from scratch."""
+and the weights, the missing-gossip count and the unsatisfied-node count
+kept up to date step by step equal the rule recomputed from scratch."""
 
 import random
 
@@ -89,6 +89,26 @@ def _fenwick_consistent(tree):
     )
 
 
+def _step_checking_the_rule(sim):
+    """Run to the end, checking after every step that the incrementally kept
+    weights, Fenwick tree and cycle counters equal their from-scratch values."""
+    while sim.step < sim.cfg.max_steps and sim.stop_reason is None:
+        sim.step_once()
+        assert sim.weights.weights == _expected_weights(sim)
+        assert sim.weights.total == sum(sim.weights.weights)
+        assert _fenwick_consistent(sim.weights)
+        live = [i for i in sim.nodes if not sim.nodes[i].crashed]
+        assert sim.live == live
+        recount = sum(
+            1 for i in live for k in live if i != k and k not in sim.ct_gossip_seen[i]
+        )
+        assert sim.missing_gossip == recount
+        unsatisfied = [i for i in live if i not in sim.ct_satisfied]
+        assert sim.unsatisfied == len(unsatisfied)
+        # a round-trip set that emptied satisfied its node on the spot
+        assert all(all(sim.ct_pending[i]) for i in unsatisfied)
+
+
 def test_weights_and_missing_gossip_track_the_rule_every_step():
     cfg = from_dict(
         {
@@ -108,17 +128,55 @@ def test_weights_and_missing_gossip_track_the_rule_every_step():
         }
     )
     sim = Simulation(cfg)
-    while sim.step < cfg.max_steps and sim.stop_reason is None:
-        sim.step_once()
-        assert sim.weights.weights == _expected_weights(sim)
-        assert sim.weights.total == sum(sim.weights.weights)
-        live = [i for i in sim.nodes if not sim.nodes[i].crashed]
-        assert sim.live == live
-        recount = sum(
-            1 for i in live for k in live if i != k and k not in sim.ct_gossip_seen[i]
-        )
-        assert sim.missing_gossip == recount
+    _step_checking_the_rule(sim)
     assert _fenwick_consistent(sim.weights)
     seen = {e["type"] for e in sim.trace.events}
     assert {"CRASH", "CORRUPT", "RESET"} <= seen
     assert sim.stop_reason == "complete-delivery"
+
+
+class _PopWatch:
+    """Counts deliveries popped from behind the head of a queue."""
+
+    def __init__(self, sim):
+        self.middle_pops = 0
+        deliver = sim._deliver_action
+
+        def watched(channel):
+            head = channel.packets[0]
+            deliver(channel)
+            if channel.packets and channel.packets[0] is head:
+                self.middle_pops += 1
+
+        sim._deliver_action = watched
+
+
+def test_fused_send_and_deliver_paths_keep_the_rule_every_step():
+    # DUP pushes, overflow OMITs at capacity 2, reorder-heavy pops from the
+    # middle of a queue, drop OMITs, CHANNEL-GARBAGE and a crash
+    cfg = from_dict(
+        {
+            "n": 3,
+            "buffer_unit_size": 2,
+            "channel_capacity": 2,
+            "seed": 4,
+            "scheduler_profile": "reorder-heavy",
+            "max_steps": 6000,
+            "broadcasts": [{"node": 1 + k % 3, "payload": f"m{k}"} for k in range(5)],
+            "fault_plan": {
+                "omission_prob": 0.2,
+                "duplication_prob": 0.2,
+                "crashes": [{"node": 3, "step": 700}],
+                "detection_latency": 15,
+                "corruptions": [{"node": 2, "step": 120, "kind": "CHANNEL-GARBAGE"}],
+            },
+        }
+    )
+    sim = Simulation(cfg)
+    watch = _PopWatch(sim)
+    _step_checking_the_rule(sim)
+    events = sim.trace.events
+    assert any(e["type"] == "DUP" for e in events)
+    assert {e["cause"] for e in events if e["type"] == "OMIT"} == {"drop", "overflow"}
+    assert {"CRASH", "CORRUPT"} <= {e["type"] for e in events}
+    assert watch.middle_pops > 0

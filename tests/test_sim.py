@@ -5,6 +5,7 @@ import hashlib
 import json
 
 from ssurb import checker, corruption
+from ssurb import trace as trace_mod
 from ssurb.config import from_dict
 from ssurb.sim import Simulation, run_scenario
 from ssurb.wire import encode
@@ -257,8 +258,6 @@ def test_barrier_survives_crash_during_disable():
 
 
 def test_run_then_check_same_reports(tmp_path):
-    from ssurb import trace as trace_mod
-
     result = run_scenario(scenario())
     path = tmp_path / "trace.jsonl"
     result.trace.write(str(path))
@@ -494,6 +493,41 @@ def test_corruption_before_reset_digest_frozen():
     )
 
 
+def test_suspicion_clause_digest_frozen():
+    # node 5 crashes at step 40 with its MSG (5,1) acked by nodes 3 and 5
+    # only; the live nodes' round-trips to it never complete, so the first
+    # cycle closes through the suspicion clause once detection fires at 65
+    cfg = from_dict(
+        {
+            "n": 5,
+            "buffer_unit_size": 2,
+            "seed": 0,
+            "max_steps": 20000,
+            "broadcasts": [
+                {"node": 5, "payload": "e"},
+                {"node": 1, "payload": "a"},
+                {"node": 2, "step": 150, "payload": "b"},
+            ],
+            "fault_plan": {
+                "omission_prob": 0.2,
+                "crashes": [{"node": 5, "step": 40}],
+                "detection_latency": 25,
+            },
+        }
+    )
+    result = run_scenario(cfg)
+    assert result.metrics["status"] == "complete-delivery"
+    assert result.metrics["steps"] == 1134
+    assert result.metrics["cycles"] == 9
+    assert (
+        result.metrics["trace_digest"]
+        == "7891e6c3d429d7ae41ba1deb8dbb972818c9528eb01d5e5569a892816e46eb08"
+    )
+    assert report_digest(result) == (
+        "6d2b3ad25343351fde2353664b52883d04a2460d49aa329d1966202da898270e"
+    )
+
+
 def test_detector_contracts_over_crash_run():
     cfg = scenario(
         n=3,
@@ -533,3 +567,40 @@ def test_counters_monotone_across_fault_free_run():
             assert all(a >= b for a, b in zip(after["live_rx_obs"], before["live_rx_obs"]))
             assert all(a >= b for a, b in zip(after["live_tx_obs"], before["live_tx_obs"]))
             assert all(a >= b for a, b in zip(after["live_next"], before["live_next"]))
+
+
+def test_snapshot_lines_and_digests_are_canonical(tmp_path):
+    # a crashed node, CHANNEL-GARBAGE packets in flight and interval
+    # snapshots: each SNAPSHOT's line and digest are assembled from its two
+    # halves encoded once, and must equal what canonical gives the record
+    cfg = scenario(
+        n=4,
+        snapshot_interval=5,
+        max_steps=600,
+        stop_mode="max-steps",
+        fault_plan={
+            "corruptions": [{"node": 2, "step": 40, "kind": "CHANNEL-GARBAGE"}],
+            "crashes": [{"node": 4, "step": 20}],
+            "detection_latency": 10,
+        },
+    )
+    result = run_scenario(cfg)
+    path = tmp_path / "trace.jsonl"
+    result.trace.write(str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    snapshots = [
+        (e, lines[pos]) for pos, e in enumerate(result.trace.events) if e["type"] == "SNAPSHOT"
+    ]
+    for record, line in snapshots:
+        assert line == trace_mod.canonical(record)
+        state = trace_mod.canonical({"nodes": record["nodes"], "channels": record["channels"]})
+        assert record["digest"] == hashlib.sha256(state.encode()).hexdigest()
+    assert any(not record["boundary"] for record, _ in snapshots)
+    assert any(node["crashed"] for record, _ in snapshots for node in record["nodes"])
+    assert any(
+        packet["birth_step"] == 40
+        for record, _ in snapshots
+        if record["step"] > 40
+        for channel in record["channels"]
+        for packet in channel["packets"]
+    )

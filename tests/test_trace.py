@@ -194,3 +194,30 @@ def test_typed_packet_lines_match_canonical():
     assert expected <= shapes
     assert any(s[0] == "DUP" for s in shapes)
     assert {s[2] for s in shapes if s[0] == "OMIT"} == {"drop", "overflow"}
+
+
+def test_written_files_match_canonical_for_simulated_traces(tmp_path):
+    # `write` renders simulator-built records from their fields; the file
+    # must still hold canonical(record) per line, across write chunks
+    path = tmp_path / "trace.jsonl"
+    for raw in TYPED_RENDER_BATTERY:
+        result = run_scenario(from_dict(raw))
+        result.trace.write(str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        expected = [canonical(result.trace.header)] + [canonical(e) for e in result.trace.events]
+        assert lines == expected
+    assert len(result.trace.events) > trace._WRITE_CHUNK
+
+
+def test_write_validates_records_appended_without_a_line(tmp_path):
+    header = {"type": "HEADER", "format": trace.TRACE_FORMAT, "n": 2}
+    t = trace.Trace(header)
+    typed = {"type": "SEND", "step": 0, "src": 1, "dst": 2, "kind": "HEARTBEAT"}
+    t.append(typed, trace.packet_line("SEND", 0, 1, 2, "HEARTBEAT"))
+    # off the template's shape: json renders the bool and the tuple itself
+    t.append({"type": "RECV", "step": 1, "src": True, "dst": 2, "kind": "MSG", "mid": (1, 1)})
+    t.append({"type": "END", "step": 2, "reason": "max-steps"})
+    path = tmp_path / "trace.jsonl"
+    t.write(str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [canonical(header)] + [canonical(e) for e in t.events]
