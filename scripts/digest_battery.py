@@ -7,7 +7,11 @@ every corruption kind, crashes with detection latency, channel capacities
 duplication, interval snapshots, every stop mode and bounded-mode global
 resets. For each scenario it prints one JSON line: the run's metrics
 (trace digest included), the SHA-256 of the trace file `Trace.write`
-produces, and the SHA-256 of the checker reports sorted by name.
+produces, the SHA-256 of the checker reports sorted by name, and the
+SHA-256 of every snapshot's per-node `checker.consistency_check` verdicts,
+(ok, clause) for each node, crashed ones included, in every snapshot of the
+trace, also those before the stabilization marker that `check_all` never
+evaluates.
 
 Run it on two checkouts and compare; a change that must keep behaviour
 prints the same lines:
@@ -177,6 +181,21 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def verdicts_digest(header: dict, events: list[dict]) -> str:
+    """SHA-256 over (step, node, ok, clause) of every node of every snapshot,
+    each judged against the last corruption before it."""
+    verdicts = []
+    last_corrupt = None
+    for event in events:
+        if event["type"] == "CORRUPT":
+            last_corrupt = event["step"]
+        elif event["type"] == "SNAPSHOT":
+            for entry in event["nodes"]:
+                ok, clause = checker.consistency_check(event, entry["id"], header, last_corrupt)
+                verdicts.append([event["step"], entry["id"], ok, clause])
+    return sha256(json.dumps(verdicts))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
@@ -192,6 +211,7 @@ def main() -> int:
                 "metrics": result.metrics,
                 "file_digest": file_digest,
                 "reports_digest": sha256(json.dumps(ordered, sort_keys=True)),
+                "verdicts_digest": verdicts_digest(result.trace.header, result.trace.events),
             }
             print(json.dumps(line, sort_keys=True), flush=True)
     return 0

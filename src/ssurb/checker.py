@@ -22,16 +22,30 @@ Conventions shared by all checks:
   simulator's `stabilized` stop rule applies the same function). Events
   before the marker are the recovery window and are exempt from the
   safety checks; FAIL always refers to the post-marker suffix.
-* `TraceIndex` makes one pass over the events, and evaluates each
-  snapshot's consistency at most once for all the checks together.
 * Liveness-flavoured checks report INCONCLUSIVE rather than FAIL when
   the run was cut off by the step budget: a finite prefix cannot refute
   them.
+
+Cost. The consistency predicate has one implementation,
+`evaluate_snapshot`: it derives the facts that relate nodes once per
+snapshot and then checks each node against them, so a snapshot costs
+O(its size) rather than O(n * its size). `consistency_check`,
+`snapshot_all_consistent` (the simulator's `stabilized` stop rule) and the
+FAIL witnesses are views of it. `TraceIndex` makes the only pass over the
+events. It records the positions of each event type the checks read, and
+each check bisects out its epoch's share of those positions and walks only
+them. It also evaluates each snapshot at most once for all the checks
+together. A battery costs O(events + sum of snapshot sizes), where it used
+to cost O(checks * events + n * sum of snapshot sizes).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
+
+from .trace import PACKET_TYPES
 
 
 @dataclass
@@ -62,142 +76,229 @@ class CheckReport:
 # snapshot-level predicates
 # ---------------------------------------------------------------------------
 
-
-def _node_map(snapshot: dict) -> dict[int, dict]:
-    return {entry["id"]: entry for entry in snapshot["nodes"]}
+_NONE = float("-inf")  # below every counter: "no such value in the snapshot"
 
 
-def _max_seq(node: dict, k: int, fifo: bool) -> int:
-    best = node["next"][k - 1] - 1 if fifo else 0
-    for r in node["buffer"]:
-        if r["sender"] == k and r["seq"] > best:
-            best = r["seq"]
-    return best
+class SnapshotVerdict(NamedTuple):
+    """What `evaluate_snapshot` found in one snapshot."""
+
+    stale: bool  # corruption-era protocol packets still in flight to a live node
+    node: int | None  # the first evaluated node whose state breaks a clause
+    clause: str | None  # the first clause it breaks
+
+    @property
+    def consistent(self) -> bool:
+        return not self.stale and self.node is None
+
+
+def evaluate_snapshot(
+    snapshot: dict, header: dict, last_corrupt_step: int | None, node_id: int | None = None
+) -> SnapshotVerdict:
+    """The consistency predicate over one full system snapshot: every live
+    node in snapshot order up to the first that breaks a clause, or only
+    `node_id` (live or not) when given.
+
+    The facts that relate nodes are derived once per snapshot: the node map
+    and live set, per (holder, sender) the highest seq and the count of the
+    records a node holds, and, over the packets in flight to live nodes
+    that are younger than `last_corrupt_step`, the highest MSG/MSGACK seq
+    per sender and per channel the highest GOSSIP max_seq, rx_obs and
+    tx_obs. Each node's clauses then run in a fixed order and the first
+    that fails is reported. In-flight packets are rescanned in order only
+    for a node that the packet extremes already show to be failing, to name
+    the packet clause that fails first."""
+    n = header["n"]
+    b = header["buffer_unit_size"]
+    fifo = header["fifo_enabled"]
+    nodes = {entry["id"]: entry for entry in snapshot["nodes"]}
+    crashed = {k for k, entry in nodes.items() if entry["crashed"]}
+    live = [k for k in sorted(nodes) if k not in crashed]
+    live_set = set(live)
+    # live counters: the cross-node dominance clauses compare against these
+    live_seq, live_rx, live_tx, live_next = {}, {}, {}, {}
+    # per holder, per sender: the highest seq and the count of its records
+    held_top: dict[int, dict[int, int]] = {}
+    held_count: dict[int, dict[int, int]] = {}
+    for k, entry in nodes.items():
+        live_seq[k] = entry.get("live_seq", entry["seq"])
+        live_rx[k] = entry.get("live_rx_obs", entry["rx_obs"])
+        live_tx[k] = entry.get("live_tx_obs", entry["tx_obs"])
+        if fifo:
+            live_next[k] = entry.get("live_next", entry["next"])
+        top: dict[int, int] = {}
+        count: dict[int, int] = {}
+        for r in entry["buffer"]:
+            sender, seq = r["sender"], r["seq"]
+            if seq > top.get(sender, _NONE):
+                top[sender] = seq
+            count[sender] = count.get(sender, 0) + 1
+        held_top[k] = top
+        held_count[k] = count
+
+    # in-flight packets toward live nodes, past the corruption-era filter
+    msg_top: dict[int, int] = {}  # per sender
+    gossip_in: dict[int, list[tuple[int, float, float]]] = {}  # dst -> (src, max_seq, rx_obs)
+    gossip_out: dict[int, list[tuple[int, float]]] = {}  # src -> (dst, tx_obs)
+    for entry in snapshot["channels"]:
+        dst = entry["dst"]
+        if dst in crashed:
+            continue
+        g_max = g_rx = g_tx = _NONE
+        for packet in entry["packets"]:
+            if last_corrupt_step is not None and packet["birth_step"] <= last_corrupt_step:
+                continue
+            kind = packet["kind"]
+            if kind == "MSG" or kind == "MSGACK":
+                sender, seq = packet["sender"], packet["seq"]
+                if seq > msg_top.get(sender, _NONE):
+                    msg_top[sender] = seq
+            elif kind == "GOSSIP":
+                if packet["max_seq"] > g_max:
+                    g_max = packet["max_seq"]
+                if packet["rx_obs"] > g_rx:
+                    g_rx = packet["rx_obs"]
+                if packet["tx_obs"] > g_tx:
+                    g_tx = packet["tx_obs"]
+        if g_max is not _NONE:  # the channel carries GOSSIP
+            src = entry["src"]
+            gossip_in.setdefault(dst, []).append((src, g_max, g_rx))
+            gossip_out.setdefault(src, []).append((dst, g_tx))
+
+    def packet_clause(i: int, my_seq: int) -> str | None:
+        # the packet clauses in channel and packet order, for node i
+        for entry in snapshot["channels"]:
+            dst = entry["dst"]
+            if dst in crashed:
+                continue
+            src = entry["src"]
+            for packet in entry["packets"]:
+                if last_corrupt_step is not None and packet["birth_step"] <= last_corrupt_step:
+                    continue
+                kind = packet["kind"]
+                if kind in ("MSG", "MSGACK"):
+                    if packet["sender"] == i and packet["seq"] > my_seq:
+                        return "seq-dominance-packet"
+                elif kind == "GOSSIP":
+                    if dst == i and packet["max_seq"] > my_seq:
+                        return "seq-dominance-gossip"
+                    if dst == i and src in live_set and packet["rx_obs"] > live_rx[src][i - 1]:
+                        return "stale-gossip-watermark"
+                    if src == i and dst in live_set and packet["tx_obs"] > live_rx[dst][i - 1]:
+                        return "stale-gossip-echo"
+        return None
+
+    def clause_of(i: int) -> str | None:
+        me = nodes[i]
+        trusted = set(me["trusted"])
+        seq = me["seq"]
+        rx = me["rx_obs"]
+        tx = me["tx_obs"]
+        buffer = me["buffer"]
+        top = held_top[i]
+        nxt = me["next"] if fifo else None
+
+        # (i) local buffer/window clauses
+        if any(r["payload"] is None for r in buffer):
+            return "null-payload"
+        if len({(r["sender"], r["seq"]) for r in buffer}) != len(buffer):
+            return "duplicate-identity"
+        ms = min(tx[k - 1] for k in trusted) if trusted else seq
+        if not (ms <= seq <= ms + b):
+            return "send-window"
+        own_seqs = {r["seq"] for r in buffer if r["sender"] == i}
+        if any(s not in own_seqs for s in range(ms + 1, seq + 1)):
+            return "own-window-coverage"
+        for k in range(1, n + 1):
+            # the highest seq held or delivered from k, at most b past rx
+            base = nxt[k - 1] - 1 if fifo else 0
+            if max(base, top.get(k, base)) - rx[k - 1] > b:
+                return "receive-window"
+        for r in buffer:
+            if (
+                rx[r["sender"] - 1] + 1 == r["seq"]
+                and trusted.issubset(r["rec_by"])
+                and r["delivered"]
+            ):
+                return "obsolete-record"
+        # a foreign record that passes this clause has seq > rx, and
+        # receive-window holds every record of its sender to rx + b, so no
+        # record of that sender can lie more than b above it
+        for r in buffer:
+            sender = r["sender"]
+            if sender == i:
+                if r["seq"] <= ms:
+                    return "own-record-below-window"
+            elif r["seq"] <= rx[sender - 1]:
+                return "foreign-record-obsolete"
+
+        # (ii) dominance of own seq over every value in the system related to it:
+        # peer-buffered records, delivery cursors, in-flight packets, and every
+        # obsolete watermark kept about this node's messages. Watermarks and seq
+        # are monotone, so these clauses compare the live counters; the records a
+        # peer holds are its observed ones.
+        my_seq = live_seq[i]
+        my_tx = live_tx[i]
+        for k in live:
+            if held_top[k].get(i, _NONE) > my_seq:
+                return "seq-dominance-buffer"
+            if fifo and live_next[k][i - 1] - 1 > my_seq:
+                return "seq-dominance-next"
+            peer_rx = live_rx[k][i - 1]
+            if peer_rx > my_seq:
+                return "peer-watermark-dominance"
+            own_tx = my_tx[k - 1]
+            if own_tx > my_seq:
+                return "own-watermark-floor"
+            if own_tx > peer_rx:
+                return "watermark-dominance"
+        if (
+            msg_top.get(i, _NONE) > my_seq
+            or any(
+                g_max > my_seq or (src in live_set and g_rx > live_rx[src][i - 1])
+                for src, g_max, g_rx in gossip_in.get(i, ())
+            )
+            or any(
+                dst in live_set and g_tx > live_rx[dst][i - 1]
+                for dst, g_tx in gossip_out.get(i, ())
+            )
+        ):
+            return packet_clause(i, my_seq)
+        # the full send-window predicate over the live counters: when it does not
+        # hold, a watermark repair (and its dominance dip) is still pending
+        trusted_live = [k for k in trusted if k in live_set]
+        live_ms = min(my_tx[k - 1] for k in trusted_live) if trusted_live else my_seq
+        window_ok = live_ms <= my_seq <= live_ms + b
+        if window_ok and my_seq > live_ms:
+            live_own = set(me["live_own_seqs"]) if "live_own_seqs" in me else own_seqs
+            window_ok = all(s in live_own for s in range(live_ms + 1, my_seq + 1))
+        if not window_ok:
+            return "live-send-window"
+
+        # (iii) per-sender bound at trusted peers
+        for k in trusted_live:
+            if held_count[k].get(i, 0) > b:
+                return "peer-buffer-bound"
+        return None
+
+    stale = stale_packets_in_flight(snapshot, last_corrupt_step)
+    if node_id is not None:
+        clause = clause_of(node_id)
+        return SnapshotVerdict(stale, None if clause is None else node_id, clause)
+    for entry in snapshot["nodes"]:
+        if not entry["crashed"]:
+            clause = clause_of(entry["id"])
+            if clause is not None:
+                return SnapshotVerdict(stale, entry["id"], clause)
+    return SnapshotVerdict(stale, None, None)
 
 
 def consistency_check(
     snapshot: dict, node_id: int, header: dict, last_corrupt_step: int | None
 ) -> tuple[bool, str | None]:
-    """Evaluate the consistency predicate for one live node against a full
-    system snapshot. Returns (ok, failing-clause-name)."""
-    n = header["n"]
-    b = header["buffer_unit_size"]
-    fifo = header["fifo_enabled"]
-    nodes = _node_map(snapshot)
-    me = nodes[node_id]
-    trusted = set(me["trusted"])
-    seq = me["seq"]
-    rx = me["rx_obs"]
-    tx = me["tx_obs"]
-    buffer = me["buffer"]
-
-    # (i) local buffer/window clauses
-    if any(r["payload"] is None for r in buffer):
-        return False, "null-payload"
-    identities = [(r["sender"], r["seq"]) for r in buffer]
-    if len(identities) != len(set(identities)):
-        return False, "duplicate-identity"
-    ms = min(tx[k - 1] for k in trusted) if trusted else seq
-    if not (ms <= seq <= ms + b):
-        return False, "send-window"
-    own_seqs = {r["seq"] for r in buffer if r["sender"] == node_id}
-    for s in range(ms + 1, seq + 1):
-        if s not in own_seqs:
-            return False, "own-window-coverage"
-    for k in range(1, n + 1):
-        if _max_seq(me, k, fifo) - rx[k - 1] > b:
-            return False, "receive-window"
-    for r in buffer:
-        if (
-            rx[r["sender"] - 1] + 1 == r["seq"]
-            and trusted.issubset(r["rec_by"])
-            and r["delivered"]
-        ):
-            return False, "obsolete-record"
-    for r in buffer:
-        if r["sender"] == node_id:
-            if r["seq"] <= ms:
-                return False, "own-record-below-window"
-        else:
-            if r["seq"] <= rx[r["sender"] - 1]:
-                return False, "foreign-record-obsolete"
-            if _max_seq(me, r["sender"], fifo) > r["seq"] + b:
-                return False, "foreign-record-window"
-
-    # (ii) dominance of own seq over every value in the system related to it:
-    # peer-buffered records, delivery cursors, in-flight packets, and every
-    # obsolete watermark kept about this node's messages. Watermarks and seq
-    # are monotone, so these clauses compare the live counters; the records a
-    # peer holds are its observed ones.
-    live = [k for k in sorted(nodes) if not nodes[k]["crashed"]]
-
-    def live_seq(k):
-        return nodes[k].get("live_seq", nodes[k]["seq"])
-
-    def live_rx(k, about):
-        return nodes[k].get("live_rx_obs", nodes[k]["rx_obs"])[about - 1]
-
-    def live_tx(k, about):
-        return nodes[k].get("live_tx_obs", nodes[k]["tx_obs"])[about - 1]
-
-    my_seq = live_seq(node_id)
-    for k in live:
-        for r in nodes[k]["buffer"]:
-            if r["sender"] == node_id and r["seq"] > my_seq:
-                return False, "seq-dominance-buffer"
-        if fifo:
-            cursor = nodes[k].get("live_next", nodes[k]["next"])[node_id - 1]
-            if cursor - 1 > my_seq:
-                return False, "seq-dominance-next"
-        if live_rx(k, node_id) > my_seq:
-            return False, "peer-watermark-dominance"
-        if live_tx(node_id, k) > my_seq:
-            return False, "own-watermark-floor"
-        if live_tx(node_id, k) > live_rx(k, node_id):
-            return False, "watermark-dominance"
-    for entry in snapshot["channels"]:
-        dst = entry["dst"]
-        if nodes[dst]["crashed"]:
-            continue
-        for packet in entry["packets"]:
-            if last_corrupt_step is not None and packet["birth_step"] <= last_corrupt_step:
-                continue
-            kind = packet["kind"]
-            if kind in ("MSG", "MSGACK"):
-                if packet["sender"] == node_id and packet["seq"] > my_seq:
-                    return False, "seq-dominance-packet"
-            elif kind == "GOSSIP":
-                src = entry["src"]
-                if dst == node_id and packet["max_seq"] > my_seq:
-                    return False, "seq-dominance-gossip"
-                if dst == node_id and src in live:
-                    if packet["rx_obs"] > live_rx(src, node_id):
-                        return False, "stale-gossip-watermark"
-                if src == node_id and dst in live:
-                    if packet["tx_obs"] > live_rx(dst, node_id):
-                        return False, "stale-gossip-echo"
-    # the full send-window predicate over the live counters: when it does not
-    # hold, a watermark repair (and its dominance dip) is still pending
-    trusted_live = [k for k in sorted(trusted) if k in nodes and not nodes[k]["crashed"]]
-    live_ms = (
-        min(live_tx(node_id, k) for k in trusted_live) if trusted_live else my_seq
-    )
-    window_ok = live_ms <= my_seq <= live_ms + b
-    if window_ok and my_seq > live_ms:
-        live_own = set(me.get("live_own_seqs", sorted(own_seqs)))
-        window_ok = all(s in live_own for s in range(live_ms + 1, my_seq + 1))
-    if not window_ok:
-        return False, "live-send-window"
-
-    # (iii) per-sender bound at trusted peers, and the flow-control window
-    for k in sorted(trusted):
-        if k in nodes and not nodes[k]["crashed"]:
-            count = sum(1 for r in nodes[k]["buffer"] if r["sender"] == node_id)
-            if count > b:
-                return False, "peer-buffer-bound"
-    if seq > ms + b:
-        return False, "flow-window"
-    return True, None
+    """The consistency predicate for one node against a full system snapshot:
+    (ok, failing-clause-name), as `evaluate_snapshot` finds it."""
+    verdict = evaluate_snapshot(snapshot, header, last_corrupt_step, node_id)
+    return verdict.node is None, verdict.clause
 
 
 def stale_packets_in_flight(snapshot: dict, last_corrupt_step: int | None) -> bool:
@@ -220,15 +321,7 @@ def snapshot_all_consistent(
 ) -> bool:
     """Every live node consistent, and no corruption-era protocol packet still
     in flight toward a live node."""
-    if stale_packets_in_flight(snapshot, last_corrupt_step):
-        return False
-    for entry in snapshot["nodes"]:
-        if entry["crashed"]:
-            continue
-        ok, _ = consistency_check(snapshot, entry["id"], header, last_corrupt_step)
-        if not ok:
-            return False
-    return True
+    return evaluate_snapshot(snapshot, header, last_corrupt_step).consistent
 
 
 def drained_cycle(snapshot: dict, last_corrupt_step: int | None) -> int | None:
@@ -254,25 +347,44 @@ def drained_cycle(snapshot: dict, last_corrupt_step: int | None) -> int | None:
 
 
 class TraceIndex:
-    """One pass over a trace: crash set, end reason, CORRUPT positions,
-    snapshots, epochs as ranges of event positions, and each epoch's
-    stabilization marker. Every snapshot verdict is computed at most once."""
+    """One pass over a trace: crash set, end reason, epochs as ranges of event
+    positions, the positions of each kind of event the checks read, and each
+    epoch's stabilization marker. Every snapshot verdict is computed at most
+    once."""
 
     def __init__(self, header: dict, events: list[dict]):
         self.header = header
         self.events = events
         self.crashed: set[int] = set()
         self.end_reason: str | None = None
+        # ascending event positions, by type; a check bisects out its epoch
+        self.broadcasts: list[int] = []
+        self.delivers: list[int] = []
+        self.cycles: list[int] = []
+        # packet records that carry a mid (MSG and MSGACK): SENDs, and the rest
+        self.mid_sends: list[int] = []
+        self.mid_others: list[int] = []  # RECV, OMIT and DUP
         self.corrupt_positions: list[int] = []
         # (position, step of the last CORRUPT before it) of every SNAPSHOT
         self.snapshots: list[tuple[int, int | None]] = []
         self.epochs: list[range] = []
-        self._verdicts: dict[int, bool] = {}
+        self._verdicts: dict[int, SnapshotVerdict] = {}
         last_corrupt: int | None = None
         start = 0
+        mid_sends, mid_others = self.mid_sends, self.mid_others
+        broadcasts, delivers, cycles = self.broadcasts, self.delivers, self.cycles
         for pos, event in enumerate(events):
             etype = event["type"]
-            if etype == "SNAPSHOT":
+            if etype in PACKET_TYPES:
+                if "mid" in event:
+                    (mid_sends if etype == "SEND" else mid_others).append(pos)
+            elif etype == "DELIVER":
+                delivers.append(pos)
+            elif etype == "BROADCAST":
+                broadcasts.append(pos)
+            elif etype == "CYCLE":
+                cycles.append(pos)
+            elif etype == "SNAPSHOT":
                 self.snapshots.append((pos, last_corrupt))
             elif etype == "CORRUPT":
                 self.corrupt_positions.append(pos)
@@ -291,21 +403,42 @@ class TraceIndex:
         # per epoch: its marker position, and its snapshots from the marker on
         self.markers: list[int | None] = []
         self.checked: list[tuple[int, int | None]] = []
+        snapshot_at = [pos for pos, _ in self.snapshots]
         for epoch in self.epochs:
-            snaps = [s for s in self.snapshots if s[0] in epoch]
-            corrupt = [pos for pos in self.corrupt_positions if pos in epoch]
-            marker = self.marker(snaps, corrupt[-1] if corrupt else None)
+            lo = bisect_left(snapshot_at, epoch.start)
+            hi = bisect_left(snapshot_at, epoch.stop)
+            corrupt = self.within(self.corrupt_positions, epoch)
+            marker = self.marker(self.snapshots[lo:hi], corrupt[-1] if corrupt else None)
             self.markers.append(marker)
             if marker is not None:
-                self.checked += [s for s in snaps if s[0] >= marker]
+                self.checked += self.snapshots[bisect_left(snapshot_at, marker, lo, hi):hi]
 
-    def consistent(self, pos: int, last_corrupt_step: int | None) -> bool:
-        """`snapshot_all_consistent` of the snapshot at `pos`, evaluated once."""
+    @staticmethod
+    def within(positions: list[int], span: range) -> list[int]:
+        """The positions of an ascending list that fall in `span`."""
+        return positions[bisect_left(positions, span.start):bisect_left(positions, span.stop)]
+
+    def verdict(self, pos: int, last_corrupt_step: int | None) -> SnapshotVerdict:
+        """`evaluate_snapshot` of the snapshot at `pos`, evaluated once."""
         verdict = self._verdicts.get(pos)
         if verdict is None:
-            verdict = snapshot_all_consistent(self.events[pos], self.header, last_corrupt_step)
+            verdict = evaluate_snapshot(self.events[pos], self.header, last_corrupt_step)
             self._verdicts[pos] = verdict
         return verdict
+
+    def consistent(self, pos: int, last_corrupt_step: int | None) -> bool:
+        """Every live node consistent at `pos`, and no corruption-era packet in
+        flight toward a live node."""
+        return self.verdict(pos, last_corrupt_step).consistent
+
+    def inconsistency(self, pos: int, last_corrupt_step: int | None) -> dict:
+        """FAIL witness for a snapshot that is not all-consistent: the first
+        live node whose state breaks a clause, and that clause."""
+        verdict = self.verdict(pos, last_corrupt_step)
+        step = self.events[pos]["step"]
+        if verdict.node is None:
+            return {"reason": "stale packets never drained", "step": step}
+        return {"node": verdict.node, "clause": verdict.clause, "step": step}
 
     def marker(
         self, snapshots: list[tuple[int, int | None]], frontier: int | None
@@ -337,6 +470,11 @@ def index_trace(header: dict, events: list[dict]) -> TraceIndex:
 # ---------------------------------------------------------------------------
 
 
+def _mid(event: dict) -> tuple[int, int]:
+    mid = event["mid"]
+    return mid[0], mid[1]
+
+
 def validity_check(ti: TraceIndex) -> CheckReport:
     """Every checked delivery traces back to an earlier broadcast of the same
     identity; deliveries in the recovery window, or of identities already
@@ -344,8 +482,9 @@ def validity_check(ti: TraceIndex) -> CheckReport:
     events = ti.events
     exemptions = 0
     for epoch, marker in zip(ti.epochs, ti.markers):
+        delivers = ti.within(ti.delivers, epoch)
         if marker is None:
-            exemptions += sum(1 for e in events[epoch.start:epoch.stop] if e["type"] == "DELIVER")
+            exemptions += len(delivers)
             continue
         marker_snapshot = events[marker]
         preexisting: set[tuple[int, int]] = set()
@@ -358,40 +497,38 @@ def validity_check(ti: TraceIndex) -> CheckReport:
                     preexisting.add((packet["sender"], packet["seq"]))
         # identities that moved through the recovery window may be buffered
         # live without showing in the marker's observed states yet
-        for event in events[epoch.start:marker]:
-            if event["type"] in ("SEND", "RECV", "OMIT", "DUP") and "mid" in event:
-                preexisting.add((event["mid"][0], event["mid"][1]))
+        window = range(epoch.start, marker)
+        for positions in (ti.within(ti.mid_sends, window), ti.within(ti.mid_others, window)):
+            for pos in positions:
+                preexisting.add(_mid(events[pos]))
         broadcast_at: dict[tuple[int, int], int] = {}
-        for pos in epoch:
+        for pos in ti.within(ti.broadcasts, epoch):
+            broadcast_at.setdefault(_mid(events[pos]), pos)
+        for pos in delivers:
             event = events[pos]
-            if event["type"] == "BROADCAST":
-                mid = (event["mid"][0], event["mid"][1])
-                if mid not in broadcast_at:
-                    broadcast_at[mid] = pos
-            elif event["type"] == "DELIVER":
-                mid = (event["mid"][0], event["mid"][1])
-                if mid in broadcast_at and broadcast_at[mid] < pos:
-                    continue
-                if pos < marker or mid in preexisting:
-                    exemptions += 1
-                    continue
-                return CheckReport(
-                    "validity",
-                    "FAIL",
-                    witness={"step": event["step"], "node": event["node"], "mid": list(mid)},
-                )
+            mid = _mid(event)
+            if broadcast_at.get(mid, pos) < pos:
+                continue
+            if pos < marker or mid in preexisting:
+                exemptions += 1
+                continue
+            return CheckReport(
+                "validity",
+                "FAIL",
+                witness={"step": event["step"], "node": event["node"], "mid": list(mid)},
+            )
     return CheckReport("validity", "PASS", measured={"exemptions": exemptions})
 
 
 def integrity_check(ti: TraceIndex) -> CheckReport:
     """No (node, identity) pair is delivered twice in the checked window."""
+    events = ti.events
     for epoch, marker in zip(ti.epochs, ti.markers):
         if marker is None:
             continue
         seen: set[tuple[int, int, int]] = set()
-        for event in ti.events[marker:epoch.stop]:
-            if event["type"] != "DELIVER":
-                continue
+        for pos in ti.within(ti.delivers, range(marker, epoch.stop)):
+            event = events[pos]
             key = (event["node"], event["mid"][0], event["mid"][1])
             if key in seen:
                 return CheckReport(
@@ -406,19 +543,23 @@ def integrity_check(ti: TraceIndex) -> CheckReport:
 def termination_check(ti: TraceIndex) -> CheckReport:
     """Whatever a never-crashed node broadcast or delivered in the checked
     window, every never-crashed node delivered within the epoch."""
+    events = ti.events
     survivors = set(ti.never_crashed)
     incomplete = ti.end_reason != "complete-delivery"
     for epoch, marker in zip(ti.epochs, ti.markers):
         if marker is None:
             continue
+        checked = range(marker, epoch.stop)
         antecedent: set[tuple[int, int]] = set()
-        for event in ti.events[marker:epoch.stop]:
-            if event["type"] in ("BROADCAST", "DELIVER") and event["node"] in survivors:
-                antecedent.add((event["mid"][0], event["mid"][1]))
+        for positions in (ti.within(ti.broadcasts, checked), ti.within(ti.delivers, checked)):
+            for pos in positions:
+                event = events[pos]
+                if event["node"] in survivors:
+                    antecedent.add(_mid(event))
         delivered: set[tuple[int, tuple[int, int]]] = set()
-        for event in ti.events[epoch.start:epoch.stop]:
-            if event["type"] == "DELIVER":
-                delivered.add((event["node"], (event["mid"][0], event["mid"][1])))
+        for pos in ti.within(ti.delivers, epoch):
+            event = events[pos]
+            delivered.add((event["node"], _mid(event)))
         for mid in sorted(antecedent):
             for node in sorted(survivors):
                 if (node, mid) not in delivered:
@@ -445,24 +586,24 @@ def quiescence_check(ti: TraceIndex) -> CheckReport:
         )
     w = ti.header["quiescence_window_cycles"]
     epoch = ti.epochs[-1]
-    events = ti.events[epoch.start:epoch.stop]
-    cycles = [pos for pos, e in enumerate(events) if e["type"] == "CYCLE"]
+    cycles = ti.within(ti.cycles, epoch)
     if len(cycles) < w:
         return CheckReport(
             "quiescence", "INCONCLUSIVE", witness={"reason": "fewer cycles than the window"}
         )
-    tracked = {(e["mid"][0], e["mid"][1]) for e in events if e["type"] == "BROADCAST"}
+    events = ti.events
+    tracked = {_mid(events[pos]) for pos in ti.within(ti.broadcasts, epoch)}
     msg_events = 0
     gossip_events = 0
     heartbeat_events = 0
     witness = None
-    for event in events[cycles[-w]:]:
+    for pos in range(cycles[-w], epoch.stop):
+        event = events[pos]
         if event["type"] not in ("SEND", "RECV"):
             continue
         kind = event["kind"]
         if kind in ("MSG", "MSGACK"):
-            emid = (event["mid"][0], event["mid"][1])
-            if emid in tracked:
+            if _mid(event) in tracked:
                 msg_events += 1
                 if witness is None:
                     witness = {"step": event["step"], "kind": kind, "mid": event["mid"]}
@@ -481,26 +622,13 @@ def quiescence_check(ti: TraceIndex) -> CheckReport:
     return CheckReport("quiescence", "PASS", measured=measured)
 
 
-def _inconsistency(snapshot: dict, header: dict, last_corrupt_step: int | None) -> dict:
-    """FAIL witness for a snapshot that is not all-consistent: the first live
-    node whose state breaks a clause, and that clause."""
-    for entry in snapshot["nodes"]:
-        if entry["crashed"]:
-            continue
-        ok, clause = consistency_check(snapshot, entry["id"], header, last_corrupt_step)
-        if not ok:
-            return {"node": entry["id"], "clause": clause, "step": snapshot["step"]}
-    return {"reason": "stale packets never drained", "step": snapshot["step"]}
-
-
 def consistency_closure_check(ti: TraceIndex) -> CheckReport:
     """Once the marker is reached, consistency holds at every later snapshot
     of the epoch (the marker already sits after the epoch's last corruption)."""
     for pos, corrupt_step in ti.checked:
         if not ti.consistent(pos, corrupt_step):
-            snapshot = ti.events[pos]
-            witness = _inconsistency(snapshot, ti.header, corrupt_step)
-            witness["cycle"] = snapshot["cycle"]
+            witness = ti.inconsistency(pos, corrupt_step)
+            witness["cycle"] = ti.events[pos]["cycle"]
             return CheckReport("consistency-closure", "FAIL", witness=witness)
     return CheckReport("consistency-closure", "PASS")
 
@@ -552,12 +680,12 @@ def stabilization_time(ti: TraceIndex) -> CheckReport:
         if pos < floor:
             break
         if not ti.consistent(pos, corrupt_step):
-            witness = _inconsistency(ti.events[pos], ti.header, corrupt_step)
+            witness = ti.inconsistency(pos, corrupt_step)
             break
         stable_pos = pos
     if marker is None or stable_pos is None:
         return CheckReport("stabilization-time", "FAIL", witness=witness)
-    cycles = sum(1 for event in ti.events[frontier:stable_pos] if event["type"] == "CYCLE")
+    cycles = len(ti.within(ti.cycles, range(frontier, stable_pos)))
     return CheckReport("stabilization-time", "PASS", measured={"cycles": cycles})
 
 
@@ -568,13 +696,13 @@ def fifo_check(ti: TraceIndex) -> CheckReport:
         return CheckReport(
             "fifo-order", "INCONCLUSIVE", witness={"reason": "fifo disabled in this run"}
         )
+    events = ti.events
     for epoch, marker in zip(ti.epochs, ti.markers):
         if marker is None:
             continue
         last_seq: dict[tuple[int, int], int] = {}
-        for event in ti.events[marker:epoch.stop]:
-            if event["type"] != "DELIVER":
-                continue
+        for pos in ti.within(ti.delivers, range(marker, epoch.stop)):
+            event = events[pos]
             node = event["node"]
             sender, seq = event["mid"]
             key = (node, sender)
@@ -590,40 +718,41 @@ def fifo_check(ti: TraceIndex) -> CheckReport:
 
 def message_cost(ti: TraceIndex) -> CheckReport:
     """Per-broadcast MSG+MSGACK send counts and broadcast-to-last-delivery
-    latency in cycles. A measurement, aggregated by the scaling experiments."""
-    per_mid: dict[str, dict] = {}
+    latency in cycles. A measurement, aggregated by the scaling experiments.
+    A broadcast's count and latency run from its last BROADCAST record in
+    the epoch: a repeated identity starts over."""
+    events, cycles = ti.events, ti.cycles
+    per_mid: dict[tuple[int, int, int], dict] = {}
     for eidx, epoch in enumerate(ti.epochs):
-        cycles = 0
-        bcast_cycle: dict[tuple[int, int], int] = {}
-        for event in ti.events[epoch.start:epoch.stop]:
-            etype = event["type"]
-            if etype == "CYCLE":
-                cycles += 1
-            elif etype == "BROADCAST":
-                emid = (event["mid"][0], event["mid"][1])
-                bcast_cycle[emid] = cycles
-                per_mid[f"{eidx}:{emid[0]}:{emid[1]}"] = {
-                    "msg_sends": 0,
-                    "ack_sends": 0,
-                    "latency_cycles": None,
-                }
-            elif etype == "SEND" and "mid" in event:
-                emid = (event["mid"][0], event["mid"][1])
-                key = f"{eidx}:{emid[0]}:{emid[1]}"
-                if key in per_mid:
-                    which = "msg_sends" if event["kind"] == "MSG" else "ack_sends"
-                    per_mid[key][which] += 1
-            elif etype == "DELIVER":
-                emid = (event["mid"][0], event["mid"][1])
-                key = f"{eidx}:{emid[0]}:{emid[1]}"
-                if key in per_mid and emid in bcast_cycle:
-                    latency = cycles - bcast_cycle[emid]
-                    entry = per_mid[key]
-                    if entry["latency_cycles"] is None or latency > entry["latency_cycles"]:
-                        entry["latency_cycles"] = latency
+        broadcast_at: dict[tuple[int, int], int] = {}
+        entries: dict[tuple[int, int], dict] = {}
+        for pos in ti.within(ti.broadcasts, epoch):
+            mid = _mid(events[pos])
+            broadcast_at[mid] = pos
+            entries[mid] = per_mid[(eidx, *mid)] = {
+                "msg_sends": 0,
+                "ack_sends": 0,
+                "latency_cycles": None,
+            }
+        if not entries:
+            continue
+        for pos in ti.within(ti.mid_sends, epoch):
+            event = events[pos]
+            mid = _mid(event)
+            if broadcast_at.get(mid, pos) < pos:
+                entries[mid]["msg_sends" if event["kind"] == "MSG" else "ack_sends"] += 1
+        for pos in ti.within(ti.delivers, epoch):
+            mid = _mid(events[pos])
+            at = broadcast_at.get(mid, pos)
+            if at < pos:
+                # the CYCLE records between the broadcast and this delivery
+                latency = bisect_left(cycles, pos) - bisect_left(cycles, at)
+                entry = entries[mid]
+                if entry["latency_cycles"] is None or latency > entry["latency_cycles"]:
+                    entry["latency_cycles"] = latency
     totals = [v["msg_sends"] + v["ack_sends"] for v in per_mid.values()]
     measured = {
-        "per_broadcast": per_mid,
+        "per_broadcast": {f"{e}:{s}:{q}": v for (e, s, q), v in per_mid.items()},
         "max_total": max(totals) if totals else 0,
         "max_latency_cycles": max(
             (v["latency_cycles"] for v in per_mid.values() if v["latency_cycles"] is not None),

@@ -7,6 +7,7 @@ passes, 1 on any property failure, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -188,7 +189,11 @@ def cmd_sweep(args) -> int:
     return 0 if summary["all_pass"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `main` may be called many times in
+    one process (tests, scripts, the benchmark), and parsing leaves the
+    parser as it was, every call filling a fresh namespace."""
     parser = argparse.ArgumentParser(prog="ssurb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -36,10 +36,11 @@ trace line, from the same typed fields: the message class's `kind` and,
 for MSG/MSGACK, its `sender` and `seq`, so the line is never read back
 from the dict. A SNAPSHOT encodes its `nodes` once and renders its
 in-flight packets from their fields (`wire.encode_json`), and assembles
-both its digest input and its line from the two strings. A
-delivery draws from fault probabilities read once at set-up, dispatches on
-the message's class, and the scheduled-fault prologue runs only when the
-next crash, corruption or broadcast is due.
+both its digest input and its line from the two strings; the trace keeps
+that line for writing. A delivery draws from fault probabilities read
+once at set-up, dispatches on the message's class, and the
+scheduled-fault prologue runs only when the next crash, corruption or
+broadcast is due.
 """
 
 from __future__ import annotations
@@ -366,7 +367,9 @@ class Simulation:
             "digest": digest,
         }
         self.trace.append(
-            record, snapshot_line(step, cycle, boundary, nodes_json, channels_json, digest)
+            record,
+            snapshot_line(step, cycle, boundary, nodes_json, channels_json, digest),
+            keep=True,
         )
 
     # ---- packet plumbing ---------------------------------------------------

@@ -16,8 +16,11 @@ every other record goes through `canonical` itself. A SNAPSHOT's line,
 halves. `Trace` keeps the lines not yet hashed and feeds SHA-256 one chunk
 at a time; SHA-256 is a streaming hash, so the digest is the one a
 line-by-line update gives. It also notes, one byte per event, which
-records came with their line, so that `write` renders those packet
-records from their fields without validating them again.
+records came with their line. `write` renders those packet records from
+their fields without validating them again. A line appended with `keep`,
+as the simulator appends each SNAPSHOT's, is held and written as it was
+hashed, since a snapshot costs far more to encode again than a packet
+record does.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ TRACE_FORMAT = "ssurb-trace-v1"
 PACKET_TYPES = frozenset(("SEND", "RECV", "OMIT", "DUP"))
 _CHUNK_LINES = 256  # lines hashed per SHA-256 update; few, to keep memory flat
 _WRITE_CHUNK = 1024  # lines per file write
+_ENCODE, _FIELDS, _KEPT = 0, 1, 2  # how `Trace.write` gets each event's line
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -143,19 +147,26 @@ class Trace:
         self.events: list[dict] = []
         self._hasher = hashlib.sha256(canonical(header).encode())
         self._pending: list[str] = []  # encoded events not yet hashed
-        # per event, 1 when the caller rendered its line: a record the
-        # simulator built from typed fields, which `write` renders unchecked
+        # per event: _ENCODE when `write` must encode the record, _FIELDS when
+        # the caller rendered its line and `write` renders a packet record
+        # again from its fields unchecked, _KEPT when `write` writes the kept
+        # line
         self._rendered = bytearray()
+        self._kept: list[str] = []
 
-    def append(self, event: dict, line: str | None = None) -> None:
+    def append(self, event: dict, line: str | None = None, keep: bool = False) -> None:
         """Record `event`; `line` is its `encode_record` line when the caller
-        has rendered it already."""
+        has rendered it already, and with `keep` the trace holds that line
+        for `write`."""
         self.events.append(event)
         if line is None:
             line = encode_record(event)
-            self._rendered.append(0)
+            self._rendered.append(_ENCODE)
+        elif keep:
+            self._kept.append(line)
+            self._rendered.append(_KEPT)
         else:
-            self._rendered.append(1)
+            self._rendered.append(_FIELDS)
         pending = self._pending
         pending.append(line)
         if len(pending) >= _CHUNK_LINES:
@@ -172,17 +183,22 @@ class Trace:
 
     def write(self, path: str) -> None:
         """The header and one line per event, each as `encode_record` gives it.
-        Packet records the simulator rendered go straight through
-        `packet_line`, other such records through `canonical`."""
+        Kept lines are written as they were hashed, packet records the
+        simulator rendered go straight through `packet_line`, and other
+        records the caller rendered through `canonical`."""
         events, rendered = self.events, self._rendered
+        kept = iter(self._kept)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(canonical(self.header))
             for start in range(0, len(events), _WRITE_CHUNK):
                 stop = start + _WRITE_CHUNK
                 lines = []
-                for event, by_caller in zip(events[start:stop], rendered[start:stop]):
-                    if not by_caller:
+                for event, how in zip(events[start:stop], rendered[start:stop]):
+                    if how == _ENCODE:
                         lines.append(encode_record(event))
+                        continue
+                    if how == _KEPT:
+                        lines.append(next(kept))
                         continue
                     etype = event["type"]
                     if etype in PACKET_TYPES:

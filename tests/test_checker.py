@@ -1,5 +1,10 @@
 """Checker oracles against hand-built snapshots and event sequences."""
 
+import inspect
+import re
+
+import pytest
+
 from ssurb import checker
 from ssurb.config import ScenarioConfig, from_dict
 from ssurb.sim import run_scenario
@@ -102,6 +107,134 @@ def test_obsolete_record_fails_consistency():
     snap = snapshot([node1, fresh_node(2, 3), fresh_node(3, 3)])
     ok, clause = checker.consistency_check(snap, 1, h, None)
     assert not ok and clause == "obsolete-record"
+
+
+def gossip(src, dst, max_seq=0, rx_obs=0, tx_obs=0):
+    packet = {"kind": "GOSSIP", "max_seq": max_seq, "rx_obs": rx_obs, "tx_obs": tx_obs}
+    return {"src": src, "dst": dst, "packets": [dict(packet, birth_step=0)]}
+
+
+def _own_records(node, *seqs):
+    node["seq"] = max(seqs)
+    node["buffer"] = [rec(f"m{s}", node["id"], s, 3) for s in seqs]
+
+
+def _peer_buffer_bound(nodes, channels):
+    # node 1's clauses all hold, but trusted node 2 holds two of its records
+    _own_records(nodes[0], 1)
+    nodes[1]["buffer"] = [rec("a", 1, 1, 3), rec("b", 1, 1, 3)]
+
+
+# (clause, failing node, buffer_unit_size, fifo, doctoring of a fresh 3-node
+# system). Every node ahead of the failing one stays consistent, so the node
+# is the first that `evaluate_snapshot` and the closure witness name.
+CLAUSE_CASES = [
+    ("null-payload", 1, 4, False, lambda nodes, ch: nodes[0].update(buffer=[rec(None, 2, 1, 3)])),
+    (
+        "duplicate-identity",
+        2,
+        4,
+        False,
+        lambda nodes, ch: nodes[1].update(buffer=[rec("a", 3, 1, 3), rec("b", 3, 1, 3)]),
+    ),
+    ("send-window", 1, 4, False, lambda nodes, ch: nodes[0].update(seq=9)),
+    ("own-window-coverage", 3, 4, False, lambda nodes, ch: nodes[2].update(seq=2)),
+    ("receive-window", 1, 4, False, lambda nodes, ch: nodes[0].update(buffer=[rec("m", 2, 9, 3)])),
+    (
+        "obsolete-record",
+        1,
+        4,
+        False,
+        lambda nodes, ch: nodes[0].update(
+            buffer=[rec("m", 2, 1, 3, delivered=True, rec_by=[1, 2, 3])]
+        ),
+    ),
+    (
+        "own-record-below-window",
+        1,
+        4,
+        False,
+        lambda nodes, ch: nodes[0].update(buffer=[rec("m", 1, 0, 3)]),
+    ),
+    (
+        "foreign-record-obsolete",
+        1,
+        4,
+        False,
+        lambda nodes, ch: nodes[0].update(buffer=[rec("m", 2, 1, 3)], rx_obs=[0, 1, 0]),
+    ),
+    (
+        "seq-dominance-buffer",
+        1,
+        4,
+        False,
+        lambda nodes, ch: nodes[1].update(buffer=[rec("m", 1, 3, 3)]),
+    ),
+    ("seq-dominance-next", 1, 4, True, lambda nodes, ch: nodes[1].update(next=[5, 1, 1])),
+    ("peer-watermark-dominance", 1, 4, False, lambda nodes, ch: nodes[2].update(rx_obs=[3, 0, 0])),
+    ("own-watermark-floor", 1, 4, False, lambda nodes, ch: nodes[0].update(tx_obs=[0, 3, 0])),
+    (
+        "watermark-dominance",
+        1,
+        4,
+        False,
+        lambda nodes, ch: (_own_records(nodes[0], 1, 2), nodes[0].update(tx_obs=[0, 2, 0])),
+    ),
+    (
+        "seq-dominance-packet",
+        2,
+        4,
+        False,
+        lambda nodes, ch: ch.append(
+            {
+                "src": 1,
+                "dst": 3,
+                "packets": [{"kind": "MSGACK", "sender": 2, "seq": 4, "birth_step": 0}],
+            }
+        ),
+    ),
+    ("seq-dominance-gossip", 1, 4, False, lambda nodes, ch: ch.append(gossip(2, 1, max_seq=5))),
+    ("stale-gossip-watermark", 1, 4, False, lambda nodes, ch: ch.append(gossip(3, 1, rx_obs=2))),
+    ("stale-gossip-echo", 2, 4, False, lambda nodes, ch: ch.append(gossip(2, 3, tx_obs=2))),
+    ("live-send-window", 1, 4, False, lambda nodes, ch: nodes[0].update(live_seq=2)),
+    ("peer-buffer-bound", 1, 1, False, _peer_buffer_bound),
+]
+
+
+def _clause_names() -> set[str]:
+    # every clause name evaluate_snapshot can return
+    source = inspect.getsource(checker.evaluate_snapshot)
+    return set(re.findall(r'return "([a-z-]+)"', source))
+
+
+def test_clause_table_covers_every_clause():
+    assert len(CLAUSE_CASES) == 19
+    assert {case[0] for case in CLAUSE_CASES} == _clause_names()
+
+
+@pytest.mark.parametrize(
+    "clause, node, b, fifo, doctor", CLAUSE_CASES, ids=[case[0] for case in CLAUSE_CASES]
+)
+def test_each_clause_names_its_node(clause, node, b, fifo, doctor):
+    h = header(b=b, fifo=fifo)
+    nodes = [fresh_node(i, 3) for i in (1, 2, 3)]
+    channels = []
+    doctor(nodes, channels)
+    snap = snapshot(nodes, channels, step=9, cycle=1)
+    assert checker.consistency_check(snap, node, h, None) == (False, clause)
+    for before in range(1, node):
+        assert checker.consistency_check(snap, before, h, None) == (True, None)
+    assert checker.evaluate_snapshot(snap, h, None) == (False, node, clause)
+    assert not checker.snapshot_all_consistent(snap, h, None)
+    events = [
+        snapshot([fresh_node(i, 3) for i in (1, 2, 3)]),
+        ev("CYCLE", k=1, step=9),
+        snap,
+        ev("END", reason="max-steps", step=10),
+    ]
+    report = checker.consistency_closure_check(checker.index_trace(h, events))
+    assert report.verdict == "FAIL"
+    assert report.witness == {"node": node, "clause": clause, "step": 9, "cycle": 1}
 
 
 def test_stale_packet_blocks_all_consistent_after_corruption():
@@ -337,16 +470,17 @@ def test_each_snapshot_evaluated_once(monkeypatch):
     assert result.metrics["status"] == "stabilized"
     events = result.trace.events
     calls = []
-    original = checker.snapshot_all_consistent
+    original = checker.evaluate_snapshot
 
-    def counting(snapshot, header, last_corrupt_step):
+    def counting(snapshot, header, last_corrupt_step, node_id=None):
         calls.append(snapshot["step"])
-        return original(snapshot, header, last_corrupt_step)
+        return original(snapshot, header, last_corrupt_step, node_id)
 
-    monkeypatch.setattr(checker, "snapshot_all_consistent", counting)
+    monkeypatch.setattr(checker, "evaluate_snapshot", counting)
     reports = checker.check_all(result.trace.header, events)
     assert not [r.name for r in reports if r.verdict == "FAIL"]
-    assert len(calls) <= sum(1 for e in events if e["type"] == "SNAPSHOT")
+    assert 0 < len(calls) <= sum(1 for e in events if e["type"] == "SNAPSHOT")
+    assert len(calls) == len(set(calls))
 
 
 def test_gate_exit_semantics():

@@ -54,6 +54,25 @@ def test_check_reproduces_run_report(tmp_path, capsys):
     assert check_report == run_report
 
 
+def test_consecutive_main_calls_share_no_arguments(tmp_path, capsys):
+    # the parser is built once per process; no call may see an earlier one's values
+    scenario = write_scenario(tmp_path)
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["run", "--scenario", str(scenario), "--out", str(first), "--seed", "11"]
+    assert main(argv + ["--set", "buffer_unit_size=2"]) == 0
+    assert main(["run", "--scenario", str(scenario), "--out", str(second)]) == 0
+    headers = [
+        json.loads((out / "trace.jsonl").read_text().splitlines()[0]) for out in (first, second)
+    ]
+    assert (headers[0]["seed"], headers[0]["buffer_unit_size"]) == (11, 2)
+    assert (headers[1]["seed"], headers[1]["buffer_unit_size"]) == (3, 4)
+    (second / "report.json").unlink()
+    capsys.readouterr()
+    assert main(["check", "--trace", str(first / "trace.jsonl")]) == 0
+    assert "validity: PASS" in capsys.readouterr().out
+    assert not (second / "report.json").exists()  # `check` got no --out of its own
+
+
 def test_check_rejects_non_trace(tmp_path):
     bogus = tmp_path / "bogus.jsonl"
     bogus.write_text('{"type": "something"}\n')

@@ -221,3 +221,20 @@ def test_write_validates_records_appended_without_a_line(tmp_path):
     t.write(str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == [canonical(header)] + [canonical(e) for e in t.events]
+
+
+def test_write_emits_the_snapshot_lines_that_were_hashed(tmp_path):
+    # a SNAPSHOT line handed to `append` is kept and written as it was
+    # hashed, not encoded again from the record
+    result = run_scenario(from_dict(TYPED_RENDER_BATTERY[0]))
+    snapshots = [e for e in result.trace.events if e["type"] == "SNAPSHOT"]
+    assert len(snapshots) > 1
+    expected = [canonical(e) for e in snapshots]
+    for e in snapshots:
+        e["cycle"] = -1  # a record edited after the fact: the file keeps the hashed line
+    path = tmp_path / "trace.jsonl"
+    result.trace.write(str(path))
+    data = path.read_bytes()
+    assert hashlib.sha256(data.rstrip(b"\n")).hexdigest() == result.metrics["trace_digest"]
+    written = [line for line in data.decode().splitlines() if '"type":"SNAPSHOT"' in line]
+    assert written == expected
