@@ -11,7 +11,9 @@ produces, the SHA-256 of the checker reports sorted by name, and the
 SHA-256 of every snapshot's per-node `checker.consistency_check` verdicts,
 (ok, clause) for each node, crashed ones included, in every snapshot of the
 trace, also those before the stabilization marker that `check_all` never
-evaluates.
+evaluates, and the SHA-256 of `canonical(e)` over the run's
+`trace.events`, which shows that the events read back as the same dicts.
+A last line holds the SHA-256 of one `cli.sweep` summary over a small grid.
 
 Run it on two checkouts and compare; a change that must keep behaviour
 prints the same lines:
@@ -33,9 +35,10 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ssurb import checker  # noqa: E402
+from ssurb import checker, cli  # noqa: E402
 from ssurb.config import CORRUPTION_KINDS, STOP_MODES, from_dict  # noqa: E402
 from ssurb.sim import run_scenario  # noqa: E402
+from ssurb.trace import canonical  # noqa: E402
 
 
 def broadcasts(n: int, count: int, spacing: int = 40) -> list[dict]:
@@ -196,6 +199,35 @@ def verdicts_digest(header: dict, events: list[dict]) -> str:
     return sha256(json.dumps(verdicts))
 
 
+def events_digest(events) -> str:
+    """SHA-256 over `canonical(e)` of every event, one line each."""
+    hasher = hashlib.sha256()
+    for event in events:
+        hasher.update(canonical(event).encode())
+        hasher.update(b"\n")
+    return hasher.hexdigest()
+
+
+def sweep_digest() -> str:
+    """SHA-256 of the summary of one small corruption sweep."""
+    base = from_dict(
+        {
+            "n": 3,
+            "max_steps": 6000,
+            "stop_mode": "stabilized",
+            "quiescence_window_cycles": 3,
+            "broadcasts": broadcasts(3, 3),
+        }
+    )
+    grid = {
+        "buffer_unit_size": [1, 2],
+        "fault_plan.corruptions": [
+            [{"node": 2, "step": 120, "kind": kind}] for kind in ("RANDOMIZE-ALL", "WINDOW-SKEW")
+        ],
+    }
+    return sha256(json.dumps(cli.sweep(base, grid, [0, 1]), sort_keys=True))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
@@ -212,8 +244,10 @@ def main() -> int:
                 "file_digest": file_digest,
                 "reports_digest": sha256(json.dumps(ordered, sort_keys=True)),
                 "verdicts_digest": verdicts_digest(result.trace.header, result.trace.events),
+                "events_digest": events_digest(result.trace.events),
             }
             print(json.dumps(line, sort_keys=True), flush=True)
+    print(json.dumps({"sweep_digest": sweep_digest()}), flush=True)
     return 0
 
 

@@ -37,6 +37,11 @@ each check bisects out its epoch's share of those positions and walks only
 them. It also evaluates each snapshot at most once for all the checks
 together. A battery costs O(events + sum of snapshot sizes), where it used
 to cost O(checks * events + n * sum of snapshot sizes).
+
+Events are read as stored. A `Trace` keeps its packet records compact
+(`trace.PACKET_CODES`), and `TraceIndex.packet` reads a packet's type,
+kind, mid and step from that form or from a packet dict in a hand-built
+list, so no check decodes a trace line.
 """
 
 from __future__ import annotations
@@ -45,7 +50,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .trace import PACKET_TYPES
+from .trace import PACKET_CODES, PACKET_TYPES, TraceEvents
+
+# the codes of compact SEND records
+_SEND_CODES = frozenset(code for code, triple in enumerate(PACKET_CODES) if triple[0] == "SEND")
 
 
 @dataclass
@@ -350,11 +358,15 @@ class TraceIndex:
     """One pass over a trace: crash set, end reason, epochs as ranges of event
     positions, the positions of each kind of event the checks read, and each
     epoch's stabilization marker. Every snapshot verdict is computed at most
-    once."""
+    once.
 
-    def __init__(self, header: dict, events: list[dict]):
+    `records` holds the events as stored: dicts, and a `Trace`'s packet
+    records in their compact form, which `packet` reads."""
+
+    def __init__(self, header: dict, events):
         self.header = header
-        self.events = events
+        records = events.records if isinstance(events, TraceEvents) else events
+        self.records = records
         self.crashed: set[int] = set()
         self.end_reason: str | None = None
         # ascending event positions, by type; a check bisects out its epoch
@@ -373,7 +385,13 @@ class TraceIndex:
         start = 0
         mid_sends, mid_others = self.mid_sends, self.mid_others
         broadcasts, delivers, cycles = self.broadcasts, self.delivers, self.cycles
-        for pos, event in enumerate(events):
+        for pos, event in enumerate(records):
+            cls = type(event)
+            if cls is int:  # a compact packet record without a mid
+                continue
+            if cls is tuple:  # a compact MSG/MSGACK packet record
+                (mid_sends if event[0] in _SEND_CODES else mid_others).append(pos)
+                continue
             etype = event["type"]
             if etype in PACKET_TYPES:
                 if "mid" in event:
@@ -396,7 +414,7 @@ class TraceIndex:
             elif etype == "RESET":
                 self.epochs.append(range(start, pos + 1))
                 start = pos + 1
-        self.epochs.append(range(start, len(events)))
+        self.epochs.append(range(start, len(records)))
         self.never_crashed: list[int] = [
             i for i in range(1, header["n"] + 1) if i not in self.crashed
         ]
@@ -418,11 +436,31 @@ class TraceIndex:
         """The positions of an ascending list that fall in `span`."""
         return positions[bisect_left(positions, span.start):bisect_left(positions, span.stop)]
 
+    def packet(self, pos: int) -> tuple[str, str, tuple[int, int] | None, int | None]:
+        """(type, kind, mid, step) of the packet record at `pos`. The mid is
+        None for a packet that carries none; so is the step of a compact
+        record without a mid, which only its line holds."""
+        record = self.records[pos]
+        cls = type(record)
+        if cls is tuple:
+            etype, kind, _ = PACKET_CODES[record[0]]
+            return etype, kind, (record[1], record[2]), record[3]
+        if cls is int:
+            etype, kind, _ = PACKET_CODES[record]
+            return etype, kind, None, None
+        mid = record.get("mid")
+        return (
+            record["type"],
+            record["kind"],
+            None if mid is None else (mid[0], mid[1]),
+            record["step"],
+        )
+
     def verdict(self, pos: int, last_corrupt_step: int | None) -> SnapshotVerdict:
         """`evaluate_snapshot` of the snapshot at `pos`, evaluated once."""
         verdict = self._verdicts.get(pos)
         if verdict is None:
-            verdict = evaluate_snapshot(self.events[pos], self.header, last_corrupt_step)
+            verdict = evaluate_snapshot(self.records[pos], self.header, last_corrupt_step)
             self._verdicts[pos] = verdict
         return verdict
 
@@ -435,7 +473,7 @@ class TraceIndex:
         """FAIL witness for a snapshot that is not all-consistent: the first
         live node whose state breaks a clause, and that clause."""
         verdict = self.verdict(pos, last_corrupt_step)
-        step = self.events[pos]["step"]
+        step = self.records[pos]["step"]
         if verdict.node is None:
             return {"reason": "stale packets never drained", "step": step}
         return {"node": verdict.node, "clause": verdict.clause, "step": step}
@@ -451,7 +489,7 @@ class TraceIndex:
         for pos, ctx in snapshots:
             if frontier is not None and pos < frontier:
                 continue
-            snapshot = self.events[pos]
+            snapshot = self.records[pos]
             if need is None:
                 need = drained_cycle(snapshot, ctx)
                 if need is None:
@@ -461,7 +499,7 @@ class TraceIndex:
         return None
 
 
-def index_trace(header: dict, events: list[dict]) -> TraceIndex:
+def index_trace(header: dict, events) -> TraceIndex:
     return TraceIndex(header, events)
 
 
@@ -479,14 +517,14 @@ def validity_check(ti: TraceIndex) -> CheckReport:
     """Every checked delivery traces back to an earlier broadcast of the same
     identity; deliveries in the recovery window, or of identities already
     present in the system state at the marker, are exempt."""
-    events = ti.events
+    records = ti.records
     exemptions = 0
     for epoch, marker in zip(ti.epochs, ti.markers):
         delivers = ti.within(ti.delivers, epoch)
         if marker is None:
             exemptions += len(delivers)
             continue
-        marker_snapshot = events[marker]
+        marker_snapshot = records[marker]
         preexisting: set[tuple[int, int]] = set()
         for entry in marker_snapshot["nodes"]:
             for r in entry["buffer"]:
@@ -500,12 +538,12 @@ def validity_check(ti: TraceIndex) -> CheckReport:
         window = range(epoch.start, marker)
         for positions in (ti.within(ti.mid_sends, window), ti.within(ti.mid_others, window)):
             for pos in positions:
-                preexisting.add(_mid(events[pos]))
+                preexisting.add(ti.packet(pos)[2])
         broadcast_at: dict[tuple[int, int], int] = {}
         for pos in ti.within(ti.broadcasts, epoch):
-            broadcast_at.setdefault(_mid(events[pos]), pos)
+            broadcast_at.setdefault(_mid(records[pos]), pos)
         for pos in delivers:
-            event = events[pos]
+            event = records[pos]
             mid = _mid(event)
             if broadcast_at.get(mid, pos) < pos:
                 continue
@@ -522,13 +560,13 @@ def validity_check(ti: TraceIndex) -> CheckReport:
 
 def integrity_check(ti: TraceIndex) -> CheckReport:
     """No (node, identity) pair is delivered twice in the checked window."""
-    events = ti.events
+    records = ti.records
     for epoch, marker in zip(ti.epochs, ti.markers):
         if marker is None:
             continue
         seen: set[tuple[int, int, int]] = set()
         for pos in ti.within(ti.delivers, range(marker, epoch.stop)):
-            event = events[pos]
+            event = records[pos]
             key = (event["node"], event["mid"][0], event["mid"][1])
             if key in seen:
                 return CheckReport(
@@ -543,7 +581,7 @@ def integrity_check(ti: TraceIndex) -> CheckReport:
 def termination_check(ti: TraceIndex) -> CheckReport:
     """Whatever a never-crashed node broadcast or delivered in the checked
     window, every never-crashed node delivered within the epoch."""
-    events = ti.events
+    records = ti.records
     survivors = set(ti.never_crashed)
     incomplete = ti.end_reason != "complete-delivery"
     for epoch, marker in zip(ti.epochs, ti.markers):
@@ -553,12 +591,12 @@ def termination_check(ti: TraceIndex) -> CheckReport:
         antecedent: set[tuple[int, int]] = set()
         for positions in (ti.within(ti.broadcasts, checked), ti.within(ti.delivers, checked)):
             for pos in positions:
-                event = events[pos]
+                event = records[pos]
                 if event["node"] in survivors:
                     antecedent.add(_mid(event))
         delivered: set[tuple[int, tuple[int, int]]] = set()
         for pos in ti.within(ti.delivers, epoch):
-            event = events[pos]
+            event = records[pos]
             delivered.add((event["node"], _mid(event)))
         for mid in sorted(antecedent):
             for node in sorted(survivors):
@@ -591,22 +629,24 @@ def quiescence_check(ti: TraceIndex) -> CheckReport:
         return CheckReport(
             "quiescence", "INCONCLUSIVE", witness={"reason": "fewer cycles than the window"}
         )
-    events = ti.events
-    tracked = {_mid(events[pos]) for pos in ti.within(ti.broadcasts, epoch)}
+    records = ti.records
+    tracked = {_mid(records[pos]) for pos in ti.within(ti.broadcasts, epoch)}
     msg_events = 0
     gossip_events = 0
     heartbeat_events = 0
     witness = None
     for pos in range(cycles[-w], epoch.stop):
-        event = events[pos]
-        if event["type"] not in ("SEND", "RECV"):
+        record = records[pos]
+        if type(record) is dict and record["type"] not in PACKET_TYPES:
             continue
-        kind = event["kind"]
+        etype, kind, mid, step = ti.packet(pos)
+        if etype != "SEND" and etype != "RECV":
+            continue
         if kind in ("MSG", "MSGACK"):
-            if _mid(event) in tracked:
+            if mid in tracked:
                 msg_events += 1
                 if witness is None:
-                    witness = {"step": event["step"], "kind": kind, "mid": event["mid"]}
+                    witness = {"step": step, "kind": kind, "mid": list(mid)}
         elif kind == "GOSSIP":
             gossip_events += 1
         elif kind == "HEARTBEAT":
@@ -628,7 +668,7 @@ def consistency_closure_check(ti: TraceIndex) -> CheckReport:
     for pos, corrupt_step in ti.checked:
         if not ti.consistent(pos, corrupt_step):
             witness = ti.inconsistency(pos, corrupt_step)
-            witness["cycle"] = ti.events[pos]["cycle"]
+            witness["cycle"] = ti.records[pos]["cycle"]
             return CheckReport("consistency-closure", "FAIL", witness=witness)
     return CheckReport("consistency-closure", "PASS")
 
@@ -640,7 +680,7 @@ def buffer_bound_check(ti: TraceIndex) -> CheckReport:
     n = ti.header["n"]
     peak_total = 0
     for pos, _ in ti.checked:
-        snapshot = ti.events[pos]
+        snapshot = ti.records[pos]
         for entry in snapshot["nodes"]:
             if entry["crashed"]:
                 continue
@@ -696,13 +736,13 @@ def fifo_check(ti: TraceIndex) -> CheckReport:
         return CheckReport(
             "fifo-order", "INCONCLUSIVE", witness={"reason": "fifo disabled in this run"}
         )
-    events = ti.events
+    records = ti.records
     for epoch, marker in zip(ti.epochs, ti.markers):
         if marker is None:
             continue
         last_seq: dict[tuple[int, int], int] = {}
         for pos in ti.within(ti.delivers, range(marker, epoch.stop)):
-            event = events[pos]
+            event = records[pos]
             node = event["node"]
             sender, seq = event["mid"]
             key = (node, sender)
@@ -721,13 +761,13 @@ def message_cost(ti: TraceIndex) -> CheckReport:
     latency in cycles. A measurement, aggregated by the scaling experiments.
     A broadcast's count and latency run from its last BROADCAST record in
     the epoch: a repeated identity starts over."""
-    events, cycles = ti.events, ti.cycles
+    records, cycles = ti.records, ti.cycles
     per_mid: dict[tuple[int, int, int], dict] = {}
     for eidx, epoch in enumerate(ti.epochs):
         broadcast_at: dict[tuple[int, int], int] = {}
         entries: dict[tuple[int, int], dict] = {}
         for pos in ti.within(ti.broadcasts, epoch):
-            mid = _mid(events[pos])
+            mid = _mid(records[pos])
             broadcast_at[mid] = pos
             entries[mid] = per_mid[(eidx, *mid)] = {
                 "msg_sends": 0,
@@ -737,12 +777,11 @@ def message_cost(ti: TraceIndex) -> CheckReport:
         if not entries:
             continue
         for pos in ti.within(ti.mid_sends, epoch):
-            event = events[pos]
-            mid = _mid(event)
+            _, kind, mid, _ = ti.packet(pos)
             if broadcast_at.get(mid, pos) < pos:
-                entries[mid]["msg_sends" if event["kind"] == "MSG" else "ack_sends"] += 1
+                entries[mid]["msg_sends" if kind == "MSG" else "ack_sends"] += 1
         for pos in ti.within(ti.delivers, epoch):
-            mid = _mid(events[pos])
+            mid = _mid(records[pos])
             at = broadcast_at.get(mid, pos)
             if at < pos:
                 # the CYCLE records between the broadcast and this delivery
@@ -762,7 +801,7 @@ def message_cost(ti: TraceIndex) -> CheckReport:
     return CheckReport("message-cost", "PASS", measured=measured)
 
 
-def check_all(header: dict, events: list[dict]) -> list[CheckReport]:
+def check_all(header: dict, events) -> list[CheckReport]:
     """The standard battery, in reporting order."""
     ti = index_trace(header, events)
     return [

@@ -11,7 +11,6 @@ import functools
 import json
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import checker, config, trace as trace_mod
@@ -144,21 +143,16 @@ def _sweep_cell(base: config.ScenarioConfig, overrides: dict, seeds: list[int]) 
 
 
 def sweep(base: config.ScenarioConfig, grid: dict[str, list], seeds: list[int], workers: int = 1) -> dict:
-    """Run the full grid; cells are independent and merge deterministically.
+    """Run the full grid, one cell after another in the calling thread.
 
-    `workers` > 1 runs cells on a thread pool. The cells are CPU-bound pure
-    Python and the threads share the interpreter lock, so this gives no
-    speedup over `workers=1`; results are identical for any worker count.
+    `workers` has no effect; it is accepted so that existing callers keep
+    working. The cells are CPU-bound pure Python, so threads gave no speedup,
+    and a process pool's speedup came with one more interpreter's memory.
     """
     cells: list[dict] = [{}]
     for key, values in grid.items():
         cells = [dict(cell, **{key: v}) for cell in cells for v in values]
-    if workers <= 1:
-        results = [_sweep_cell(base, cell, seeds) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_cell, base, cell, seeds) for cell in cells]
-            results = [f.result() for f in futures]
+    results = [_sweep_cell(base, cell, seeds) for cell in cells]
     return {
         "grid": grid,
         "seeds": seeds,
@@ -172,7 +166,7 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.vary or [])
     seeds = _parse_seeds(args.seeds)
     try:
-        summary = sweep(cfg, grid, seeds, workers=args.workers)
+        summary = sweep(cfg, grid, seeds)
     except Exception:
         print("sweep cell crashed under base config:", file=sys.stderr)
         print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True), file=sys.stderr)
@@ -215,13 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--out", required=True)
     sweep_p.add_argument("--seeds", default="0:10", help="range lo:hi or comma list")
     sweep_p.add_argument("--vary", action="append", metavar="KEY=V1,V2", help="grid dimension")
-    sweep_p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="threads to run cells on; they share the interpreter lock, so "
-        "they give no CPU speedup (results are the same for any count)",
-    )
     sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.add_argument("--max-steps", type=int, default=None)
     sweep_p.add_argument("--profile", default=None)

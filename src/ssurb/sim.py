@@ -31,13 +31,14 @@ satisfied, are kept by the GOSSIP and MSGACK handlers and the iteration.
 Only while crashes are known are the unsatisfied nodes' pending
 round-trips rescanned, because the suspicion clause changes with the step.
 
-SEND/RECV/OMIT/DUP records, about two per step, are built once with their
-trace line, from the same typed fields: the message class's `kind` and,
-for MSG/MSGACK, its `sender` and `seq`, so the line is never read back
-from the dict. A SNAPSHOT encodes its `nodes` once and renders its
-in-flight packets from their fields (`wire.encode_json`), and assembles
-both its digest input and its line from the two strings; the trace keeps
-that line for writing. A delivery draws from fault probabilities read
+SEND/RECV/OMIT/DUP records, about two per step, are appended in the
+trace's compact form, a code for the record's (type, kind, cause) and for
+MSG/MSGACK the tuple (code, sender, seq, step), with the line rendered
+from the same typed fields: the message class's `kind` and, for
+MSG/MSGACK, its `sender` and `seq`. No packet record is built as a dict.
+A SNAPSHOT encodes its `nodes` once and renders its in-flight packets from
+their fields (`wire.encode_json`), and assembles both its digest input and
+its line from the two strings. A delivery draws from fault probabilities read
 once at set-up, dispatches on the message's class, and the
 scheduled-fault prologue runs only when the next crash, corruption or
 broadcast is due.
@@ -55,11 +56,23 @@ from .checker import drained_cycle, snapshot_all_consistent
 from .config import ASAP, ScenarioConfig
 from .detectors import DetectorView, HeartbeatState, ThetaState
 from .node import DISABLED, NORMAL, RESETTING, NodeState
-from .trace import Trace, canonical, make_header, packet_line, snapshot_line, snapshot_state
+from .trace import (
+    PACKET_CODE,
+    PACKET_KINDS,
+    Trace,
+    canonical,
+    make_header,
+    packet_line,
+    snapshot_line,
+    snapshot_state,
+)
 from .wire import Gossip, Heartbeat, Msg, MsgAck, WireMessage, encode, encode_json, message_id
 
 
 _NOBODY: frozenset[int] = frozenset()
+# compact packet-record codes of SENDs and RECVs, by message kind
+_SEND = {kind: PACKET_CODE[("SEND", kind, None)] for kind in PACKET_KINDS}
+_RECV = {kind: PACKET_CODE[("RECV", kind, None)] for kind in PACKET_KINDS}
 
 
 def payload_hash(payload: str) -> str:
@@ -305,18 +318,20 @@ class Simulation:
     def _packet_event(
         self, etype: str, src: int, dst: int, msg: WireMessage, cause: str | None = None
     ) -> None:
-        # the rare packet records, OMIT and DUP; SEND and RECV are built in
+        # the rare packet records, OMIT and DUP; SEND and RECV are appended in
         # _send and _deliver_action the same way
         step, kind = self.step, msg.kind
-        record = {"type": etype, "step": step, "src": src, "dst": dst, "kind": kind}
-        mid = None
+        code = PACKET_CODE[(etype, kind, cause)]
         if type(msg) is Msg or type(msg) is MsgAck:
-            mid = record["mid"] = [msg.sender, msg.seq]
-        if cause is not None:
-            record["cause"] = cause
-        self.trace.append(record, packet_line(etype, step, src, dst, kind, mid, cause))
+            sender, seq = msg.sender, msg.seq
+            self.trace.append(
+                (code, sender, seq, step),
+                packet_line(etype, step, src, dst, kind, (sender, seq), cause),
+            )
+        else:
+            self.trace.append(code, packet_line(etype, step, src, dst, kind, None, cause))
 
-    def _emit_snapshot(self, boundary: bool = True) -> None:
+    def _emit_snapshot(self, boundary: bool = True) -> dict:
         nodes_ser = []
         for i in sorted(self.nodes):
             node = self.nodes[i]
@@ -367,21 +382,23 @@ class Simulation:
             "digest": digest,
         }
         self.trace.append(
-            record,
-            snapshot_line(step, cycle, boundary, nodes_json, channels_json, digest),
-            keep=True,
+            record, snapshot_line(step, cycle, boundary, nodes_json, channels_json, digest)
         )
+        return record
 
     # ---- packet plumbing ---------------------------------------------------
 
     def _send(self, src: int, dst: int, msg: WireMessage) -> None:
         step, kind = self.step, msg.kind
         self.counts["sends"][kind] += 1
-        record = {"type": "SEND", "step": step, "src": src, "dst": dst, "kind": kind}
-        mid = None
         if type(msg) is Msg or type(msg) is MsgAck:
-            mid = record["mid"] = [msg.sender, msg.seq]
-        self.trace.append(record, packet_line("SEND", step, src, dst, kind, mid))
+            sender, seq = msg.sender, msg.seq
+            self.trace.append(
+                (_SEND[kind], sender, seq, step),
+                packet_line("SEND", step, src, dst, kind, (sender, seq)),
+            )
+        else:
+            self.trace.append(_SEND[kind], packet_line("SEND", step, src, dst, kind))
         channel = self.channels[(src, dst)]
         packets = channel.packets
         size = len(packets)
@@ -413,12 +430,15 @@ class Simulation:
                 self.counts["duplications"] += 1
                 self._packet_event("DUP", src, dst, msg)
         step, kind = self.step, msg.kind
-        record = {"type": "RECV", "step": step, "src": src, "dst": dst, "kind": kind}
         cls = type(msg)
-        mid = None
         if cls is Msg or cls is MsgAck:
-            mid = record["mid"] = [msg.sender, msg.seq]
-        self.trace.append(record, packet_line("RECV", step, src, dst, kind, mid))
+            sender, seq = msg.sender, msg.seq
+            self.trace.append(
+                (_RECV[kind], sender, seq, step),
+                packet_line("RECV", step, src, dst, kind, (sender, seq)),
+            )
+        else:
+            self.trace.append(_RECV[kind], packet_line("RECV", step, src, dst, kind))
 
         node = self.nodes[dst]
         if cls is Msg:
@@ -657,7 +677,7 @@ class Simulation:
     def _on_cycle_boundary(self) -> None:
         self.cycle_count += 1
         self._event("CYCLE", k=self.cycle_count)
-        self._emit_snapshot()
+        snapshot = self._emit_snapshot()
         self._reset_cycle_tracker()
 
         mode = self.cfg.stop_mode
@@ -667,7 +687,6 @@ class Simulation:
         elif mode == "stabilized":
             # the checker's marker rule: from the cycle drained_cycle admits
             # on, the first all-consistent snapshot
-            snapshot = self.trace.events[-1]
             if self.marker_cycle is None:
                 self.marker_cycle = drained_cycle(snapshot, self.last_corrupt_step)
             settled = (

@@ -8,33 +8,53 @@ all records joined by newlines and is the replay-equality witness.
 
 SEND/RECV/OMIT/DUP records, nearly all of a trace, have one line format,
 `packet_line`, which gives the same bytes as `canonical`. The simulator
-renders each packet line from its typed fields and hands it to
-`Trace.append` with the record; `encode_record` validates any other dict
-that claims a packet type and renders it through the same template, and
-every other record goes through `canonical` itself. A SNAPSHOT's line,
+renders each packet line from its typed fields and appends it with a
+compact record instead of a dict: the record's code in `PACKET_CODES`, the
+index of its (type, kind, cause), or for MSG/MSGACK the tuple (code,
+sender, seq, step). `encode_record` validates any dict that claims a
+packet type and renders it through the same template, and every other
+record goes through `canonical` itself. A SNAPSHOT's line,
 `snapshot_line`, is assembled from the `canonical` strings of its two
-halves. `Trace` keeps the lines not yet hashed and feeds SHA-256 one chunk
-at a time; SHA-256 is a streaming hash, so the digest is the one a
-line-by-line update gives. It also notes, one byte per event, which
-records came with their line. `write` renders those packet records from
-their fields without validating them again. A line appended with `keep`,
-as the simulator appends each SNAPSHOT's, is held and written as it was
-hashed, since a snapshot costs far more to encode again than a packet
-record does.
+halves.
+
+The lines are kept once, as the bytes that were hashed. `Trace` feeds
+SHA-256 one chunk of lines at a time (SHA-256 is a streaming hash, so the
+digest is the one a line-by-line update gives) and keeps each chunk,
+indexed by the position of its first event; `write` writes the header and
+the chunks. `Trace.events` is a read-only view: it hands out the appended
+dicts as they are and decodes a compact packet record's dict from its line
+when asked, a fresh dict each time, so an edit to one does not persist.
+`read` keeps a trace file's packet records of the simulator's shape in the
+same compact form.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 TRACE_FORMAT = "ssurb-trace-v1"
 
 PACKET_TYPES = frozenset(("SEND", "RECV", "OMIT", "DUP"))
-_CHUNK_LINES = 256  # lines hashed per SHA-256 update; few, to keep memory flat
-_WRITE_CHUNK = 1024  # lines per file write
-_ENCODE, _FIELDS, _KEPT = 0, 1, 2  # how `Trace.write` gets each event's line
+PACKET_KINDS = ("MSG", "MSGACK", "GOSSIP", "HEARTBEAT")
+# (type, kind, cause) of each compact packet record, by code
+PACKET_CODES: tuple[tuple[str, str, str | None], ...] = tuple(
+    (etype, kind, cause)
+    for etype, cause in (
+        ("SEND", None),
+        ("RECV", None),
+        ("DUP", None),
+        ("OMIT", "overflow"),
+        ("OMIT", "drop"),
+    )
+    for kind in PACKET_KINDS
+)
+PACKET_CODE = {triple: code for code, triple in enumerate(PACKET_CODES)}
+_CHUNK_LINES = 256  # lines hashed and kept per chunk
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -51,7 +71,7 @@ def packet_line(
     src: int,
     dst: int,
     kind: str,
-    mid: list[int] | None = None,
+    mid: tuple[int, int] | list[int] | None = None,
     cause: str | None = None,
 ) -> str:
     """`canonical` of the packet record with these fields: the keys cause,
@@ -140,94 +160,147 @@ def make_header(cfg) -> dict:
 
 
 class Trace:
-    """Header plus ordered events, with an incrementally maintained digest."""
+    """Header plus ordered events, with an incrementally maintained digest.
+
+    `records` holds each event as appended: a dict, or a compact packet
+    record (see the module docstring). Every line is kept in one of the
+    hashed chunks, or in `_pending` until the next chunk is cut."""
 
     def __init__(self, header: dict):
         self.header = header
-        self.events: list[dict] = []
+        self.records: list = []
         self._hasher = hashlib.sha256(canonical(header).encode())
-        self._pending: list[str] = []  # encoded events not yet hashed
-        # per event: _ENCODE when `write` must encode the record, _FIELDS when
-        # the caller rendered its line and `write` renders a packet record
-        # again from its fields unchecked, _KEPT when `write` writes the kept
-        # line
-        self._rendered = bytearray()
-        self._kept: list[str] = []
+        self._pending: list[str] = []  # lines not yet hashed
+        # "\n" + the lines joined by "\n", as hashed; `digest` may cut a chunk
+        # short, so each is indexed by the position of its first event
+        self._chunks: list[bytes] = []
+        self._chunk_starts: list[int] = []
+        # the view shares these lists, never the trace itself: a cycle between
+        # the two would leave a finished trace to the cyclic collector
+        self.events = TraceEvents(self.records, self._chunks, self._chunk_starts, self._pending)
 
-    def append(self, event: dict, line: str | None = None, keep: bool = False) -> None:
-        """Record `event`; `line` is its `encode_record` line when the caller
-        has rendered it already, and with `keep` the trace holds that line
-        for `write`."""
-        self.events.append(event)
-        if line is None:
-            line = encode_record(event)
-            self._rendered.append(_ENCODE)
-        elif keep:
-            self._kept.append(line)
-            self._rendered.append(_KEPT)
-        else:
-            self._rendered.append(_FIELDS)
+    def append(self, record, line: str | None = None) -> None:
+        """Record an event: a dict, whose `encode_record` line the caller may
+        pass when it has rendered it already, or a compact packet record with
+        its `packet_line`."""
+        self.records.append(record)
         pending = self._pending
-        pending.append(line)
+        pending.append(encode_record(record) if line is None else line)
         if len(pending) >= _CHUNK_LINES:
             self._flush()
 
     def _flush(self) -> None:
-        if self._pending:
-            self._hasher.update(("\n" + "\n".join(self._pending)).encode())
-            self._pending.clear()
+        pending = self._pending
+        if pending:
+            chunk = ("\n" + "\n".join(pending)).encode()
+            self._hasher.update(chunk)
+            self._chunk_starts.append(len(self.records) - len(pending))
+            self._chunks.append(chunk)
+            pending.clear()
 
     def digest(self) -> str:
         self._flush()
         return self._hasher.hexdigest()
 
     def write(self, path: str) -> None:
-        """The header and one line per event, each as `encode_record` gives it.
-        Kept lines are written as they were hashed, packet records the
-        simulator rendered go straight through `packet_line`, and other
-        records the caller rendered through `canonical`."""
-        events, rendered = self.events, self._rendered
-        kept = iter(self._kept)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical(self.header))
-            for start in range(0, len(events), _WRITE_CHUNK):
-                stop = start + _WRITE_CHUNK
-                lines = []
-                for event, how in zip(events[start:stop], rendered[start:stop]):
-                    if how == _ENCODE:
-                        lines.append(encode_record(event))
-                        continue
-                    if how == _KEPT:
-                        lines.append(next(kept))
-                        continue
-                    etype = event["type"]
-                    if etype in PACKET_TYPES:
-                        lines.append(
-                            packet_line(
-                                etype,
-                                event["step"],
-                                event["src"],
-                                event["dst"],
-                                event["kind"],
-                                event.get("mid"),
-                                event.get("cause"),
-                            )
-                        )
-                    else:
-                        lines.append(canonical(event))
-                fh.write("\n" + "\n".join(lines))
-            fh.write("\n")
+        """The header and one line per event, each as it was hashed."""
+        self._flush()
+        with open(path, "wb") as fh:
+            fh.write(canonical(self.header).encode())
+            fh.writelines(self._chunks)
+            fh.write(b"\n")
+
+
+def decode_line(line: bytes | str) -> dict:
+    """The event dict of a trace line."""
+    return json.loads(line)
+
+
+class TraceEvents(Sequence):
+    """Read-only sequence of a trace's events, negative indexes and slices
+    included. Appended dicts are handed out as they are; a compact packet
+    record's dict is decoded from its line on each read."""
+
+    __slots__ = ("records", "_chunks", "_starts", "_pending", "_split")
+
+    def __init__(self, records: list, chunks: list[bytes], starts: list[int], pending: list[str]):
+        self.records = records  # the events as appended, packet records compact
+        self._chunks, self._starts, self._pending = chunks, starts, pending
+        self._split: tuple[int, list[bytes]] = (-1, [])  # the last chunk read, split
+
+    def _line(self, pos: int) -> bytes | str:
+        """The line of the event at `pos` (0 <= pos < len(self)), as hashed."""
+        flushed = len(self.records) - len(self._pending)
+        if pos >= flushed:
+            return self._pending[pos - flushed]
+        k = bisect_right(self._starts, pos) - 1
+        if self._split[0] != k:
+            self._split = (k, self._chunks[k].split(b"\n"))
+        return self._split[1][pos - self._starts[k] + 1]
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        records = self.records
+        if isinstance(index, slice):
+            return [self[pos] for pos in range(*index.indices(len(records)))]
+        record = records[index]
+        if type(record) is dict:
+            return record
+        return decode_line(self._line(index + len(records) if index < 0 else index))
+
+    def __iter__(self):
+        records = self.records
+        pos = 0
+        for chunk in self._chunks:
+            for line in islice(chunk.split(b"\n"), 1, None):
+                record = records[pos]
+                yield record if type(record) is dict else decode_line(line)
+                pos += 1
+        while pos < len(records):  # the lines not yet cut into a chunk
+            yield self[pos]
+            pos += 1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def read(path: str) -> Trace:
+    """The trace written at `path`, its packet records in compact form."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in (ln.strip() for ln in fh) if line]
-    if not lines:
-        raise ValueError(f"{path}: empty trace file")
-    header = json.loads(lines[0])
-    if header.get("type") != "HEADER" or header.get("format") != TRACE_FORMAT:
-        raise ValueError(f"{path}: not a {TRACE_FORMAT} trace")
-    trace = Trace(header)
-    for line in lines[1:]:
-        trace.append(json.loads(line))
+        lines = (line for line in (ln.strip() for ln in fh) if line)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty trace file")
+        header = json.loads(first)
+        if header.get("type") != "HEADER" or header.get("format") != TRACE_FORMAT:
+            raise ValueError(f"{path}: not a {TRACE_FORMAT} trace")
+        trace = Trace(header)
+        for line in lines:
+            record = json.loads(line)
+            compact = _compact(record)
+            if compact is None:
+                trace.append(record)
+            else:
+                trace.append(*compact)
     return trace
+
+
+def _compact(record: dict) -> tuple | None:
+    """(compact record, line) for a packet record of the simulator's shape,
+    the form the simulator appends it in; None for any other record."""
+    etype = record.get("type")
+    if type(etype) is not str or etype not in PACKET_TYPES:
+        return None
+    fields = _packet_fields(record)
+    if fields is None:
+        return None
+    step, src, dst, kind, mid, cause = fields
+    code = PACKET_CODE.get((etype, kind, cause))
+    if code is None or (mid is None) != (kind not in ("MSG", "MSGACK")):
+        return None
+    line = packet_line(etype, *fields)
+    return (code if mid is None else (code, mid[0], mid[1], step)), line

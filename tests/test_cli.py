@@ -1,5 +1,7 @@
 import json
+import threading
 
+from ssurb import cli, config
 from ssurb.cli import main
 
 
@@ -137,16 +139,31 @@ def test_sweep_empty_grid_is_single_cell(tmp_path):
     assert summary["cells"][0]["overrides"] == {}
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
+def test_two_sweeps_give_identical_summaries(tmp_path):
     scenario = write_scenario(tmp_path)
     summaries = []
-    for workers, name in ((1, "s1"), (4, "s4")):
+    for name in ("first", "second"):
         out = tmp_path / name
         main(["sweep", "--scenario", str(scenario), "--out", str(out),
-              "--seeds", "0:4", "--vary", "buffer_unit_size=2,4",
-              "--workers", str(workers)])
+              "--seeds", "0:4", "--vary", "buffer_unit_size=2,4"])
         summaries.append((out / "summary.json").read_text())
     assert summaries[0] == summaries[1]
+
+
+def test_sweep_runs_each_cell_in_the_calling_thread(tmp_path, monkeypatch):
+    threads = []
+    original = cli._sweep_cell
+
+    def recording(base, overrides, seeds):
+        threads.append(threading.get_ident())
+        return original(base, overrides, seeds)
+
+    monkeypatch.setattr(cli, "_sweep_cell", recording)
+    base = config.load(str(write_scenario(tmp_path)))
+    # `workers` is accepted and has no effect
+    summary = cli.sweep(base, {"buffer_unit_size": [2, 3, 4]}, [0], workers=4)
+    assert len(summary["cells"]) == 3
+    assert threads == [threading.get_ident()] * 3
 
 
 def test_verify_replay_passes(tmp_path):
