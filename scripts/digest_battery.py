@@ -18,14 +18,19 @@ A last line holds the SHA-256 of one `cli.sweep` summary over a small grid.
 Run it on two checkouts and compare; a change that must keep behaviour
 prints the same lines:
 
-    python3 scripts/digest_battery.py > after.jsonl
     (cd ../parent && python3 scripts/digest_battery.py) > before.jsonl
-    diff before.jsonl after.jsonl
+    python3 scripts/digest_battery.py --compare before.jsonl
+
+With `--compare` the lines are checked against the file as they are
+produced instead of printed: the script prints `identical, N lines` and
+exits 0, or names the first scenario and top-level field that differ and
+exits 1.
 
 The scenarios come from this script alone (a seeded generator picks the
 mixed cells), so both sides run the same list.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -228,7 +233,8 @@ def sweep_digest() -> str:
     return sha256(json.dumps(cli.sweep(base, grid, [0, 1]), sort_keys=True))
 
 
-def main() -> int:
+def battery_lines():
+    """The battery's JSON lines, one per scenario and then the sweep's."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
         for name, raw in scenarios():
@@ -246,8 +252,48 @@ def main() -> int:
                 "verdicts_digest": verdicts_digest(result.trace.header, result.trace.events),
                 "events_digest": events_digest(result.trace.events),
             }
-            print(json.dumps(line, sort_keys=True), flush=True)
-    print(json.dumps({"sweep_digest": sweep_digest()}), flush=True)
+            yield json.dumps(line, sort_keys=True)
+    yield json.dumps({"sweep_digest": sweep_digest()})
+
+
+def first_difference(before: dict, after: dict) -> str:
+    """The first top-level field, in sorted order, in which two lines differ."""
+    for field in sorted(before.keys() | after.keys()):
+        if before.get(field) != after.get(field):
+            return field
+    return ""
+
+
+def compare(path: str) -> int:
+    with open(path, encoding="utf-8") as fh:
+        expected = [line.rstrip("\n") for line in fh if line.strip()]
+    count = 0
+    for count, line in enumerate(battery_lines(), 1):
+        if count > len(expected):
+            print(f"line {count}: not in {path}")
+            return 1
+        if line != expected[count - 1]:
+            before, after = json.loads(expected[count - 1]), json.loads(line)
+            scenario = after.get("scenario", before.get("scenario", "sweep"))
+            print(f"line {count}: {scenario} differs in {first_difference(before, after)}")
+            return 1
+    if count != len(expected):
+        print(f"{path} has {len(expected)} lines, the battery {count}")
+        return 1
+    print(f"identical, {count} lines")
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--compare", metavar="BEFORE.jsonl", help="check the lines against this file"
+    )
+    args = parser.parse_args()
+    if args.compare:
+        return compare(args.compare)
+    for line in battery_lines():
+        print(line, flush=True)
     return 0
 
 

@@ -41,7 +41,9 @@ to cost O(checks * events + n * sum of snapshot sizes).
 Events are read as stored. A `Trace` keeps its packet records compact
 (`trace.PACKET_CODES`), and `TraceIndex.packet` reads a packet's type,
 kind, mid and step from that form or from a packet dict in a hand-built
-list, so no check decodes a trace line.
+list, so no check decodes a trace line. `quiescence_check`, which reads
+every record of its window, looks the compact forms up in
+`trace.PACKET_CODES` itself and calls `packet` only for dicts.
 """
 
 from __future__ import annotations
@@ -636,10 +638,19 @@ def quiescence_check(ti: TraceIndex) -> CheckReport:
     heartbeat_events = 0
     witness = None
     for pos in range(cycles[-w], epoch.stop):
+        # `ti.packet(pos)`, inlined for the compact records
         record = records[pos]
-        if type(record) is dict and record["type"] not in PACKET_TYPES:
+        cls = type(record)
+        if cls is int:
+            etype, kind, _ = PACKET_CODES[record]
+            mid = step = None
+        elif cls is tuple:
+            etype, kind, _ = PACKET_CODES[record[0]]
+            mid, step = (record[1], record[2]), record[3]
+        elif record["type"] in PACKET_TYPES:
+            etype, kind, mid, step = ti.packet(pos)
+        else:
             continue
-        etype, kind, mid, step = ti.packet(pos)
         if etype != "SEND" and etype != "RECV":
             continue
         if kind in ("MSG", "MSGACK"):

@@ -12,18 +12,25 @@ global reset barrier, and appends everything to the trace.
 
 The scheduler is incremental. Every possible action has a fixed slot, the
 n node iterations first and then the n^2 channels in (src, dst) order, and
-the slot weights sit in a Fenwick tree. A draw searches the tree's prefix
-sums the way `random.choices` bisects its cumulative weights, so a step
-costs O(log n^2) rather than a rebuild of the whole action list, and the
-seeded schedule is the one an explicit weighted list would give.
+the slot weights sit in a Fenwick tree. A draw descends the tree's prefix
+sums, inline in `WeightTree.pick`, the way `random.choices` bisects its
+cumulative weights, so a step costs O(log n^2) rather than a rebuild of
+the whole action list, and the seeded schedule is the one an explicit
+weighted list would give.
 
-A `Channel` only holds its packets. On the hot path `_send` and
-`_deliver_action` own each packet's channel occupancy and weight: each
-pushes onto or pops from the packet list itself and moves the channel's
-weight, 4 + 4*len while non-empty towards a live node and 0 otherwise, with
-one `WeightTree.add` of +-4 (+-8 when the channel turns non-empty or
-empty). The rare paths, a DUP, CHANNEL-GARBAGE, a crash and a global reset,
-re-weigh the channels they touch by the same rule.
+A `Channel` only holds its packets. On the hot path `_send_all` and
+`_deliver_action` own each packet's channel occupancy and weight; a
+channel weighs 4 + 4*len while non-empty towards a live node and 0
+otherwise. `_deliver_action` pops one packet and moves its channel's
+weight by one `WeightTree.add` of -4 (-8 when the channel empties).
+`_send_all` takes a node's whole outgoing list: an iteration's heartbeats
+and then its MSG and GOSSIP packets, or one MSGACK reply. No draw happens
+between its sends, so it pushes every packet first, walking a per-source
+row of channels, and then moves each channel that grew by one
+`WeightTree.add`, to the channel's final weight. A HEARTBEAT, a MSG and a
+GOSSIP to one peer thus cost one tree update, not three. The rare paths,
+a DUP, CHANNEL-GARBAGE, a crash and a global reset, re-weigh the channels
+they touch by the same rule.
 
 Cycle accounting is O(1) per step: two running counts, the live gossip
 pairs not yet seen and the live nodes whose round-trip clause is not yet
@@ -33,9 +40,11 @@ round-trips rescanned, because the suspicion clause changes with the step.
 
 SEND/RECV/OMIT/DUP records, about two per step, are appended in the
 trace's compact form, a code for the record's (type, kind, cause) and for
-MSG/MSGACK the tuple (code, sender, seq, step), with the line rendered
-from the same typed fields: the message class's `kind` and, for
-MSG/MSGACK, its `sender` and `seq`. No packet record is built as a dict.
+MSG/MSGACK the tuple (code, sender, seq, step). SEND and RECV lines are
+rendered inline from the code's `trace.PACKET_TEMPLATES` entry and the
+typed fields: the message class's `kind` and, for MSG/MSGACK, its `sender`
+and `seq`; OMIT and DUP lines go through `trace.packet_line`, which renders
+from the same table. No packet record is built as a dict.
 A SNAPSHOT encodes its `nodes` once and renders its in-flight packets from
 their fields (`wire.encode_json`), and assembles both its digest input and
 its line from the two strings. A delivery draws from fault probabilities read
@@ -58,7 +67,7 @@ from .detectors import DetectorView, HeartbeatState, ThetaState
 from .node import DISABLED, NORMAL, RESETTING, NodeState
 from .trace import (
     PACKET_CODE,
-    PACKET_KINDS,
+    PACKET_TEMPLATES,
     Trace,
     canonical,
     make_header,
@@ -70,9 +79,19 @@ from .wire import Gossip, Heartbeat, Msg, MsgAck, WireMessage, encode, encode_js
 
 
 _NOBODY: frozenset[int] = frozenset()
-# compact packet-record codes of SENDs and RECVs, by message kind
-_SEND = {kind: PACKET_CODE[("SEND", kind, None)] for kind in PACKET_KINDS}
-_RECV = {kind: PACKET_CODE[("RECV", kind, None)] for kind in PACKET_KINDS}
+
+
+def _line_table(etype: str) -> dict[type, tuple[int, str, str, str]]:
+    """(compact code, head, middle, tail) of the `etype` record, by message class."""
+    table = {}
+    for cls in (Msg, MsgAck, Gossip, Heartbeat):
+        code = PACKET_CODE[(etype, cls.kind, None)]
+        table[cls] = (code, *PACKET_TEMPLATES[code])
+    return table
+
+
+_SEND = _line_table("SEND")
+_RECV = _line_table("RECV")
 
 
 def payload_hash(payload: str) -> str:
@@ -87,23 +106,35 @@ class WeightTree:
     total, the first slot whose prefix sum exceeds it, and the last such
     slot when rounding puts the draw at or past the total. Zero-weight
     slots can never be picked.
+
+    The tree spans the smallest power of two above `size`, the slots past
+    `size` weighing 0, so a descent needs no bounds check and ends at or
+    past `size` only when the draw is at or past the total. Each slot's
+    update path, the tree nodes whose ranges hold it, is listed once.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.weights = [0] * size
         self.total = 0
-        self._tree = [0] * (size + 1)
-        self._top = 1 << (size.bit_length() - 1)
+        span = 1 << size.bit_length()
+        self._tree = [0] * (span + 1)
+        self._steps = tuple(span >> k for k in range(1, span.bit_length()))  # span/2, ..., 1
+        index = list(range(span + 1))  # one int object per node, shared by the paths
+        self._paths: list[tuple[int, ...]] = []
+        for slot in range(size):
+            path, i = [], slot + 1
+            while i <= span:
+                path.append(index[i])
+                i += i & -i
+            self._paths.append(tuple(path))
 
     def add(self, slot: int, delta: int) -> None:
         self.weights[slot] += delta
         self.total += delta
-        tree, size = self._tree, self.size
-        i = slot + 1
-        while i <= size:
+        tree = self._tree
+        for i in self._paths[slot]:
             tree[i] += delta
-            i += i & -i
 
     def set(self, slot: int, weight: int) -> None:
         delta = weight - self.weights[slot]
@@ -112,24 +143,29 @@ class WeightTree:
 
     def _count_at_most(self, x: float) -> int:
         """Number of leading slots whose prefix sum is <= x."""
-        tree, size = self._tree, self.size
+        tree = self._tree
         pos = acc = 0
-        step = self._top
-        while step:
-            nxt = pos + step
-            if nxt <= size:
-                grown = acc + tree[nxt]  # int vs float compares exactly
-                if grown <= x:
-                    pos, acc = nxt, grown
-            step >>= 1
+        for step in self._steps:
+            grown = acc + tree[pos + step]  # int vs float compares exactly
+            if grown <= x:
+                pos += step
+                acc = grown
         return pos
 
     def pick(self, rng: random.Random) -> int:
         total = self.total
-        slot = self._count_at_most(rng.random() * float(total))
-        if slot == self.size:
-            slot = self._count_at_most(total - 1)
-        return slot
+        x = rng.random() * float(total)
+        # `_count_at_most(x)`, inlined
+        tree = self._tree
+        pos = acc = 0
+        for step in self._steps:
+            grown = acc + tree[pos + step]
+            if grown <= x:
+                pos += step
+                acc = grown
+        if pos >= self.size:  # the draw rounded to the total
+            pos = self._count_at_most(total - 1)
+        return pos
 
 
 class Channel:
@@ -215,6 +251,8 @@ class Simulation:
             for b in range(1, n + 1)
         }
         self.channel_slots = list(self.channels.values())  # slot n + k holds the k-th
+        # rows[a][b] is channel (a, b); index 0 of both is unused
+        self.rows = [None] + [[None] + self.channel_slots[k * n:(k + 1) * n] for k in range(n)]
         self.step = 0
         self.cycle_count = 0
         self.crashed_at: dict[int, int] = {}
@@ -319,7 +357,8 @@ class Simulation:
         self, etype: str, src: int, dst: int, msg: WireMessage, cause: str | None = None
     ) -> None:
         # the rare packet records, OMIT and DUP; SEND and RECV are appended in
-        # _send and _deliver_action the same way
+        # _send_all and _deliver_action the same way, their lines rendered
+        # inline from the table packet_line renders from
         step, kind = self.step, msg.kind
         code = PACKET_CODE[(etype, kind, cause)]
         if type(msg) is Msg or type(msg) is MsgAck:
@@ -388,27 +427,37 @@ class Simulation:
 
     # ---- packet plumbing ---------------------------------------------------
 
-    def _send(self, src: int, dst: int, msg: WireMessage) -> None:
-        step, kind = self.step, msg.kind
-        self.counts["sends"][kind] += 1
-        if type(msg) is Msg or type(msg) is MsgAck:
-            sender, seq = msg.sender, msg.seq
-            self.trace.append(
-                (_SEND[kind], sender, seq, step),
-                packet_line("SEND", step, src, dst, kind, (sender, seq)),
-            )
-        else:
-            self.trace.append(_SEND[kind], packet_line("SEND", step, src, dst, kind))
-        channel = self.channels[(src, dst)]
-        packets = channel.packets
-        size = len(packets)
-        if size >= channel.capacity:
-            self.counts["omissions"] += 1
-            self._packet_event("OMIT", src, dst, msg, cause="overflow")
-            return
-        packets.append((msg, step))
-        if channel.dst_live:
-            self.weights.add(channel.slot, 4 if size else 8)
+    def _send_all(self, src: int, outgoing: list[tuple[int, WireMessage]]) -> None:
+        """Send each (dst, message) of `outgoing` from `src`, in order: a SEND
+        record, then the push, or an overflow OMIT right after the SEND. No
+        draw happens in between, so each channel that grew is re-weighed
+        once, after the last push: one `WeightTree.add`."""
+        step, append, row = self.step, self.trace.append, self.rows[src]
+        sends = self.counts["sends"]
+        at = f'"src":{src},"step":{step}'
+        pushed: dict[Channel, None] = {}  # the channels that grew, in order
+        for dst, msg in outgoing:
+            cls = type(msg)
+            code, head, middle, tail = _SEND[cls]
+            sends[cls.kind] += 1
+            if cls is Msg or cls is MsgAck:
+                sender, seq = msg.sender, msg.seq
+                append(
+                    (code, sender, seq, step),
+                    f'{head}{dst}{middle}"mid":[{sender},{seq}],{at}{tail}',
+                )
+            else:
+                append(code, f"{head}{dst}{middle}{at}{tail}")
+            channel = row[dst]
+            packets = channel.packets
+            if len(packets) >= channel.capacity:
+                self.counts["omissions"] += 1
+                self._packet_event("OMIT", src, dst, msg, cause="overflow")
+                continue
+            packets.append((msg, step))
+            pushed[channel] = None
+        for channel in pushed:
+            self._reweigh(channel)
 
     def _deliver_action(self, channel: Channel) -> None:
         # only channels of positive weight are drawn: non-empty, live destination
@@ -429,21 +478,22 @@ class Simulation:
                 self._reweigh(channel)
                 self.counts["duplications"] += 1
                 self._packet_event("DUP", src, dst, msg)
-        step, kind = self.step, msg.kind
+        step = self.step
         cls = type(msg)
+        code, head, middle, tail = _RECV[cls]
         if cls is Msg or cls is MsgAck:
             sender, seq = msg.sender, msg.seq
             self.trace.append(
-                (_RECV[kind], sender, seq, step),
-                packet_line("RECV", step, src, dst, kind, (sender, seq)),
+                (code, sender, seq, step),
+                f'{head}{dst}{middle}"mid":[{sender},{seq}],"src":{src},"step":{step}{tail}',
             )
         else:
-            self.trace.append(_RECV[kind], packet_line("RECV", step, src, dst, kind))
+            self.trace.append(code, f'{head}{dst}{middle}"src":{src},"step":{step}{tail}')
 
         node = self.nodes[dst]
         if cls is Msg:
             ack = node.state.on_msg(msg.payload, msg.sender, msg.seq, src)
-            self._send(dst, src, ack)
+            self._send_all(dst, [(src, ack)])
         elif cls is MsgAck:
             node.state.on_msg_ack(msg.sender, msg.seq, src)
             if dst not in self.ct_satisfied:
@@ -471,20 +521,15 @@ class Simulation:
     def _iterate_action(self, i: int) -> None:
         node = self.nodes[i]
         node.theta.reconcile(self._delayed_crashed())
-        send = self._send
-        for dst, beat in node.hb.tick():
-            send(i, dst, beat)
-        view = self._view(node)
-        result = node.state.do_forever_iteration(view)
-        if i in self.ct_satisfied:
-            for dst, msg in result.outgoing:
-                send(i, dst, msg)
-        else:
-            msg_sends: set[tuple[int, int, int]] = set()
-            for dst, msg in result.outgoing:
-                if type(msg) is Msg:
-                    msg_sends.add((dst, msg.sender, msg.seq))
-                send(i, dst, msg)
+        # the heartbeats and the iteration's packets go out as one batch
+        outgoing = node.hb.tick()
+        result = node.state.do_forever_iteration(self._view(node))
+        outgoing += result.outgoing
+        self._send_all(i, outgoing)
+        if i not in self.ct_satisfied:
+            msg_sends = {
+                (dst, msg.sender, msg.seq) for dst, msg in result.outgoing if type(msg) is Msg
+            }
             if msg_sends:
                 self.ct_pending[i].append(msg_sends)
             else:

@@ -7,15 +7,17 @@ checkers consume. The digest is a SHA-256 over the canonical encoding of
 all records joined by newlines and is the replay-equality witness.
 
 SEND/RECV/OMIT/DUP records, nearly all of a trace, have one line format,
-`packet_line`, which gives the same bytes as `canonical`. The simulator
-renders each packet line from its typed fields and appends it with a
-compact record instead of a dict: the record's code in `PACKET_CODES`, the
-index of its (type, kind, cause), or for MSG/MSGACK the tuple (code,
-sender, seq, step). `encode_record` validates any dict that claims a
-packet type and renders it through the same template, and every other
-record goes through `canonical` itself. A SNAPSHOT's line,
-`snapshot_line`, is assembled from the `canonical` strings of its two
-halves.
+which gives the same bytes as `canonical`. It is kept in one table,
+`PACKET_TEMPLATES`: for each code in `PACKET_CODES`, the index of a
+(type, kind, cause), the constant (head, middle, tail) around the record's
+dst, its optional mid and its src and step. `packet_line` renders from that
+table, and the simulator renders its SEND and RECV lines inline from it.
+The simulator appends each packet line with a compact record instead of a
+dict: the record's code, or for MSG/MSGACK the tuple (code, sender, seq,
+step). `encode_record` validates any dict that claims a packet type and
+renders it through `packet_line`, and every other record goes through
+`canonical` itself. A SNAPSHOT's line, `snapshot_line`, is assembled
+from the `canonical` strings of its two halves.
 
 The lines are kept once, as the bytes that were hashed. `Trace` feeds
 SHA-256 one chunk of lines at a time (SHA-256 is a streaming hash, so the
@@ -65,6 +67,23 @@ def canonical(record) -> str:
     return _CANONICAL.encode(record)
 
 
+def _template(etype: str, kind: str, cause: str | None) -> tuple[str, str, str]:
+    cause_field = "" if cause is None else f'"cause":{encode_basestring_ascii(cause)},'
+    return (
+        f'{{{cause_field}"dst":',
+        f',"kind":{encode_basestring_ascii(kind)},',
+        f',"type":{encode_basestring_ascii(etype)}}}',
+    )
+
+
+# (head, middle, tail) of each code's line: head, dst, middle, the mid field
+# '"mid":[sender,seq],' when the record has one, '"src":' src ',"step":'
+# step, and tail
+PACKET_TEMPLATES: tuple[tuple[str, str, str], ...] = tuple(
+    _template(*triple) for triple in PACKET_CODES
+)
+
+
 def packet_line(
     etype: str,
     step: int,
@@ -77,13 +96,14 @@ def packet_line(
     """`canonical` of the packet record with these fields: the keys cause,
     dst, kind, mid, src, step and type, in that (sorted) order, the absent
     optional ones left out. `etype` is one of PACKET_TYPES, `mid` a
-    (sender, seq) pair of ints."""
-    cause_field = "" if cause is None else f'"cause":{encode_basestring_ascii(cause)},'
-    mid_field = "" if mid is None else f'"mid":[{mid[0]},{mid[1]}],'
-    return (
-        f'{{{cause_field}"dst":{dst},"kind":{encode_basestring_ascii(kind)},{mid_field}'
-        f'"src":{src},"step":{step},"type":"{etype}"}}'
-    )
+    (sender, seq) pair of ints. Rendered from the code's PACKET_TEMPLATES
+    entry, or for a (type, kind, cause) without a code from the same
+    template built on the spot."""
+    code = PACKET_CODE.get((etype, kind, cause))
+    head, middle, tail = _template(etype, kind, cause) if code is None else PACKET_TEMPLATES[code]
+    if mid is None:
+        return f'{head}{dst}{middle}"src":{src},"step":{step}{tail}'
+    return f'{head}{dst}{middle}"mid":[{mid[0]},{mid[1]}],"src":{src},"step":{step}{tail}'
 
 
 def snapshot_state(nodes_json: str, channels_json: str) -> str:

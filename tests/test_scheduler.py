@@ -180,3 +180,50 @@ def test_fused_send_and_deliver_paths_keep_the_rule_every_step():
     assert {e["cause"] for e in events if e["type"] == "OMIT"} == {"drop", "overflow"}
     assert {"CRASH", "CORRUPT"} <= {e["type"] for e in events}
     assert watch.middle_pops > 0
+
+
+def test_an_iteration_moves_each_channel_weight_once(monkeypatch):
+    # an iteration's heartbeats, MSGs and gossip form one batch: each
+    # destination channel's weight moves once, not once per packet
+    cfg = from_dict({"n": 4, "seed": 0})
+    sim = Simulation(cfg)
+    sim._request_broadcast(1, "p")
+    slots = []
+    add = WeightTree.add
+
+    def counted(tree, slot, delta):
+        slots.append(slot)
+        add(tree, slot, delta)
+
+    monkeypatch.setattr(WeightTree, "add", counted)
+    before = len(sim.trace.records)
+    sim._iterate_action(1)
+    sends = [e for e in sim.trace.events[before:] if e["type"] == "SEND"]
+    channels = {(e["src"], e["dst"]) for e in sends}
+    assert {e["kind"] for e in sends} == {"MSG", "GOSSIP", "HEARTBEAT"}
+    assert len(sends) > len(channels)
+    assert len(slots) <= len(channels)
+    assert sim.weights.weights == _expected_weights(sim)
+    assert _fenwick_consistent(sim.weights)
+
+
+def test_overflow_omits_follow_their_send_at_capacity_one():
+    cfg = from_dict(
+        {
+            "n": 3,
+            "channel_capacity": 1,
+            "seed": 5,
+            "scheduler_profile": "reorder-heavy",
+            "max_steps": 3000,
+            "broadcasts": [{"node": 1 + k % 3, "payload": f"m{k}"} for k in range(4)],
+        }
+    )
+    sim = Simulation(cfg)
+    _step_checking_the_rule(sim)
+    events = list(sim.trace.events)
+    overflows = [pos for pos, e in enumerate(events) if e.get("cause") == "overflow"]
+    assert len(overflows) > 100
+    for pos in overflows:
+        omit, send = dict(events[pos]), events[pos - 1]
+        assert omit.pop("type") == "OMIT" and omit.pop("cause") == "overflow"
+        assert send == {"type": "SEND", **omit}

@@ -183,6 +183,30 @@ TYPED_RENDER_BATTERY = [
 ]
 
 
+def test_every_code_renders_one_line_from_the_table_and_packet_line():
+    # the simulator renders SEND and RECV lines inline from PACKET_TEMPLATES
+    # and packet_line renders through the same table: for every code, with
+    # and without a mid, both give canonical of the record's dict
+    assert {etype for etype, _, _ in trace.PACKET_CODES} == set(trace.PACKET_TYPES)
+    assert {cause for _, _, cause in trace.PACKET_CODES} == {None, "overflow", "drop"}
+    step, src, dst = 123456, 7, 12
+    for code, (etype, kind, cause) in enumerate(trace.PACKET_CODES):
+        head, middle, tail = trace.PACKET_TEMPLATES[code]
+        for mid in (None, (3, 41)):
+            record = {"type": etype, "step": step, "src": src, "dst": dst, "kind": kind}
+            if cause is not None:
+                record["cause"] = cause
+            mid_field = ""
+            if mid is not None:
+                record["mid"] = list(mid)
+                mid_field = f'"mid":[{mid[0]},{mid[1]}],'
+            table_line = f'{head}{dst}{middle}{mid_field}"src":{src},"step":{step}{tail}'
+            expected = canonical(record)
+            assert table_line == expected, (code, mid)
+            assert trace.packet_line(etype, step, src, dst, kind, mid, cause) == expected
+            assert encode_record(record) == expected
+
+
 def test_typed_packet_lines_match_canonical():
     shapes = set()
     for raw in TYPED_RENDER_BATTERY:
