@@ -67,6 +67,10 @@ def cmd_run(args) -> int:
         print(report.line())
     print(f"status: {result.metrics['status']}  steps: {result.metrics['steps']}  "
           f"cycles: {result.metrics['cycles']}  digest: {result.metrics['trace_digest'][:16]}")
+    if result.unfired:
+        print(f"warning: the run ended {result.metrics['status']} at step "
+              f"{result.metrics['steps']} before scheduled faults fired: "
+              f"{'; '.join(result.unfired)}", file=sys.stderr)
     return checker.gate(reports)
 
 

@@ -1,22 +1,22 @@
 """Failure detection: heartbeat counters and the trusted-set oracle.
 
 The broadcast state machine consumes both through an immutable
-`DetectorView` snapshot taken once per iteration. Heartbeat counters
-self-repair through max-folds on received HEARTBEAT packets; the trusted
-set is backed by the simulator's delayed crash oracle and is overwritten
-wholesale on every `reconcile`, which removes corruption in either
-direction within one iteration.
+`DetectorView` snapshot taken once per iteration, a named tuple, so taking
+it costs one tuple. Heartbeat counters self-repair through max-folds on
+received HEARTBEAT packets; `tick` walks the peer list fixed at set-up.
+The trusted set is backed by the simulator's delayed crash oracle and is
+overwritten wholesale on every `reconcile`, which removes corruption in
+either direction within one iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .wire import Heartbeat
 
 
-@dataclass(frozen=True, slots=True)
-class DetectorView:
+class DetectorView(NamedTuple):
     """Per-iteration snapshot of the detector outputs. Index 0 of `hb` is unused."""
 
     trusted: frozenset[int]
@@ -30,29 +30,24 @@ class HeartbeatState:
         self.self_id = self_id
         self.n = n
         self.hb = [0] * (n + 1)  # index 0 unused
+        self.peers = [j for j in range(1, n + 1) if j != self_id]
 
     def tick(self) -> list[tuple[int, Heartbeat]]:
         """Increment own counter and emit a heartbeat to every peer."""
-        self.hb[self.self_id] += 1
-        own = self.hb[self.self_id]
-        return [
-            (j, Heartbeat(own, self.hb[j]))
-            for j in range(1, self.n + 1)
-            if j != self.self_id
-        ]
+        hb, new = self.hb, tuple.__new__  # builds the named tuple without a Python frame
+        own = hb[self.self_id] = hb[self.self_id] + 1
+        return [(j, new(Heartbeat, (own, hb[j]))) for j in self.peers]
 
     def on_heartbeat(self, sender_count: int, dst_count: int, from_id: int) -> None:
         """Max-fold the received counters; the echoed own entry repairs local regressions."""
-        if sender_count > self.hb[from_id]:
-            self.hb[from_id] = sender_count
-        if dst_count > self.hb[self.self_id]:
-            self.hb[self.self_id] = dst_count
+        hb = self.hb
+        if sender_count > hb[from_id]:
+            hb[from_id] = sender_count
+        if dst_count > hb[self.self_id]:
+            hb[self.self_id] = dst_count
 
     def reset(self) -> None:
         self.hb = [0] * (self.n + 1)
-
-    def snapshot(self) -> tuple[int, ...]:
-        return tuple(self.hb)
 
 
 class ThetaState:

@@ -94,14 +94,7 @@ class NodeState:
         """Slowest trusted receiver's obsolete watermark; own seq if nobody is trusted."""
         if not trusted:
             return self.seq
-        return min(self.tx_obs[k] for k in trusted)
-
-    def is_obsolete(self, r: BufferRecord, trusted: frozenset[int]) -> bool:
-        return (
-            self.rx_obs[r.sender] + 1 == r.seq
-            and trusted.issubset(r.rec_by)
-            and r.delivered
-        )
+        return min(map(self.tx_obs.__getitem__, trusted))
 
     # -- operation and procedure --------------------------------------
 
@@ -173,21 +166,23 @@ class NodeState:
             self.tx_obs = [self.seq] * (self.n + 1)
 
         # (c) clamp receive watermarks to the buffered horizon
-        max_map = self.max_seqs()
-        for k in range(1, self.n + 1):
+        max_map, rx_obs, everyone = self.max_seqs(), self.rx_obs, range(1, self.n + 1)
+        for k in everyone:
             horizon = max_map[k] - b
-            if horizon > self.rx_obs[k]:
-                self.rx_obs[k] = horizon
+            if horizon > rx_obs[k]:
+                rx_obs[k] = horizon
         self._lift_cursors()
 
-        # (d) advance watermarks over obsolete records, ascending (sender, seq)
+        # (d) advance watermarks over obsolete records, ascending (sender, seq):
+        # a record is obsolete once it is the next one past its sender's
+        # watermark, delivered, and received by every trusted node
         self.buffer.sort(key=_record_key)
         progress = True
         while progress:
             progress = False
             for r in self.buffer:
-                if self.is_obsolete(r, trusted):
-                    self.rx_obs[r.sender] += 1
+                if rx_obs[r.sender] + 1 == r.seq and r.delivered and trusted <= r.rec_by:
+                    rx_obs[r.sender] += 1
                     progress = True
         # keep the delivery cursor ahead of the obsolete watermark before
         # the delivery pass runs
@@ -207,37 +202,40 @@ class NodeState:
             )
         ]
 
-        self.observed = self._observe(sorted(trusted))
+        # the sort of (d) and the filter of (e) left the buffer in (sender, seq) order
+        self.observed = self._observe(sorted(trusted), ordered=True)
 
-        # (f) deliver and (re)transmit, ascending (sender, seq)
-        u = view.hb
+        # (f) deliver and (re)transmit, ascending (sender, seq); every copy
+        # of one record is the same immutable Msg
+        u, me, fifo, tx_obs = view.hb, self.self_id, self.fifo, self.tx_obs
+        outgoing = out.outgoing
         for r in self.buffer:
+            sender, seq, rec_by, prev_hb = r.sender, r.seq, r.rec_by, r.prev_hb
             if (
-                trusted.issubset(r.rec_by)
+                trusted <= rec_by
                 and not r.delivered
-                and (not self.fifo or r.seq == self.next_deliver[r.sender])
+                and (not fifo or seq == self.next_deliver[sender])
             ):
                 r.delivered = True
-                out.delivered.append((r.sender, r.seq))
-                if self.fifo:
-                    self.next_deliver[r.sender] += 1
-            for k in range(1, self.n + 1):
+                out.delivered.append((sender, seq))
+                if fifo:
+                    self.next_deliver[sender] += 1
+            msg = None
+            for k in everyone:
                 if (
-                    k not in r.rec_by
-                    or (r.sender == self.self_id and r.seq == self.tx_obs[k] + 1)
-                ) and r.prev_hb[k] < u[k]:
-                    r.prev_hb[k] = u[k]
-                    out.outgoing.append((k, Msg(r.payload, r.sender, r.seq)))
+                    k not in rec_by or (sender == me and seq == tx_obs[k] + 1)
+                ) and prev_hb[k] < u[k]:
+                    prev_hb[k] = u[k]
+                    if msg is None:
+                        msg = Msg(r.payload, sender, seq)
+                    outgoing.append((k, msg))
 
         # (g) gossip the flow-control triple to every peer; fold the own triple
         # locally (the self-addressed gossip without a packet)
-        max_map = self.max_seqs()
-        for k in range(1, self.n + 1):
-            if k != self.self_id:
-                out.outgoing.append(
-                    (k, Gossip(max_map[k], self.rx_obs[k], self.tx_obs[k]))
-                )
-        me = self.self_id
+        max_map, new = self.max_seqs(), tuple.__new__
+        for k in everyone:
+            if k != me:  # a Gossip, built without the named tuple's Python frame
+                outgoing.append((k, new(Gossip, (max_map[k], rx_obs[k], tx_obs[k]))))
         self.on_gossip(max_map[me], self.rx_obs[me], self.tx_obs[me], me)
         # corrupted entries that no gossip refreshed still need the seq floor
         floor = max(self.tx_obs[1:])
@@ -284,11 +282,12 @@ class NodeState:
         (like a buffered record or the FIFO cursor), so seq is floored at the
         folded entry; a watermark inflated past seq by a transient fault would
         otherwise silently swallow the next broadcasts."""
-        self.seq, self.tx_obs[from_id], self.rx_obs[from_id] = (
-            max(max_seq, self.seq),
-            max(rx_obs, self.tx_obs[from_id]),
-            max(tx_obs, self.rx_obs[from_id]),
-        )
+        if max_seq > self.seq:
+            self.seq = max_seq
+        if rx_obs > self.tx_obs[from_id]:
+            self.tx_obs[from_id] = rx_obs
+        if tx_obs > self.rx_obs[from_id]:
+            self.rx_obs[from_id] = tx_obs
         if self.tx_obs[from_id] > self.seq:
             self.seq = self.tx_obs[from_id]
 
@@ -324,7 +323,9 @@ class NodeState:
 
     # -- serialization ----------------------------------------------------
 
-    def _observe(self, trusted: list[int]) -> dict:
+    def _observe(self, trusted: list[int], ordered: bool = False) -> dict:
+        """The state as snapshots record it, the buffer in (sender, seq)
+        order: sorted here unless the caller knows it is `ordered` already."""
         return {
             "id": self.self_id,
             "seq": self.seq,
@@ -335,13 +336,13 @@ class NodeState:
                     "seq": r.seq,
                     "delivered": r.delivered,
                     "rec_by": sorted(r.rec_by),
-                    "prev_hb": list(r.prev_hb[1:]),
+                    "prev_hb": r.prev_hb[1:],
                 }
-                for r in sorted(self.buffer, key=_record_key)
+                for r in (self.buffer if ordered else sorted(self.buffer, key=_record_key))
             ],
-            "rx_obs": list(self.rx_obs[1:]),
-            "tx_obs": list(self.tx_obs[1:]),
-            "next": list(self.next_deliver[1:]),
+            "rx_obs": self.rx_obs[1:],
+            "tx_obs": self.tx_obs[1:],
+            "next": self.next_deliver[1:],
             "pending": len(self.pending),
             "reset_phase": self.reset_phase,
             "trusted": trusted,

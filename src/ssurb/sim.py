@@ -10,47 +10,38 @@ request-reply messages round-tripped or their targets became suspected,
 and a gossip from it reached every live peer), drives the bounded-mode
 global reset barrier, and appends everything to the trace.
 
-The scheduler is incremental. Every possible action has a fixed slot, the
-n node iterations first and then the n^2 channels in (src, dst) order, and
-the slot weights sit in a Fenwick tree. A draw descends the tree's prefix
-sums, inline in `WeightTree.pick`, the way `random.choices` bisects its
-cumulative weights, so a step costs O(log n^2) rather than a rebuild of
-the whole action list, and the seeded schedule is the one an explicit
-weighted list would give.
-
-A `Channel` only holds its packets. On the hot path `_send_all` and
-`_deliver_action` own each packet's channel occupancy and weight; a
-channel weighs 4 + 4*len while non-empty towards a live node and 0
-otherwise. `_deliver_action` pops one packet and moves its channel's
-weight by one `WeightTree.add` of -4 (-8 when the channel empties).
-`_send_all` takes a node's whole outgoing list: an iteration's heartbeats
-and then its MSG and GOSSIP packets, or one MSGACK reply. No draw happens
-between its sends, so it pushes every packet first, walking a per-source
-row of channels, and then moves each channel that grew by one
-`WeightTree.add`, to the channel's final weight. A HEARTBEAT, a MSG and a
-GOSSIP to one peer thus cost one tree update, not three. The rare paths,
-a DUP, CHANNEL-GARBAGE, a crash and a global reset, re-weigh the channels
-they touch by the same rule.
+One step loop, `_steps`, drives both `run` and `step_once`, and binds
+what every step reads once per call: the rng's draws, the weight tree's
+lists, the channel slots, the trace's record and line lists and the
+fault probabilities. Every possible action has a fixed slot, the n node
+iterations first and then the n^2 channels in (src, dst) order, and the
+slot weights sit in a Fenwick tree (`WeightTree`). A step draws by
+descending the tree's prefix sums, the way `random.choices` bisects its
+cumulative weights, so it costs O(log n^2) and the seeded schedule is the
+one an explicit weighted list would give. A channel weighs 4 + 4*len
+while non-empty towards a live node and 0 otherwise. A delivery, inline
+in the loop, pops one packet, moves its channel's tree path by -4 (-8
+when it empties), appends the RECV and calls the node's handler.
+`_send_all` sends a node's batch, an iteration's heartbeats and then its
+MSG and GOSSIP packets, or one MSGACK reply: no draw happens in between,
+so it pushes every packet first and then moves each grown channel's path
+once, to its final weight. The rare paths, a DUP, CHANNEL-GARBAGE, a
+crash and a global reset, re-weigh the channels they touch by the same
+rule through `WeightTree.add`.
 
 Cycle accounting is O(1) per step: two running counts, the live gossip
 pairs not yet seen and the live nodes whose round-trip clause is not yet
-satisfied, are kept by the GOSSIP and MSGACK handlers and the iteration.
+satisfied, are kept by the GOSSIP and MSGACK deliveries and the iteration.
 Only while crashes are known are the unsatisfied nodes' pending
 round-trips rescanned, because the suspicion clause changes with the step.
 
-SEND/RECV/OMIT/DUP records, about two per step, are appended in the
-trace's compact form, a code for the record's (type, kind, cause) and for
-MSG/MSGACK the tuple (code, sender, seq, step). SEND and RECV lines are
-rendered inline from the code's `trace.PACKET_TEMPLATES` entry and the
-typed fields: the message class's `kind` and, for MSG/MSGACK, its `sender`
-and `seq`; OMIT and DUP lines go through `trace.packet_line`, which renders
-from the same table. No packet record is built as a dict.
-A SNAPSHOT encodes its `nodes` once and renders its in-flight packets from
-their fields (`wire.encode_json`), and assembles both its digest input and
-its line from the two strings. A delivery draws from fault probabilities read
-once at set-up, dispatches on the message's class, and the
-scheduled-fault prologue runs only when the next crash, corruption or
-broadcast is due.
+SEND/RECV/OMIT/DUP records are appended in the trace's compact form (see
+`trace`). SEND and RECV lines are rendered from the code's
+`trace.PACKET_TEMPLATES` entry with the dst rendered in once per
+simulation; OMIT and DUP lines go through `trace.packet_line`, DELIVER
+lines through `trace.deliver_line`. A SNAPSHOT encodes its `nodes` once,
+renders its in-flight packets from their fields (`wire.encode_json`) and
+assembles its digest input and its line from the two strings.
 """
 
 from __future__ import annotations
@@ -58,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import corruption
 from .checker import drained_cycle, snapshot_all_consistent
@@ -66,10 +57,12 @@ from .config import ASAP, ScenarioConfig
 from .detectors import DetectorView, HeartbeatState, ThetaState
 from .node import DISABLED, NORMAL, RESETTING, NodeState
 from .trace import (
+    CHUNK_LINES,
     PACKET_CODE,
     PACKET_TEMPLATES,
     Trace,
     canonical,
+    deliver_line,
     make_header,
     packet_line,
     snapshot_line,
@@ -81,17 +74,15 @@ from .wire import Gossip, Heartbeat, Msg, MsgAck, WireMessage, encode, encode_js
 _NOBODY: frozenset[int] = frozenset()
 
 
-def _line_table(etype: str) -> dict[type, tuple[int, str, str, str]]:
-    """(compact code, head, middle, tail) of the `etype` record, by message class."""
+def _line_table(etype: str, n: int) -> dict[type, tuple[int, list[str], str]]:
+    """(compact code, heads, tail) of the `etype` record, by message class:
+    `heads[dst]` is the line up to its mid or src, the dst rendered in."""
     table = {}
     for cls in (Msg, MsgAck, Gossip, Heartbeat):
         code = PACKET_CODE[(etype, cls.kind, None)]
-        table[cls] = (code, *PACKET_TEMPLATES[code])
+        head, middle, tail = PACKET_TEMPLATES[code]
+        table[cls] = (code, [f"{head}{dst}{middle}" for dst in range(n + 1)], tail)
     return table
-
-
-_SEND = _line_table("SEND")
-_RECV = _line_table("RECV")
 
 
 def payload_hash(payload: str) -> str:
@@ -101,16 +92,18 @@ def payload_hash(payload: str) -> str:
 class WeightTree:
     """Integer weights over fixed slots, kept in a Fenwick tree (Fenwick 1994).
 
-    `pick` draws exactly as `random.choices(slots, weights)` would over the
-    slots of non-zero weight, in slot order: one `random()` scaled by the
-    total, the first slot whose prefix sum exceeds it, and the last such
-    slot when rounding puts the draw at or past the total. Zero-weight
-    slots can never be picked.
+    The step loop draws from it inline, exactly as `random.choices(slots,
+    weights)` would over the slots of non-zero weight, in slot order: one
+    `random()` scaled by the total, a descent along `descent` to the first
+    slot whose prefix sum exceeds it, and `count_at_most(total - 1)`, the
+    last such slot, when rounding puts the draw at or past the total.
+    Zero-weight slots can never be drawn.
 
     The tree spans the smallest power of two above `size`, the slots past
     `size` weighing 0, so a descent needs no bounds check and ends at or
-    past `size` only when the draw is at or past the total. Each slot's
-    update path, the tree nodes whose ranges hold it, is listed once.
+    past `size` only when the draw is at or past the total. `paths[slot]`
+    lists the tree nodes whose ranges hold the slot: moving its weight by d
+    adds d to `weights[slot]`, to `total` and to each of those nodes.
     """
 
     def __init__(self, size: int):
@@ -118,22 +111,22 @@ class WeightTree:
         self.weights = [0] * size
         self.total = 0
         span = 1 << size.bit_length()
-        self._tree = [0] * (span + 1)
-        self._steps = tuple(span >> k for k in range(1, span.bit_length()))  # span/2, ..., 1
+        self.tree = [0] * (span + 1)
+        self.descent = tuple(span >> k for k in range(1, span.bit_length()))  # span/2, ..., 1
         index = list(range(span + 1))  # one int object per node, shared by the paths
-        self._paths: list[tuple[int, ...]] = []
+        self.paths: list[tuple[int, ...]] = []
         for slot in range(size):
             path, i = [], slot + 1
             while i <= span:
                 path.append(index[i])
                 i += i & -i
-            self._paths.append(tuple(path))
+            self.paths.append(tuple(path))
 
     def add(self, slot: int, delta: int) -> None:
         self.weights[slot] += delta
         self.total += delta
-        tree = self._tree
-        for i in self._paths[slot]:
+        tree = self.tree
+        for i in self.paths[slot]:
             tree[i] += delta
 
     def set(self, slot: int, weight: int) -> None:
@@ -141,30 +134,15 @@ class WeightTree:
         if delta:
             self.add(slot, delta)
 
-    def _count_at_most(self, x: float) -> int:
+    def count_at_most(self, x: float) -> int:
         """Number of leading slots whose prefix sum is <= x."""
-        tree = self._tree
+        tree = self.tree
         pos = acc = 0
-        for step in self._steps:
+        for step in self.descent:
             grown = acc + tree[pos + step]  # int vs float compares exactly
             if grown <= x:
                 pos += step
                 acc = grown
-        return pos
-
-    def pick(self, rng: random.Random) -> int:
-        total = self.total
-        x = rng.random() * float(total)
-        # `_count_at_most(x)`, inlined
-        tree = self._tree
-        pos = acc = 0
-        for step in self._steps:
-            grown = acc + tree[pos + step]
-            if grown <= x:
-                pos += step
-                acc = grown
-        if pos >= self.size:  # the draw rounded to the total
-            pos = self._count_at_most(total - 1)
         return pos
 
 
@@ -221,6 +199,7 @@ class SimNode:
 class RunResult:
     trace: Trace
     metrics: dict
+    unfired: list[str] = field(default_factory=list)  # the crashes and corruptions still due
 
 
 class Simulation:
@@ -253,6 +232,7 @@ class Simulation:
         self.channel_slots = list(self.channels.values())  # slot n + k holds the k-th
         # rows[a][b] is channel (a, b); index 0 of both is unused
         self.rows = [None] + [[None] + self.channel_slots[k * n:(k + 1) * n] for k in range(n)]
+        self.send_lines, self.recv_lines = _line_table("SEND", n), _line_table("RECV", n)
         self.step = 0
         self.cycle_count = 0
         self.crashed_at: dict[int, int] = {}
@@ -313,7 +293,7 @@ class Simulation:
         return {i for i, at in self.crashed_at.items() if at + latency <= self.step}
 
     def _view(self, node: SimNode) -> DetectorView:
-        return DetectorView(node.theta.trusted_view(), node.hb.snapshot())
+        return DetectorView(node.theta.trusted_view(), tuple(node.hb.hb))
 
     def _reset_cycle_tracker(self) -> None:
         # a node satisfies the round-trip clause once any iteration it started
@@ -356,19 +336,12 @@ class Simulation:
     def _packet_event(
         self, etype: str, src: int, dst: int, msg: WireMessage, cause: str | None = None
     ) -> None:
-        # the rare packet records, OMIT and DUP; SEND and RECV are appended in
-        # _send_all and _deliver_action the same way, their lines rendered
-        # inline from the table packet_line renders from
+        # the rare packet records, OMIT and DUP, compact as SEND and RECV are
         step, kind = self.step, msg.kind
         code = PACKET_CODE[(etype, kind, cause)]
-        if type(msg) is Msg or type(msg) is MsgAck:
-            sender, seq = msg.sender, msg.seq
-            self.trace.append(
-                (code, sender, seq, step),
-                packet_line(etype, step, src, dst, kind, (sender, seq), cause),
-            )
-        else:
-            self.trace.append(code, packet_line(etype, step, src, dst, kind, None, cause))
+        mid = (msg.sender, msg.seq) if type(msg) is Msg or type(msg) is MsgAck else None
+        line = packet_line(etype, step, src, dst, kind, mid, cause)
+        self.trace.append(code if mid is None else (code, *mid, step), line)
 
     def _emit_snapshot(self, boundary: bool = True) -> dict:
         nodes_ser = []
@@ -430,24 +403,24 @@ class Simulation:
     def _send_all(self, src: int, outgoing: list[tuple[int, WireMessage]]) -> None:
         """Send each (dst, message) of `outgoing` from `src`, in order: a SEND
         record, then the push, or an overflow OMIT right after the SEND. No
-        draw happens in between, so each channel that grew is re-weighed
-        once, after the last push: one `WeightTree.add`."""
-        step, append, row = self.step, self.trace.append, self.rows[src]
+        draw happens in between, so each channel that grew moves its Fenwick
+        path once, after the last push, to its final weight."""
+        step, row, trace, lines = self.step, self.rows[src], self.trace, self.send_lines
+        append_record, append_line = trace.records.append, trace.pending.append
         sends = self.counts["sends"]
         at = f'"src":{src},"step":{step}'
         pushed: dict[Channel, None] = {}  # the channels that grew, in order
         for dst, msg in outgoing:
             cls = type(msg)
-            code, head, middle, tail = _SEND[cls]
+            code, heads, tail = lines[cls]
             sends[cls.kind] += 1
             if cls is Msg or cls is MsgAck:
                 sender, seq = msg.sender, msg.seq
-                append(
-                    (code, sender, seq, step),
-                    f'{head}{dst}{middle}"mid":[{sender},{seq}],{at}{tail}',
-                )
+                append_record((code, sender, seq, step))
+                append_line(f'{heads[dst]}"mid":[{sender},{seq}],{at}{tail}')
             else:
-                append(code, f"{head}{dst}{middle}{at}{tail}")
+                append_record(code)
+                append_line(f"{heads[dst]}{at}{tail}")
             channel = row[dst]
             packets = channel.packets
             if len(packets) >= channel.capacity:
@@ -456,67 +429,18 @@ class Simulation:
                 continue
             packets.append((msg, step))
             pushed[channel] = None
+        wt = self.weights
+        tree, weights, paths = wt.tree, wt.weights, wt.paths
+        moved = 0
         for channel in pushed:
-            self._reweigh(channel)
-
-    def _deliver_action(self, channel: Channel) -> None:
-        # only channels of positive weight are drawn: non-empty, live destination
-        src, dst, rng = channel.src, channel.dst, self.rng
-        packets = channel.packets
-        size = len(packets)
-        idx = 0
-        if size > 1 and rng.random() < self.reorder_prob:
-            idx = rng.randrange(size)
-        msg, birth = packets.pop(idx)
-        self.weights.add(channel.slot, -4 if size > 1 else -8)
-        if rng.random() < self.omission_prob:
-            self.counts["omissions"] += 1
-            self._packet_event("OMIT", src, dst, msg, cause="drop")
-            return
-        if rng.random() < self.duplication_prob:
-            if channel.push(msg, birth):
-                self._reweigh(channel)
-                self.counts["duplications"] += 1
-                self._packet_event("DUP", src, dst, msg)
-        step = self.step
-        cls = type(msg)
-        code, head, middle, tail = _RECV[cls]
-        if cls is Msg or cls is MsgAck:
-            sender, seq = msg.sender, msg.seq
-            self.trace.append(
-                (code, sender, seq, step),
-                f'{head}{dst}{middle}"mid":[{sender},{seq}],"src":{src},"step":{step}{tail}',
-            )
-        else:
-            self.trace.append(code, f'{head}{dst}{middle}"src":{src},"step":{step}{tail}')
-
-        node = self.nodes[dst]
-        if cls is Msg:
-            ack = node.state.on_msg(msg.payload, msg.sender, msg.seq, src)
-            self._send_all(dst, [(src, ack)])
-        elif cls is MsgAck:
-            node.state.on_msg_ack(msg.sender, msg.seq, src)
-            if dst not in self.ct_satisfied:
-                key = (src, msg.sender, msg.seq)
-                for pending in self.ct_pending[dst]:
-                    pending.discard(key)
-                    if not pending:
-                        self._satisfy(dst)
-                        break
-        elif cls is Gossip:
-            node.state.on_gossip(msg.max_seq, msg.rx_obs, msg.tx_obs, src)
-            seen = self.ct_gossip_seen[src]
-            if dst not in seen:
-                seen.add(dst)
-                if src != dst and not self.nodes[src].crashed:
-                    self.missing_gossip -= 1
-        elif cls is Heartbeat:
-            node.hb.on_heartbeat(msg.sender_count, msg.dst_count, src)
-        if self.bounded_mode and node.state.check_overflow():
-            self._start_barrier()
-        held = len(node.state.buffer)
-        if held > self.peak_buffer[dst]:
-            self.peak_buffer[dst] = held
+            if channel.dst_live:  # a grown channel weighs 4 + 4*len, more than before
+                slot = channel.slot
+                delta = 4 + 4 * len(channel.packets) - weights[slot]
+                weights[slot] += delta
+                moved += delta
+                for i in paths[slot]:
+                    tree[i] += delta
+        wt.total += moved
 
     def _iterate_action(self, i: int) -> None:
         node = self.nodes[i]
@@ -534,8 +458,12 @@ class Simulation:
                 self.ct_pending[i].append(msg_sends)
             else:
                 self._satisfy(i)
+        step = self.step
         for sender, seq in result.delivered:
-            self._event("DELIVER", node=i, mid=[sender, seq])
+            self.trace.append(
+                {"type": "DELIVER", "step": step, "node": i, "mid": [sender, seq]},
+                deliver_line(step, i, sender, seq),
+            )
             self.delivered_sets[i].add((sender, seq))
         for mid, payload in result.accepted:
             self._event("BROADCAST", node=i, mid=list(mid), payload_hash=payload_hash(payload))
@@ -752,36 +680,133 @@ class Simulation:
 
     # ---- the main loop ----------------------------------------------------------
 
-    def step_once(self) -> None:
-        if self.step >= self.next_due:
-            self._prologue()
+    def _steps(self, count: int) -> None:
+        """Take `count` steps, fewer if one sets a stop reason. A step runs
+        the scheduled faults and broadcasts when due, draws a slot from the
+        weight tree (inline, as `WeightTree` describes), runs that node's
+        iteration or delivers one packet of that channel, and then drives
+        the reset barrier, cycle accounting and interval snapshots. What a
+        delivery reads is bound here once per call."""
+        n, channel_slots = self.cfg.n, self.channel_slots
+        nodes = [None] + [self.nodes[i] for i in range(1, n + 1)]  # nodes[i] is node i
+        wt = self.weights
+        tree, weights, paths, descent, size = wt.tree, wt.weights, wt.paths, wt.descent, wt.size
+        rand, randrange = self.rng.random, self.rng.randrange
+        reorder, omission, duplication = self.reorder_prob, self.omission_prob, self.duplication_prob
+        trace = self.trace
+        append_record, pending, flush = trace.records.append, trace.pending, trace.flush
+        append_line = pending.append
+        peak, bounded, interval = self.peak_buffer, self.bounded_mode, self.snapshot_interval
+        lines = self.recv_lines
+        step, next_due = self.step, self.next_due
         if not self.live:
             self.stop_reason = "all-crashed"
             return
+        for _ in range(count):
+            if step >= next_due:
+                self._prologue()
+                next_due = self.next_due
+                if not self.live:  # a crash, due only here, emptied it
+                    self.stop_reason = "all-crashed"
+                    return
+            total = wt.total
+            x = rand() * float(total)
+            # x drops by each prefix the descent passes, exactly: x < 2**53,
+            # so its ulp is at most 1 and divides every integer weight
+            slot = 0
+            for d in descent:
+                weight = tree[slot + d]
+                if weight <= x:
+                    slot += d
+                    x -= weight
+            if slot >= size:  # the draw rounded to the total
+                slot = wt.count_at_most(total - 1)
+            if slot < n:
+                self._iterate_action(slot + 1)
+            else:
+                # a delivery; only non-empty channels towards live nodes weigh
+                channel = channel_slots[slot - n]
+                src, dst, packets = channel.src, channel.dst, channel.packets
+                held = len(packets)
+                msg, birth = packets.pop(randrange(held) if held > 1 and rand() < reorder else 0)
+                delta = -4 if held > 1 else -8
+                weights[slot] += delta
+                wt.total = total + delta
+                for i in paths[slot]:
+                    tree[i] += delta
+                if rand() < omission:
+                    self.counts["omissions"] += 1
+                    self._packet_event("OMIT", src, dst, msg, cause="drop")
+                else:
+                    if rand() < duplication and channel.push(msg, birth):
+                        self._reweigh(channel)
+                        self.counts["duplications"] += 1
+                        self._packet_event("DUP", src, dst, msg)
+                    node = nodes[dst]
+                    state = node.state
+                    cls = type(msg)
+                    code, heads, tail = lines[cls]
+                    if cls is Gossip or cls is Heartbeat:
+                        append_record(code)
+                        append_line(f'{heads[dst]}"src":{src},"step":{step}{tail}')
+                        if cls is Gossip:
+                            state.on_gossip(msg.max_seq, msg.rx_obs, msg.tx_obs, src)
+                            seen = self.ct_gossip_seen[src]
+                            if dst not in seen:
+                                seen.add(dst)
+                                if src != dst and not nodes[src].crashed:
+                                    self.missing_gossip -= 1
+                        else:
+                            node.hb.on_heartbeat(msg.sender_count, msg.dst_count, src)
+                    else:
+                        sender, seq = msg.sender, msg.seq
+                        append_record((code, sender, seq, step))
+                        append_line(f'{heads[dst]}"mid":[{sender},{seq}],"src":{src},"step":{step}{tail}')
+                        if cls is Msg:
+                            self._send_all(dst, [(src, state.on_msg(msg.payload, sender, seq, src))])
+                        else:
+                            state.on_msg_ack(sender, seq, src)
+                            if dst not in self.ct_satisfied:
+                                key = (src, sender, seq)
+                                for waiting in self.ct_pending[dst]:
+                                    waiting.discard(key)
+                                    if not waiting:
+                                        self._satisfy(dst)
+                                        break
+                    if bounded and state.check_overflow():
+                        self._start_barrier()
+                    held = len(state.buffer)
+                    if held > peak[dst]:
+                        peak[dst] = held
+            if bounded and self.barrier_active and self._barrier_ready():
+                self._apply_global_reset()
+            stopping = not self.missing_gossip and self._cycle_complete()
+            if stopping:
+                self._on_cycle_boundary()  # the only setter of a stop reason
+                stopping = self.stop_reason is not None
+            if interval and step > 0 and step % interval == 0:
+                self._emit_snapshot(boundary=False)
+            if len(pending) >= CHUNK_LINES:
+                flush()
+            step += 1
+            self.step = step
+            if stopping:
+                return
 
-        n = self.cfg.n
-        slot = self.weights.pick(self.rng)
-        if slot < n:
-            self._iterate_action(slot + 1)
-        else:
-            self._deliver_action(self.channel_slots[slot - n])
-
-        if self.barrier_active and self._barrier_ready():
-            self._apply_global_reset()
-
-        if not self.missing_gossip and self._cycle_complete():
-            self._on_cycle_boundary()
-        interval = self.snapshot_interval
-        if interval and self.step > 0 and self.step % interval == 0:
-            self._emit_snapshot(boundary=False)
-        self.step += 1
+    def step_once(self) -> None:
+        self._steps(1)
 
     def run(self) -> RunResult:
-        while self.step < self.cfg.max_steps and self.stop_reason is None:
-            self.step_once()
+        if self.stop_reason is None:
+            self._steps(self.cfg.max_steps - self.step)
         reason = self.stop_reason or "max-steps"
         self._event("END", reason=reason)
-        return RunResult(self.trace, self._metrics(reason))
+        unfired = [(at, f"crash of node {i}") for at, _, i in self.crash_plan[self.crash_ptr:]]
+        unfired += [(at, f"{kind} of node {i}") for at, _, i, kind in self.corrupt_plan[self.corrupt_ptr:]]
+        unfired.sort(key=lambda fault: fault[0])
+        return RunResult(
+            self.trace, self._metrics(reason), [f"{what} at step {at}" for at, what in unfired]
+        )
 
     # ---- metrics -----------------------------------------------------------------
 

@@ -11,7 +11,8 @@ which gives the same bytes as `canonical`. It is kept in one table,
 `PACKET_TEMPLATES`: for each code in `PACKET_CODES`, the index of a
 (type, kind, cause), the constant (head, middle, tail) around the record's
 dst, its optional mid and its src and step. `packet_line` renders from that
-table, and the simulator renders its SEND and RECV lines inline from it.
+table, and the simulator renders its SEND and RECV lines inline from it;
+`deliver_line` is the DELIVER record's fixed template.
 The simulator appends each packet line with a compact record instead of a
 dict: the record's code, or for MSG/MSGACK the tuple (code, sender, seq,
 step). `encode_record` validates any dict that claims a packet type and
@@ -56,7 +57,7 @@ PACKET_CODES: tuple[tuple[str, str, str | None], ...] = tuple(
     for kind in PACKET_KINDS
 )
 PACKET_CODE = {triple: code for code, triple in enumerate(PACKET_CODES)}
-_CHUNK_LINES = 256  # lines hashed and kept per chunk
+CHUNK_LINES = 256  # lines hashed and kept per chunk
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -104,6 +105,11 @@ def packet_line(
     if mid is None:
         return f'{head}{dst}{middle}"src":{src},"step":{step}{tail}'
     return f'{head}{dst}{middle}"mid":[{mid[0]},{mid[1]}],"src":{src},"step":{step}{tail}'
+
+
+def deliver_line(step: int, node: int, sender: int, seq: int) -> str:
+    """`canonical` of the DELIVER record of message (sender, seq) at `node`."""
+    return f'{{"mid":[{sender},{seq}],"node":{node},"step":{step},"type":"DELIVER"}}'
 
 
 def snapshot_state(nodes_json: str, channels_json: str) -> str:
@@ -184,33 +190,37 @@ class Trace:
 
     `records` holds each event as appended: a dict, or a compact packet
     record (see the module docstring). Every line is kept in one of the
-    hashed chunks, or in `_pending` until the next chunk is cut."""
+    hashed chunks, or in `pending` until the next chunk is cut. The
+    simulator appends to `records` and `pending` itself and calls `flush`
+    once a step when `CHUNK_LINES` lines are pending; a chunk may run
+    longer, which changes neither the digest nor the written bytes."""
 
     def __init__(self, header: dict):
         self.header = header
         self.records: list = []
         self._hasher = hashlib.sha256(canonical(header).encode())
-        self._pending: list[str] = []  # lines not yet hashed
+        self.pending: list[str] = []  # lines not yet hashed
         # "\n" + the lines joined by "\n", as hashed; `digest` may cut a chunk
         # short, so each is indexed by the position of its first event
         self._chunks: list[bytes] = []
         self._chunk_starts: list[int] = []
         # the view shares these lists, never the trace itself: a cycle between
         # the two would leave a finished trace to the cyclic collector
-        self.events = TraceEvents(self.records, self._chunks, self._chunk_starts, self._pending)
+        self.events = TraceEvents(self.records, self._chunks, self._chunk_starts, self.pending)
 
     def append(self, record, line: str | None = None) -> None:
         """Record an event: a dict, whose `encode_record` line the caller may
         pass when it has rendered it already, or a compact packet record with
         its `packet_line`."""
         self.records.append(record)
-        pending = self._pending
+        pending = self.pending
         pending.append(encode_record(record) if line is None else line)
-        if len(pending) >= _CHUNK_LINES:
-            self._flush()
+        if len(pending) >= CHUNK_LINES:
+            self.flush()
 
-    def _flush(self) -> None:
-        pending = self._pending
+    def flush(self) -> None:
+        """Hash the pending lines and keep them as one chunk."""
+        pending = self.pending
         if pending:
             chunk = ("\n" + "\n".join(pending)).encode()
             self._hasher.update(chunk)
@@ -219,12 +229,12 @@ class Trace:
             pending.clear()
 
     def digest(self) -> str:
-        self._flush()
+        self.flush()
         return self._hasher.hexdigest()
 
     def write(self, path: str) -> None:
         """The header and one line per event, each as it was hashed."""
-        self._flush()
+        self.flush()
         with open(path, "wb") as fh:
             fh.write(canonical(self.header).encode())
             fh.writelines(self._chunks)

@@ -170,3 +170,40 @@ def test_verify_replay_passes(tmp_path):
     scenario = write_scenario(tmp_path)
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(scenario), "--out", str(out), "--verify-replay"]) == 0
+
+
+def test_run_names_the_scheduled_faults_it_ended_before(tmp_path, capsys):
+    scenario = write_scenario(
+        tmp_path,
+        broadcasts=[{"node": 1, "payload": "a"}],
+        stop_mode="stabilized",
+        fault_plan={"corruptions": [{"node": 2, "step": 5000, "kind": "RANDOMIZE-ALL"}]},
+    )
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "stabilized" in err[0] and "RANDOMIZE-ALL of node 2 at step 5000" in err[0]
+    trace = (tmp_path / "o" / "trace.jsonl").read_text()
+    assert '"type":"CORRUPT"' not in trace
+
+    scenario = write_scenario(
+        tmp_path,
+        broadcasts=[{"node": 1, "payload": "a"}],
+        stop_mode="complete-delivery",
+        fault_plan={
+            "corruptions": [{"node": 2, "step": 5000, "kind": "RANDOMIZE-ALL"}],
+            "crashes": [{"node": 3, "step": 6000}],
+        },
+    )
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o2")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "crash of node 3 at step 6000" in err[0]
+    assert "RANDOMIZE-ALL of node 2 at step 5000" in err[0]
+
+    # a run whose faults all fired says nothing
+    scenario = write_scenario(
+        tmp_path, fault_plan={"corruptions": [{"node": 2, "step": 10, "kind": "RANDOMIZE-ALL"}]}
+    )
+    main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o3")])
+    assert capsys.readouterr().err == ""

@@ -55,15 +55,22 @@ def test_min_tx_obs_empty_trusted_falls_back_to_seq():
     assert node.min_tx_obs(frozenset()) == 7
 
 
-def test_obsolete_requires_all_three_clauses():
+def _watermark_after_iteration(rx_obs, delivered, rec_by, trusted=None):
+    # node 1 of 3 holds record (2, 5); the obsolete walk of step (d) moves
+    # the watermark rx_obs[2] past it only if the record is obsolete
     node = NodeState(1, 3, 4)
-    node.rx_obs[2] = 4
-    r = record("m", 2, 5, 3, delivered=True, rec_by={1, 2, 3})
-    assert node.is_obsolete(r, frozenset({1, 2, 3}))
-    r2 = record("m", 2, 5, 3, delivered=False, rec_by={1, 2, 3})
-    assert not node.is_obsolete(r2, frozenset({1, 2, 3}))
-    node.rx_obs[2] = 3
-    assert not node.is_obsolete(r, frozenset({1, 2, 3}))
+    node.rx_obs[2] = rx_obs
+    node.buffer = [record("m", 2, 5, 3, delivered=delivered, rec_by=rec_by)]
+    node.do_forever_iteration(view(3, trusted=trusted))
+    return node.rx_obs[2]
+
+
+def test_obsolete_requires_all_three_clauses():
+    assert _watermark_after_iteration(4, True, {1, 2, 3}) == 5
+    assert _watermark_after_iteration(4, False, {1, 2, 3}) == 4  # not delivered
+    assert _watermark_after_iteration(4, True, {1, 2}) == 4  # trusted 3 lacks it
+    assert _watermark_after_iteration(3, True, {1, 2, 3}) == 3  # not next past rx_obs
+    assert _watermark_after_iteration(4, True, {1, 2}, trusted={1, 2}) == 5
 
 
 # -- broadcast operation ------------------------------------------------------

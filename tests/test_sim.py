@@ -604,3 +604,45 @@ def test_snapshot_lines_and_digests_are_canonical(tmp_path):
         for channel in record["channels"]
         for packet in channel["packets"]
     )
+
+
+def test_step_once_to_the_end_gives_the_run_that_run_gives(tmp_path):
+    # DUPs, overflow OMITs at capacity 4, a crash detected 10 steps later, a
+    # corruption, a bounded-mode global reset and interval snapshots
+    cfg = from_dict(
+        {
+            "n": 3,
+            "buffer_unit_size": 2,
+            "bounded_mode": True,
+            "maxint": 8,
+            "seed": 2,
+            "channel_capacity": 4,
+            "snapshot_interval": 100,
+            "max_steps": 8000,
+            "broadcasts": [{"node": 1 + k % 3, "payload": f"p{k}"} for k in range(12)],
+            "fault_plan": {
+                "duplication_prob": 0.1,
+                "crashes": [{"node": 3, "step": 400}],
+                "detection_latency": 10,
+                "corruptions": [{"node": 2, "step": 150, "kind": "WINDOW-SKEW"}],
+            },
+        }
+    )
+    stepped = Simulation(cfg)
+    while stepped.step < cfg.max_steps and stepped.stop_reason is None:
+        stepped.step_once()
+    by_steps, by_run = stepped.run(), run_scenario(cfg)
+    assert by_steps.metrics == by_run.metrics
+    by_steps.trace.write(str(tmp_path / "steps.jsonl"))
+    by_run.trace.write(str(tmp_path / "run.jsonl"))
+    assert (tmp_path / "steps.jsonl").read_bytes() == (tmp_path / "run.jsonl").read_bytes()
+    kinds = {(e["type"], e.get("cause"), e.get("boundary")) for e in by_run.trace.events}
+    assert {
+        ("DUP", None, None),
+        ("OMIT", "overflow", None),
+        ("CRASH", None, None),
+        ("CORRUPT", None, None),
+        ("RESET", None, None),
+        ("SNAPSHOT", None, False),
+    } <= kinds
+    assert by_run.metrics["status"] == "complete-delivery"

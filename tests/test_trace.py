@@ -86,6 +86,13 @@ def test_other_records_go_through_canonical(record):
     assert canonical_calls == 1
 
 
+@given(st.integers(0, 10**9), st.integers(1, 200), st.integers(1, 200), st.integers(-5, 10**9))
+@settings(max_examples=200, deadline=None)
+def test_deliver_line_equals_canonical(step, node, sender, seq):
+    record = {"type": "DELIVER", "step": step, "node": node, "mid": [sender, seq]}
+    assert trace.deliver_line(step, node, sender, seq) == canonical(record)
+
+
 def test_written_trace_reads_back_with_the_same_digest(tmp_path):
     header = {"type": "HEADER", "format": trace.TRACE_FORMAT, "n": 2}
     written = trace.Trace(header)
@@ -113,7 +120,7 @@ def test_empty_pending_chunk_hashes_nothing_extra():
     assert t.digest() == _reference_digest(header, [])
     assert t.digest() == _reference_digest(header, [])
     # whole chunks only: each flush empties the pending lines
-    for step in range(2 * trace._CHUNK_LINES):
+    for step in range(2 * trace.CHUNK_LINES):
         t.append({"type": "SEND", "step": step, "src": 1, "dst": 2, "kind": "HEARTBEAT"})
     expected = _reference_digest(header, t.events)
     assert t.digest() == expected
@@ -134,7 +141,7 @@ def test_digest_mid_run_leaves_the_final_digest_unchanged():
         sim.step_once()
         if sim.step % 97 == 0:
             sim.trace.digest()
-    assert len(sim.trace.events) > 2 * trace._CHUNK_LINES
+    assert len(sim.trace.events) > 2 * trace.CHUNK_LINES
     assert sim.run().metrics["trace_digest"] == run_scenario(from_dict(raw)).metrics["trace_digest"]
 
 
@@ -236,7 +243,7 @@ def test_written_files_match_canonical_for_simulated_traces(tmp_path):
         lines = path.read_text(encoding="utf-8").splitlines()
         expected = [canonical(result.trace.header)] + [canonical(e) for e in result.trace.events]
         assert lines == expected
-    assert len(result.trace.events) > trace._CHUNK_LINES
+    assert len(result.trace.events) > trace.CHUNK_LINES
 
 
 def test_write_validates_records_appended_without_a_line(tmp_path):
