@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import checker, config, trace as trace_mod
-from .sim import run_scenario
+from .sim import run_scenario, run_scenarios
 
 
 def _parse_set(values: list[str]) -> dict:
@@ -109,29 +109,7 @@ def _parse_grid(items: list[str]) -> dict[str, list]:
     return grid
 
 
-def _sweep_cell(base: config.ScenarioConfig, overrides: dict, seeds: list[int]) -> dict:
-    runs = []
-    for seed in seeds:
-        cfg = config.apply_overrides(base, dict(overrides, seed=seed))
-        result = run_scenario(cfg)
-        reports = checker.check_all(result.trace.header, result.trace.events)
-        by_name = {r.name: r for r in reports}
-        stab = by_name["stabilization-time"]
-        cost = by_name["message-cost"]
-        runs.append(
-            {
-                "seed": seed,
-                "verdicts": {r.name: r.verdict for r in reports},
-                "failed": [r.name for r in reports if r.verdict == "FAIL"],
-                "stabilization_cycles": (stab.measured or {}).get("cycles"),
-                "max_broadcast_msgs": (cost.measured or {}).get("max_total"),
-                "max_latency_cycles": (cost.measured or {}).get("max_latency_cycles"),
-                "steps": result.metrics["steps"],
-                "cycles": result.metrics["cycles"],
-                "status": result.metrics["status"],
-                "digest": result.metrics["trace_digest"],
-            }
-        )
+def _sweep_cell(overrides: dict, runs: list[dict]) -> dict:
     stab_values = [r["stabilization_cycles"] for r in runs if r["stabilization_cycles"] is not None]
     msg_values = [r["max_broadcast_msgs"] for r in runs if r["max_broadcast_msgs"] is not None]
     return {
@@ -147,7 +125,9 @@ def _sweep_cell(base: config.ScenarioConfig, overrides: dict, seeds: list[int]) 
 
 
 def sweep(base: config.ScenarioConfig, grid: dict[str, list], seeds: list[int], workers: int = 1) -> dict:
-    """Run the full grid, one cell after another in the calling thread.
+    """Run the full grid in the calling thread, through `sim.run_scenarios`:
+    cells that differ only in their crashes and corruptions simulate their
+    fault-free prefix once, and the summary is the one standalone runs give.
 
     `workers` has no effect; it is accepted so that existing callers keep
     working. The cells are CPU-bound pure Python, so threads gave no speedup,
@@ -156,7 +136,26 @@ def sweep(base: config.ScenarioConfig, grid: dict[str, list], seeds: list[int], 
     cells: list[dict] = [{}]
     for key, values in grid.items():
         cells = [dict(cell, **{key: v}) for cell in cells for v in values]
-    results = [_sweep_cell(base, cell, seeds) for cell in cells]
+    cfgs = [config.apply_overrides(base, dict(cell, seed=seed)) for cell in cells for seed in seeds]
+    runs: list = [None] * len(cfgs)
+    for index, result in run_scenarios(cfgs):
+        reports = checker.check_all(result.trace.header, result.trace.events)
+        by_name = {r.name: r for r in reports}
+        stab, cost = by_name["stabilization-time"], by_name["message-cost"]
+        runs[index] = {
+            "seed": cfgs[index].seed,
+            "verdicts": {r.name: r.verdict for r in reports},
+            "failed": [r.name for r in reports if r.verdict == "FAIL"],
+            "stabilization_cycles": (stab.measured or {}).get("cycles"),
+            "max_broadcast_msgs": (cost.measured or {}).get("max_total"),
+            "max_latency_cycles": (cost.measured or {}).get("max_latency_cycles"),
+            "steps": result.metrics["steps"],
+            "cycles": result.metrics["cycles"],
+            "status": result.metrics["status"],
+            "digest": result.metrics["trace_digest"],
+        }
+    k = len(seeds)  # the runs are in cell order, seeds in order within a cell
+    results = [_sweep_cell(cell, runs[c * k:(c + 1) * k]) for c, cell in enumerate(cells)]
     return {
         "grid": grid,
         "seeds": seeds,

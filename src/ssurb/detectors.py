@@ -49,6 +49,11 @@ class HeartbeatState:
     def reset(self) -> None:
         self.hb = [0] * (self.n + 1)
 
+    def copy(self) -> HeartbeatState:
+        twin = HeartbeatState(self.self_id, self.n)
+        twin.hb = self.hb[:]
+        return twin
+
 
 class ThetaState:
     """Trusted-set detector: trusted = all nodes minus the suspected set."""
@@ -64,6 +69,11 @@ class ThetaState:
         """Overwrite with the (delayed) ground truth; repairs corrupted suspicion."""
         if oracle_crashed != self.suspected:
             self.suspected = set(oracle_crashed)
+
+    def copy(self) -> ThetaState:
+        twin = ThetaState(self.self_id, self.n)  # the trusted view is rebuilt when read
+        twin.suspected = set(self.suspected)
+        return twin
 
     def trusted_view(self) -> frozenset[int]:
         """Rebuilt only when the suspected set differs from the last view's."""

@@ -73,6 +73,18 @@ class NodeState:
         # effects (late acks, gossip folds) become visible one pass later
         self.observed: dict = self._observe(list(range(1, n + 1)))
 
+    def copy(self) -> NodeState:
+        """A fresh node with this one's state, `observed` shared: it is replaced, never mutated."""
+        twin = NodeState(self.self_id, self.n, self.buffer_unit_size, self.fifo, self.maxint)
+        twin.seq, twin.reset_phase, twin.observed = self.seq, self.reset_phase, self.observed
+        twin.rx_obs, twin.tx_obs = self.rx_obs[:], self.tx_obs[:]
+        twin.next_deliver, twin.pending = self.next_deliver[:], self.pending.copy()
+        twin.buffer = [
+            BufferRecord(r.payload, r.sender, r.seq, r.delivered, set(r.rec_by), r.prev_hb[:])
+            for r in self.buffer
+        ]
+        return twin
+
     # -- macros -------------------------------------------------------
 
     def max_seqs(self) -> list[int]:

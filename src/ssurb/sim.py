@@ -10,24 +10,14 @@ request-reply messages round-tripped or their targets became suspected,
 and a gossip from it reached every live peer), drives the bounded-mode
 global reset barrier, and appends everything to the trace.
 
-One step loop, `_steps`, drives both `run` and `step_once`, and binds
-what every step reads once per call: the rng's draws, the weight tree's
-lists, the channel slots, the trace's record and line lists and the
-fault probabilities. Every possible action has a fixed slot, the n node
-iterations first and then the n^2 channels in (src, dst) order, and the
-slot weights sit in a Fenwick tree (`WeightTree`). A step draws by
-descending the tree's prefix sums, the way `random.choices` bisects its
-cumulative weights, so it costs O(log n^2) and the seeded schedule is the
-one an explicit weighted list would give. A channel weighs 4 + 4*len
-while non-empty towards a live node and 0 otherwise. A delivery, inline
-in the loop, pops one packet, moves its channel's tree path by -4 (-8
-when it empties), appends the RECV and calls the node's handler.
-`_send_all` sends a node's batch, an iteration's heartbeats and then its
-MSG and GOSSIP packets, or one MSGACK reply: no draw happens in between,
-so it pushes every packet first and then moves each grown channel's path
-once, to its final weight. The rare paths, a DUP, CHANNEL-GARBAGE, a
-crash and a global reset, re-weigh the channels they touch by the same
-rule through `WeightTree.add`.
+One step loop, `_steps`, drives both `run` and `step_once` and binds what
+every step reads once per call. Every action has a fixed slot, the n node
+iterations and then the n^2 channels in (src, dst) order, weighted in a
+Fenwick tree (`WeightTree`) that a step descends in O(log n^2), drawing the
+schedule an explicit weighted list would give. A channel weighs 4 + 4*len
+while non-empty towards a live node and 0 otherwise. A delivery, inline in
+the loop, pops one packet and moves its channel's tree path; `_send_all`
+pushes a node's whole batch and then moves each grown channel's path once.
 
 Cycle accounting is O(1) per step: two running counts, the live gossip
 pairs not yet seen and the live nodes whose round-trip clause is not yet
@@ -42,6 +32,11 @@ simulation; OMIT and DUP lines go through `trace.packet_line`, DELIVER
 lines through `trace.deliver_line`. A SNAPSHOT encodes its `nodes` once,
 renders its in-flight packets from their fields (`wire.encode_json`) and
 assembles its digest input and its line from the two strings.
+
+`run_scenarios` runs configs that differ only in their crashes and
+corruptions off one fault-free trunk: `Simulation.branch` copies the
+trunk's mutable state at a member's first fault step and shares the rest,
+since before its first fault a run's trace does not depend on its plan.
 """
 
 from __future__ import annotations
@@ -49,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import corruption
 from .checker import drained_cycle, snapshot_all_consistent
@@ -134,6 +129,12 @@ class WeightTree:
         if delta:
             self.add(slot, delta)
 
+    def copy(self) -> WeightTree:
+        twin = object.__new__(WeightTree)  # reading vars(self) would slow self's attribute reads
+        twin.size, twin.total, twin.descent, twin.paths = self.size, self.total, self.descent, self.paths
+        twin.weights, twin.tree = self.weights[:], self.tree[:]
+        return twin
+
     def count_at_most(self, x: float) -> int:
         """Number of leading slots whose prefix sum is <= x."""
         tree = self.tree
@@ -176,6 +177,11 @@ class Channel:
     def weight(self) -> int:
         return 4 + 4 * len(self.packets) if self.packets and self.dst_live else 0
 
+    def copy(self) -> Channel:
+        twin = Channel(self.src, self.dst, self.capacity, self.slot)
+        twin.packets, twin.dst_live = self.packets[:], self.dst_live
+        return twin
+
     def __len__(self) -> int:
         return len(self.packets)
 
@@ -193,6 +199,12 @@ class SimNode:
         self.hb = HeartbeatState(node_id, cfg.n)
         self.theta = ThetaState(node_id, cfg.n)
         self.crashed = False
+
+    def copy(self) -> SimNode:
+        twin = object.__new__(SimNode)
+        twin.id, twin.crashed = self.id, self.crashed
+        twin.state, twin.hb, twin.theta = self.state.copy(), self.hb.copy(), self.theta.copy()
+        return twin
 
 
 @dataclass
@@ -224,14 +236,11 @@ class Simulation:
         for i in self.nodes:
             starved = i == 1 and cfg.scheduler_profile == "starve-one-node"
             self.weights.set(i - 1, 1 if starved else 8)
-        self.channels = {
+        self._link_channels({
             (a, b): Channel(a, b, cfg.channel_capacity, n + (a - 1) * n + (b - 1))
             for a in range(1, n + 1)
             for b in range(1, n + 1)
-        }
-        self.channel_slots = list(self.channels.values())  # slot n + k holds the k-th
-        # rows[a][b] is channel (a, b); index 0 of both is unused
-        self.rows = [None] + [[None] + self.channel_slots[k * n:(k + 1) * n] for k in range(n)]
+        })
         self.send_lines, self.recv_lines = _line_table("SEND", n), _line_table("RECV", n)
         self.step = 0
         self.cycle_count = 0
@@ -247,18 +256,7 @@ class Simulation:
             ),
         )
         self.sched_ptr = 0
-        self.crash_plan = sorted(
-            ((step, idx, node) for idx, (node, step) in enumerate(cfg.fault_plan.crashes))
-        )
-        self.crash_ptr = 0
-        self.corrupt_plan = sorted(
-            (
-                (step, idx, node, kind)
-                for idx, (node, step, kind) in enumerate(cfg.fault_plan.corruptions)
-            )
-        )
-        self.corrupt_ptr = 0
-        self.next_due = self._next_due()
+        self._plan_faults()
 
         # current-epoch broadcast bookkeeping for the stop predicate
         self.epoch_mids: list[tuple[int, int]] = []
@@ -283,6 +281,51 @@ class Simulation:
         }
 
         self._emit_snapshot()  # step-0 snapshot anchors the stabilization marker
+
+    def _plan_faults(self) -> None:
+        plan = self.cfg.fault_plan
+        self.crash_plan = sorted((step, idx, node) for idx, (node, step) in enumerate(plan.crashes))
+        self.corrupt_plan = sorted(
+            (step, idx, node, kind) for idx, (node, step, kind) in enumerate(plan.corruptions))
+        self.crash_ptr = self.corrupt_ptr = 0
+        self.next_due = self._next_due()
+
+    def branch(self, cfg: ScenarioConfig) -> Simulation:
+        """This run continued under `cfg` as a standalone run of `cfg` goes on (see
+        `run_scenarios`). The configs may differ only in their crashes and corruptions,
+        none due before the current step, or a ValueError names the field. The mutable
+        state is copied; paths, line tables, schedule, messages and lines are shared."""
+        mine, theirs = self.cfg.to_dict(), cfg.to_dict()
+        for flat in (mine, theirs):  # the fault plan's fields as fault_plan.<name>
+            flat.update({f"fault_plan.{k}": v for k, v in flat.pop("fault_plan").items()})
+        for key, value in mine.items():
+            if key in ("fault_plan.crashes", "fault_plan.corruptions"):
+                early = [f["step"] for f in value + theirs[key] if f["step"] < self.step]
+                if early:
+                    raise ValueError(f"{key}: a fault due at step {early[0]}, before step {self.step}")
+            elif theirs[key] != value:
+                raise ValueError(f"{key}: a branch may differ only in its crashes and corruptions")
+        twin = object.__new__(Simulation)
+        vars(twin).update(vars(self), cfg=cfg, rng=random.Random())
+        twin.rng.setstate(self.rng.getstate())
+        twin.trace = self.trace.branch(make_header(cfg))
+        twin.nodes, twin.weights = {i: node.copy() for i, node in self.nodes.items()}, self.weights.copy()
+        twin._link_channels({key: channel.copy() for key, channel in self.channels.items()})
+        twin.crashed_at, twin.epoch_mids = dict(self.crashed_at), self.epoch_mids[:]
+        twin.delivered_sets = {i: set(mids) for i, mids in self.delivered_sets.items()}
+        twin.ct_satisfied, twin.peak_buffer = set(self.ct_satisfied), dict(self.peak_buffer)
+        twin.ct_pending = {i: [set(w) for w in waits] for i, waits in self.ct_pending.items()}
+        twin.ct_gossip_seen = {i: set(seen) for i, seen in self.ct_gossip_seen.items()}
+        twin.counts = dict(self.counts, sends=dict(self.counts["sends"]))
+        twin._plan_faults()
+        return twin
+
+    def _link_channels(self, channels: dict[tuple[int, int], Channel]) -> None:
+        n = self.cfg.n
+        self.channels = channels
+        self.channel_slots = list(channels.values())  # slot n + k holds the k-th
+        # rows[a][b] is channel (a, b); index 0 of both is unused
+        self.rows = [None] + [[None] + self.channel_slots[k * n:(k + 1) * n] for k in range(n)]
 
     # ---- helpers -------------------------------------------------------
 
@@ -828,3 +871,30 @@ class Simulation:
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Run one scenario to completion; same config and seed give identical traces."""
     return Simulation(cfg).run()
+
+
+def run_scenarios(cfgs: list[ScenarioConfig]):
+    """Run each config as `run_scenario` would, yielding (index, RunResult)
+    as each run ends. Configs equal but for their crashes and corruptions
+    form a group. One fault-free trunk runs for it, and each member branches
+    off it (`Simulation.branch`) at its first fault step, in ascending
+    order, or where the trunk stopped if that came first.
+
+    This rests on one invariant: before a run's first crash or corruption,
+    its trace does not depend on its fault plan. It holds because the stop
+    rule ignores the faults still due. Should the stop rule ever read them,
+    the trunk must act as if a fault were due until its last member branched."""
+    first, groups = [], {}  # each config's first fault step; the groups
+    for index, cfg in enumerate(cfgs):
+        plan = cfg.fault_plan
+        due = [at for _, at in plan.crashes] + [at for _, at, _ in plan.corruptions]
+        first.append(min(due, default=math.inf))
+        trunk_cfg = replace(cfg, fault_plan=replace(plan, crashes=[], corruptions=[]))
+        groups.setdefault(trunk_cfg.config_hash(), (trunk_cfg, []))[1].append(index)
+    for trunk_cfg, members in groups.values():
+        trunk = Simulation(trunk_cfg)
+        for index in sorted(members, key=first.__getitem__):
+            due = min(first[index], trunk_cfg.max_steps)
+            if trunk.stop_reason is None and trunk.step < due:
+                trunk._steps(due - trunk.step)
+            yield index, trunk.branch(cfgs[index]).run()

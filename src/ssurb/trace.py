@@ -218,6 +218,15 @@ class Trace:
         if len(pending) >= CHUNK_LINES:
             self.flush()
 
+    def branch(self, header: dict) -> Trace:
+        """These events under `header`, in lists of their own; the kept chunks
+        are re-hashed after it, as a trace started with `header` hashes them."""
+        twin = Trace(header)
+        twin.records[:], twin.pending[:] = self.records, self.pending
+        twin._chunks[:], twin._chunk_starts[:] = self._chunks, self._chunk_starts
+        twin._hasher.update(b"".join(self._chunks))
+        return twin
+
     def flush(self) -> None:
         """Hash the pending lines and keep them as one chunk."""
         pending = self.pending

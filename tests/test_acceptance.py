@@ -32,7 +32,7 @@ import pytest
 
 from ssurb import checker, cli
 from ssurb.config import CORRUPTION_KINDS, from_dict
-from ssurb.sim import run_scenario
+from ssurb.sim import run_scenario, run_scenarios
 
 SUITE_NS = (2, 3, 5)
 SUITE_SEEDS = range(50)
@@ -54,11 +54,23 @@ def schedule(n, count=5):
     return entries
 
 
-def run_one(raw):
-    cfg = from_dict(raw)
-    result = run_scenario(cfg)
+def checked(raw, result):
     reports = {r.name: r for r in checker.check_all(result.trace.header, result.trace.events)}
     return {"config": raw, "metrics": result.metrics, "reports": reports}
+
+
+def run_one(raw):
+    return checked(raw, run_scenario(from_dict(raw)))
+
+
+def run_group(raws):
+    """`run_one` over configs that differ only in their fault plans, through
+    `run_scenarios`, which simulates their fault-free prefix once; results
+    in config order."""
+    runs = [None] * len(raws)
+    for index, result in run_scenarios([from_dict(raw) for raw in raws]):
+        runs[index] = checked(raws[index], result)
+    return runs
 
 
 @pytest.fixture(scope="session")
@@ -123,9 +135,11 @@ def suite2(pool):
 @pytest.fixture(scope="session")
 def corruption_sweep(pool):
     keys, configs = [], []
+    groups = {}  # positions of the configs that differ only in their corruption
     for b in (1, 2, 4, 8):
         for kind in CORRUPTION_KINDS:
             for seed in range(20):
+                groups.setdefault((b, kind == "NEXT-SKEW", seed), []).append(len(configs))
                 keys.append(b)
                 configs.append(
                     {
@@ -144,8 +158,13 @@ def corruption_sweep(pool):
                         },
                     }
                 )
+    runs = [None] * len(configs)
+    batches = [[configs[i] for i in group] for group in groups.values()]
+    for group, results in zip(groups.values(), pool.map(run_group, batches)):
+        for i, run in zip(group, results):
+            runs[i] = run
     cells = {}
-    for b, run in zip(keys, run_many(pool, configs)):
+    for b, run in zip(keys, runs):
         cells.setdefault(b, []).append(run)
     return cells
 

@@ -1,7 +1,7 @@
 import json
 import threading
 
-from ssurb import cli, config
+from ssurb import cli, config, sim
 from ssurb.cli import main
 
 
@@ -151,19 +151,26 @@ def test_two_sweeps_give_identical_summaries(tmp_path):
 
 
 def test_sweep_runs_each_cell_in_the_calling_thread(tmp_path, monkeypatch):
+    # every run, branched off a shared trunk or not, ends in Simulation.run
     threads = []
-    original = cli._sweep_cell
+    original = sim.Simulation.run
 
-    def recording(base, overrides, seeds):
+    def recording(self):
         threads.append(threading.get_ident())
-        return original(base, overrides, seeds)
+        return original(self)
 
-    monkeypatch.setattr(cli, "_sweep_cell", recording)
+    monkeypatch.setattr(sim.Simulation, "run", recording)
     base = config.load(str(write_scenario(tmp_path)))
+    kinds = ("WINDOW-SKEW", "SEQ-REGRESSION")
+    grid = {
+        "buffer_unit_size": [2, 3],
+        "fault_plan.corruptions": [[{"node": 2, "step": 40, "kind": kind}] for kind in kinds],
+    }
+    summary = cli.sweep(base, grid, [0, 1], workers=4)
+    assert len(summary["cells"]) == 4
+    assert threads == [threading.get_ident()] * 8
     # `workers` is accepted and has no effect
-    summary = cli.sweep(base, {"buffer_unit_size": [2, 3, 4]}, [0], workers=4)
-    assert len(summary["cells"]) == 3
-    assert threads == [threading.get_ident()] * 3
+    assert cli.sweep(base, grid, [0, 1]) == summary
 
 
 def test_verify_replay_passes(tmp_path):
