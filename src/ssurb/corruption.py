@@ -126,7 +126,8 @@ def _channel_garbage(ns: NodeState, rng: random.Random, in_channels: list, step:
                 )
             else:
                 packet = Heartbeat(rng.randrange(0, horizon + 10), rng.randrange(0, horizon + 10))
-            channel.push(packet, step)
+            if len(channel.packets) < channel.capacity:  # a full channel takes none
+                channel.packets.append((packet, step))
 
 
 def inject(kind: str, ns: NodeState, in_channels: list, rng: random.Random, step: int) -> None:

@@ -16,8 +16,9 @@ iterations and then the n^2 channels in (src, dst) order, weighted in a
 Fenwick tree (`WeightTree`) that a step descends in O(log n^2), drawing the
 schedule an explicit weighted list would give. A channel weighs 4 + 4*len
 while non-empty towards a live node and 0 otherwise. A delivery, inline in
-the loop, pops one packet and moves its channel's tree path; `_send_all`
-pushes a node's whole batch and then moves each grown channel's path once.
+the loop, pops one packet, moves its channel's tree path unless a DUP puts
+it back, and pushes a MSG's MSGACK alone; `_send_all` pushes a node's whole
+batch and then moves each grown channel's path once.
 
 Cycle accounting is O(1) per step: two running counts, the live gossip
 pairs not yet seen and the live nodes whose round-trip clause is not yet
@@ -25,13 +26,12 @@ satisfied, are kept by the GOSSIP and MSGACK deliveries and the iteration.
 Only while crashes are known are the unsatisfied nodes' pending
 round-trips rescanned, because the suspicion clause changes with the step.
 
-SEND/RECV/OMIT/DUP records are appended in the trace's compact form (see
-`trace`). SEND and RECV lines are rendered from the code's
-`trace.PACKET_TEMPLATES` entry with the dst rendered in once per
-simulation; OMIT and DUP lines go through `trace.packet_line`, DELIVER
-lines through `trace.deliver_line`. A SNAPSHOT encodes its `nodes` once,
-renders its in-flight packets from their fields (`wire.encode_json`) and
-assembles its digest input and its line from the two strings.
+Packet records are appended in the trace's compact form (see `trace`),
+each line rendered from the `trace.PACKET_TEMPLATES` entries of its type
+and cause, with every dst rendered in once per simulation, or for a GOSSIP
+or HEARTBEAT RECV from its channel's prefix. A SNAPSHOT encodes its
+`nodes` once, takes each in-flight packet's record and JSON together from
+`in_flight` and assembles its digest input and line from the two strings.
 
 `run_scenarios` runs configs that differ only in their crashes and
 corruptions off one fault-free trunk: `Simulation.branch` copies the
@@ -59,22 +59,22 @@ from .trace import (
     canonical,
     deliver_line,
     make_header,
-    packet_line,
     snapshot_line,
     snapshot_state,
 )
-from .wire import Gossip, Heartbeat, Msg, MsgAck, WireMessage, encode, encode_json, message_id
+# `encode` is imported for perfbench's traced run, which wraps sim.encode
+from .wire import Gossip, Heartbeat, Msg, MsgAck, WireMessage, encode, message_id
 
 
 _NOBODY: frozenset[int] = frozenset()
 
 
-def _line_table(etype: str, n: int) -> dict[type, tuple[int, list[str], str]]:
-    """(compact code, heads, tail) of the `etype` record, by message class:
-    `heads[dst]` is the line up to its mid or src, the dst rendered in."""
+def _line_table(etype: str, n: int, cause: str | None = None) -> dict[type, tuple[int, list[str], str]]:
+    """(compact code, heads, tail) of the (`etype`, kind, `cause`) record, by
+    message class: `heads[dst]` is the line up to its mid or src, dst in it."""
     table = {}
     for cls in (Msg, MsgAck, Gossip, Heartbeat):
-        code = PACKET_CODE[(etype, cls.kind, None)]
+        code = PACKET_CODE[(etype, cls.kind, cause)]
         head, middle, tail = PACKET_TEMPLATES[code]
         table[cls] = (code, [f"{head}{dst}{middle}" for dst in range(n + 1)], tail)
     return table
@@ -117,17 +117,13 @@ class WeightTree:
                 i += i & -i
             self.paths.append(tuple(path))
 
-    def add(self, slot: int, delta: int) -> None:
-        self.weights[slot] += delta
-        self.total += delta
-        tree = self.tree
-        for i in self.paths[slot]:
-            tree[i] += delta
-
     def set(self, slot: int, weight: int) -> None:
         delta = weight - self.weights[slot]
         if delta:
-            self.add(slot, delta)
+            self.weights[slot] = weight
+            self.total += delta
+            for i in self.paths[slot]:
+                self.tree[i] += delta
 
     def copy(self) -> WeightTree:
         twin = object.__new__(WeightTree)  # reading vars(self) would slow self's attribute reads
@@ -152,33 +148,25 @@ class Channel:
 
     A full iteration floods up to ~2(n-1) packets while one delivery drains
     a single packet, so a channel's scheduler weight grows with its
-    occupancy, `weight()`: 4 + 4*len, and 0 while the channel is empty or
-    its destination has crashed. The channel only holds the packets; the
-    simulation pushes, pops and re-weighs it at `slot`.
+    occupancy: 4 + 4*len, and 0 while the channel is empty or its
+    destination has crashed. The channel only holds the packets; the
+    simulation pushes, pops and re-weighs it at `slot`. It holds the RECV
+    lines of a GOSSIP and a HEARTBEAT delivered here, up to their step.
     """
 
-    __slots__ = ("src", "dst", "capacity", "packets", "dst_live", "slot")
+    __slots__ = ("src", "dst", "capacity", "packets", "dst_live", "slot", "recv_gossip", "recv_heartbeat")
 
-    def __init__(self, src: int, dst: int, capacity: int, slot: int):
-        self.src = src
-        self.dst = dst
-        self.capacity = capacity
+    def __init__(self, src: int, dst: int, capacity: int, slot: int, recv_lines: dict):
+        self.src, self.dst, self.capacity, self.slot = src, dst, capacity, slot
         self.packets: list[tuple[WireMessage, int]] = []  # (message, birth step)
         self.dst_live = True
-        self.slot = slot
-
-    def push(self, msg: WireMessage, step: int) -> bool:
-        """Append unless full; the caller re-weighs the channel."""
-        if len(self.packets) >= self.capacity:
-            return False
-        self.packets.append((msg, step))
-        return True
-
-    def weight(self) -> int:
-        return 4 + 4 * len(self.packets) if self.packets and self.dst_live else 0
+        self.recv_gossip, self.recv_heartbeat = (
+            f'{recv_lines[cls][1][dst]}"src":{src},"step":' for cls in (Gossip, Heartbeat))
 
     def copy(self) -> Channel:
-        twin = Channel(self.src, self.dst, self.capacity, self.slot)
+        twin = object.__new__(Channel)  # sharing the line prefixes
+        twin.src, twin.dst, twin.capacity, twin.slot = self.src, self.dst, self.capacity, self.slot
+        twin.recv_gossip, twin.recv_heartbeat = self.recv_gossip, self.recv_heartbeat
         twin.packets, twin.dst_live = self.packets[:], self.dst_live
         return twin
 
@@ -236,12 +224,14 @@ class Simulation:
         for i in self.nodes:
             starved = i == 1 and cfg.scheduler_profile == "starve-one-node"
             self.weights.set(i - 1, 1 if starved else 8)
+        self.send_lines, self.recv_lines, self.dup_lines = (
+            _line_table(etype, n) for etype in ("SEND", "RECV", "DUP"))
+        self.drop_lines, self.overflow_lines = (_line_table("OMIT", n, c) for c in ("drop", "overflow"))
         self._link_channels({
-            (a, b): Channel(a, b, cfg.channel_capacity, n + (a - 1) * n + (b - 1))
+            (a, b): Channel(a, b, cfg.channel_capacity, n + (a - 1) * n + (b - 1), self.recv_lines)
             for a in range(1, n + 1)
             for b in range(1, n + 1)
         })
-        self.send_lines, self.recv_lines = _line_table("SEND", n), _line_table("RECV", n)
         self.step = 0
         self.cycle_count = 0
         self.crashed_at: dict[int, int] = {}
@@ -351,7 +341,8 @@ class Simulation:
         self.missing_gossip = self._count_missing_gossip()
 
     def _reweigh(self, channel: Channel) -> None:
-        self.weights.set(channel.slot, channel.weight())
+        held = len(channel.packets)
+        self.weights.set(channel.slot, 4 + 4 * held if held and channel.dst_live else 0)
 
     def _satisfy(self, i: int) -> None:
         self.ct_satisfied.add(i)
@@ -376,16 +367,6 @@ class Simulation:
         record.update(fields)
         self.trace.append(record)
 
-    def _packet_event(
-        self, etype: str, src: int, dst: int, msg: WireMessage, cause: str | None = None
-    ) -> None:
-        # the rare packet records, OMIT and DUP, compact as SEND and RECV are
-        step, kind = self.step, msg.kind
-        code = PACKET_CODE[(etype, kind, cause)]
-        mid = (msg.sender, msg.seq) if type(msg) is Msg or type(msg) is MsgAck else None
-        line = packet_line(etype, step, src, dst, kind, mid, cause)
-        self.trace.append(code if mid is None else (code, *mid, step), line)
-
     def _emit_snapshot(self, boundary: bool = True) -> dict:
         nodes_ser = []
         for i in sorted(self.nodes):
@@ -394,34 +375,28 @@ class Simulation:
             # iteration handler effects surface one pass later. The monotone
             # counters are additionally snapshotted live: the cross-node
             # dominance checks compare against them without that lag.
-            entry = dict(node.state.observed)
-            entry["crashed"] = node.crashed
-            entry["hb"] = list(node.hb.hb[1:])
-            entry["suspected"] = sorted(node.theta.suspected)
-            entry["live_seq"] = node.state.seq
-            entry["live_rx_obs"] = list(node.state.rx_obs[1:])
-            entry["live_tx_obs"] = list(node.state.tx_obs[1:])
-            entry["live_next"] = list(node.state.next_deliver[1:])
-            entry["live_own_seqs"] = sorted(
-                r.seq for r in node.state.buffer if r.sender == i
-            )
-            nodes_ser.append(entry)
+            state = node.state
+            nodes_ser.append(dict(
+                state.observed, crashed=node.crashed, hb=node.hb.hb[1:],
+                suspected=sorted(node.theta.suspected), live_seq=state.seq,
+                live_rx_obs=state.rx_obs[1:], live_tx_obs=state.tx_obs[1:],
+                live_next=state.next_deliver[1:],
+                live_own_seqs=sorted(r.seq for r in state.buffer if r.sender == i),
+            ))
         # the in-flight packets, nearly all of a snapshot, are rendered from
-        # their fields rather than sorted and encoded as dicts
+        # their fields, each record with its JSON, rather than encoded as dicts
         channels_ser, channel_lines = [], []
         for channel in self.channel_slots:  # in sorted (src, dst) order
             if not channel.packets:
                 continue
-            packets, packet_lines = [], []
+            packets, texts = [], []
             for m, birth in channel.packets:
-                packet = encode(m)
-                packet["birth_step"] = birth
+                packet, text = m.in_flight(birth)
                 packets.append(packet)
-                packet_lines.append(encode_json(m, birth))
+                texts.append(text)
             src, dst = channel.src, channel.dst
             channels_ser.append({"src": src, "dst": dst, "packets": packets})
-            packets_json = ",".join(packet_lines)
-            channel_lines.append(f'{{"dst":{dst},"packets":[{packets_json}],"src":{src}}}')
+            channel_lines.append(f'{{"dst":{dst},"packets":[{",".join(texts)}],"src":{src}}}')
         # each half is encoded once; the digest input and the trace line are
         # both assembled from the two strings
         nodes_json, channels_json = canonical(nodes_ser), f'[{",".join(channel_lines)}]'
@@ -450,7 +425,7 @@ class Simulation:
         path once, after the last push, to its final weight."""
         step, row, trace, lines = self.step, self.rows[src], self.trace, self.send_lines
         append_record, append_line = trace.records.append, trace.pending.append
-        sends = self.counts["sends"]
+        sends, overflows = self.counts["sends"], self.overflow_lines
         at = f'"src":{src},"step":{step}'
         pushed: dict[Channel, None] = {}  # the channels that grew, in order
         for dst, msg in outgoing:
@@ -466,9 +441,15 @@ class Simulation:
                 append_line(f"{heads[dst]}{at}{tail}")
             channel = row[dst]
             packets = channel.packets
-            if len(packets) >= channel.capacity:
+            if len(packets) >= channel.capacity:  # an overflow OMIT right after the SEND
                 self.counts["omissions"] += 1
-                self._packet_event("OMIT", src, dst, msg, cause="overflow")
+                code, heads, tail = overflows[cls]
+                if cls is Msg or cls is MsgAck:
+                    append_record((code, sender, seq, step))
+                    append_line(f'{heads[dst]}"mid":[{sender},{seq}],{at}{tail}')
+                else:
+                    append_record(code)
+                    append_line(f"{heads[dst]}{at}{tail}")
                 continue
             packets.append((msg, step))
             pushed[channel] = None
@@ -660,14 +641,8 @@ class Simulation:
                 return False
         if not self.epoch_mids:
             return True
-        in_flight: set[tuple[int, int]] = set()
-        for (src, dst), channel in self.channels.items():
-            if self.nodes[dst].crashed:
-                continue
-            for msg, _ in channel.packets:
-                mid = message_id(msg)
-                if mid is not None:
-                    in_flight.add(mid)
+        # the ids in flight towards live nodes (and None for the control kinds)
+        in_flight = {message_id(m) for c in self.channel_slots if c.dst_live for m, _ in c.packets}
         buffered: dict[tuple[int, int], bool] = {}  # mid -> all records delivered+fully acked
         for i in live:
             for r in self.nodes[i].state.buffer:
@@ -734,13 +709,16 @@ class Simulation:
         nodes = [None] + [self.nodes[i] for i in range(1, n + 1)]  # nodes[i] is node i
         wt = self.weights
         tree, weights, paths, descent, size = wt.tree, wt.weights, wt.paths, wt.descent, wt.size
-        rand, randrange = self.rng.random, self.rng.randrange
+        rand, getrandbits = self.rng.random, self.rng.getrandbits
         reorder, omission, duplication = self.reorder_prob, self.omission_prob, self.duplication_prob
         trace = self.trace
         append_record, pending, flush = trace.records.append, trace.pending, trace.flush
         append_line = pending.append
         peak, bounded, interval = self.peak_buffer, self.bounded_mode, self.snapshot_interval
-        lines = self.recv_lines
+        lines, drops, dups, rows = self.recv_lines, self.drop_lines, self.dup_lines, self.rows
+        gossip_code, hb_code, recv_tail = lines[Gossip][0], lines[Heartbeat][0], lines[Heartbeat][2]
+        send_ack, overflow_ack = self.send_lines[MsgAck], self.overflow_lines[MsgAck]
+        counts, sends = self.counts, self.counts["sends"]
         step, next_due = self.step, self.next_due
         if not self.live:
             self.stop_reason = "all-crashed"
@@ -753,7 +731,7 @@ class Simulation:
                     self.stop_reason = "all-crashed"
                     return
             total = wt.total
-            x = rand() * float(total)
+            x = rand() * total
             # x drops by each prefix the descent passes, exactly: x < 2**53,
             # so its ulp is at most 1 and divides every integer weight
             slot = 0
@@ -771,42 +749,75 @@ class Simulation:
                 channel = channel_slots[slot - n]
                 src, dst, packets = channel.src, channel.dst, channel.packets
                 held = len(packets)
-                msg, birth = packets.pop(randrange(held) if held > 1 and rand() < reorder else 0)
-                delta = -4 if held > 1 else -8
-                weights[slot] += delta
-                wt.total = total + delta
-                for i in paths[slot]:
-                    tree[i] += delta
-                if rand() < omission:
-                    self.counts["omissions"] += 1
-                    self._packet_event("OMIT", src, dst, msg, cause="drop")
+                pick = 0
+                if held > 1 and rand() < reorder:  # randrange(held), drawn as CPython draws it
+                    pick = getrandbits(held.bit_length())
+                    while pick >= held:  # _randbelow_with_getrandbits: k bits until below held
+                        pick = getrandbits(held.bit_length())
+                packet = packets.pop(pick)
+                msg, cls = packet[0], type(packet[0])
+                dropped = rand() < omission
+                if not dropped and rand() < duplication and held <= channel.capacity:
+                    packets.append(packet)  # the channel is back at its weight
+                    counts["duplications"] += 1
+                    table = dups
                 else:
-                    if rand() < duplication and channel.push(msg, birth):
-                        self._reweigh(channel)
-                        self.counts["duplications"] += 1
-                        self._packet_event("DUP", src, dst, msg)
-                    node = nodes[dst]
-                    state = node.state
-                    cls = type(msg)
-                    code, heads, tail = lines[cls]
-                    if cls is Gossip or cls is Heartbeat:
-                        append_record(code)
-                        append_line(f'{heads[dst]}"src":{src},"step":{step}{tail}')
-                        if cls is Gossip:
-                            state.on_gossip(msg.max_seq, msg.rx_obs, msg.tx_obs, src)
-                            seen = self.ct_gossip_seen[src]
-                            if dst not in seen:
-                                seen.add(dst)
-                                if src != dst and not nodes[src].crashed:
-                                    self.missing_gossip -= 1
-                        else:
-                            node.hb.on_heartbeat(msg.sender_count, msg.dst_count, src)
-                    else:
+                    delta = -4 if held > 1 else -8
+                    weights[slot] += delta
+                    wt.total = total + delta
+                    for i in paths[slot]:
+                        tree[i] += delta
+                    table = drops if dropped else None
+                if table is not None:  # the OMIT or DUP line
+                    code, heads, tail = table[cls]
+                    if cls is Msg or cls is MsgAck:
                         sender, seq = msg.sender, msg.seq
                         append_record((code, sender, seq, step))
                         append_line(f'{heads[dst]}"mid":[{sender},{seq}],"src":{src},"step":{step}{tail}')
-                        if cls is Msg:
-                            self._send_all(dst, [(src, state.on_msg(msg.payload, sender, seq, src))])
+                    else:
+                        append_record(code)
+                        append_line(f'{heads[dst]}"src":{src},"step":{step}{tail}')
+                if dropped:
+                    counts["omissions"] += 1
+                else:
+                    node = nodes[dst]
+                    state = node.state
+                    if cls is Heartbeat:
+                        append_record(hb_code)
+                        append_line(f"{channel.recv_heartbeat}{step}{recv_tail}")
+                        node.hb.on_heartbeat(msg.sender_count, msg.dst_count, src)
+                    elif cls is Gossip:
+                        append_record(gossip_code)
+                        append_line(f"{channel.recv_gossip}{step}{recv_tail}")
+                        state.on_gossip(msg.max_seq, msg.rx_obs, msg.tx_obs, src)
+                        seen = self.ct_gossip_seen[src]
+                        if dst not in seen:
+                            seen.add(dst)
+                            if src != dst and not nodes[src].crashed:
+                                self.missing_gossip -= 1
+                    else:
+                        code, heads, tail = lines[cls]
+                        sender, seq = msg.sender, msg.seq
+                        append_record((code, sender, seq, step))
+                        append_line(f'{heads[dst]}"mid":[{sender},{seq}],"src":{src},"step":{step}{tail}')
+                        if cls is Msg:  # its MSGACK goes back alone, as `_send_all` would send it
+                            ack = state.on_msg(msg.payload, sender, seq, src)
+                            sends["MSGACK"] += 1
+                            back = rows[dst][src]
+                            full = len(back.packets) >= back.capacity  # then an overflow OMIT follows
+                            at = f'"mid":[{ack.sender},{ack.seq}],"src":{dst},"step":{step}'
+                            for code, heads, tail in (send_ack, overflow_ack) if full else (send_ack,):
+                                append_record((code, ack.sender, ack.seq, step))
+                                append_line(f"{heads[src]}{at}{tail}")
+                            counts["omissions"] += full
+                            if not full:
+                                back.packets.append((ack, step))
+                                if back.dst_live:  # it weighs 4 more, or 8 if it was empty
+                                    delta = 4 if len(back.packets) > 1 else 8
+                                    weights[back.slot] += delta
+                                    wt.total += delta
+                                    for i in paths[back.slot]:
+                                        tree[i] += delta
                         else:
                             state.on_msg_ack(sender, seq, src)
                             if dst not in self.ct_satisfied:

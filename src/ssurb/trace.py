@@ -10,15 +10,14 @@ SEND/RECV/OMIT/DUP records, nearly all of a trace, have one line format,
 which gives the same bytes as `canonical`. It is kept in one table,
 `PACKET_TEMPLATES`: for each code in `PACKET_CODES`, the index of a
 (type, kind, cause), the constant (head, middle, tail) around the record's
-dst, its optional mid and its src and step. `packet_line` renders from that
-table, and the simulator renders its SEND and RECV lines inline from it;
-`deliver_line` is the DELIVER record's fixed template.
-The simulator appends each packet line with a compact record instead of a
-dict: the record's code, or for MSG/MSGACK the tuple (code, sender, seq,
-step). `encode_record` validates any dict that claims a packet type and
-renders it through `packet_line`, and every other record goes through
-`canonical` itself. A SNAPSHOT's line, `snapshot_line`, is assembled
-from the `canonical` strings of its two halves.
+dst, its optional mid and its src and step. The simulator renders every
+packet line it appends (SEND, RECV, DUP, both OMIT causes) inline from that
+table and DELIVER lines from the fixed template `deliver_line`, and appends
+a packet line with a compact record: its code, or for MSG/MSGACK the tuple
+(code, sender, seq, step). `encode_record` renders any other dict claiming
+a packet type through `packet_line` once validated, and every other record
+through `canonical`. A SNAPSHOT's line, `snapshot_line`, is assembled from
+the `canonical` strings of its two halves.
 
 The lines are kept once, as the bytes that were hashed. `Trace` feeds
 SHA-256 one chunk of lines at a time (SHA-256 is a streaming hash, so the
@@ -60,7 +59,7 @@ PACKET_CODE = {triple: code for code, triple in enumerate(PACKET_CODES)}
 CHUNK_LINES = 256  # lines hashed and kept per chunk
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)  # trees only
 
 
 def canonical(record) -> str:

@@ -5,10 +5,10 @@ Four packet kinds: MSG carries an application payload with its identity
 carries the per-peer flow-control triple, and HEARTBEAT carries liveness
 counters. Messages are immutable named tuples, cheap to build, with the
 kind as a class attribute; two messages are equal when they have the same
-kind and fields. `encode` gives the JSON-dict form that traces and
-snapshots record, and `encode_json` the canonical JSON a snapshot records
-for an in-flight packet. The bounded-counter reset barrier is driven by
-the simulator and sends no packets.
+kind and fields. `encode` gives a message's JSON-dict form; `in_flight`
+gives a snapshot's record of the message in flight, that form plus its
+birth step, with the record's canonical JSON. The bounded-counter reset
+barrier is driven by the simulator and sends no packets.
 """
 
 from __future__ import annotations
@@ -23,11 +23,24 @@ class Msg(NamedTuple):
     seq: int
     kind = "MSG"
 
+    def in_flight(self, birth: int) -> tuple[dict, str]:
+        """`encode(self)` with "birth_step" added, as a snapshot records the
+        message in flight since step `birth`, and its canonical JSON."""
+        payload, sender, seq = self
+        text = "null" if payload is None else encode_basestring_ascii(payload)
+        return ({"kind": "MSG", "payload": payload, "sender": sender, "seq": seq, "birth_step": birth},
+                f'{{"birth_step":{birth},"kind":"MSG","payload":{text},"sender":{sender},"seq":{seq}}}')
+
 
 class MsgAck(NamedTuple):
     sender: int
     seq: int
     kind = "MSGACK"
+
+    def in_flight(self, birth: int) -> tuple[dict, str]:
+        sender, seq = self
+        return ({"kind": "MSGACK", "sender": sender, "seq": seq, "birth_step": birth},
+                f'{{"birth_step":{birth},"kind":"MSGACK","sender":{sender},"seq":{seq}}}')
 
 
 class Gossip(NamedTuple):
@@ -43,11 +56,21 @@ class Gossip(NamedTuple):
     tx_obs: int
     kind = "GOSSIP"
 
+    def in_flight(self, birth: int) -> tuple[dict, str]:
+        top, rx, tx = self
+        return ({"kind": "GOSSIP", "max_seq": top, "rx_obs": rx, "tx_obs": tx, "birth_step": birth},
+                f'{{"birth_step":{birth},"kind":"GOSSIP","max_seq":{top},"rx_obs":{rx},"tx_obs":{tx}}}')
+
 
 class Heartbeat(NamedTuple):
     sender_count: int
     dst_count: int
     kind = "HEARTBEAT"
+
+    def in_flight(self, birth: int) -> tuple[dict, str]:
+        sent, seen = self
+        return ({"kind": "HEARTBEAT", "sender_count": sent, "dst_count": seen, "birth_step": birth},
+                f'{{"birth_step":{birth},"dst_count":{seen},"kind":"HEARTBEAT","sender_count":{sent}}}')
 
 
 def _same_kind_eq(self, other) -> bool:
@@ -76,41 +99,7 @@ def message_id(msg: WireMessage) -> tuple[int, int] | None:
 
 
 def encode(msg: WireMessage) -> dict:
-    cls = type(msg)
-    if cls is Heartbeat:
-        return {"kind": "HEARTBEAT", "sender_count": msg.sender_count, "dst_count": msg.dst_count}
-    if cls is Gossip:
-        return {"kind": "GOSSIP", "max_seq": msg.max_seq, "rx_obs": msg.rx_obs, "tx_obs": msg.tx_obs}
-    if cls is Msg:
-        return {"kind": "MSG", "payload": msg.payload, "sender": msg.sender, "seq": msg.seq}
-    if cls is MsgAck:
-        return {"kind": "MSGACK", "sender": msg.sender, "seq": msg.seq}
-    raise TypeError(f"not a wire message: {msg!r}")
-
-
-def encode_json(msg: WireMessage, birth_step: int) -> str:
-    """The canonical JSON of `encode(msg)` with `birth_step` added, as a
-    snapshot records an in-flight packet, rendered from the fields."""
-    cls = type(msg)
-    if cls is Heartbeat:
-        return (
-            f'{{"birth_step":{birth_step},"dst_count":{msg.dst_count},'
-            f'"kind":"HEARTBEAT","sender_count":{msg.sender_count}}}'
-        )
-    if cls is Gossip:
-        return (
-            f'{{"birth_step":{birth_step},"kind":"GOSSIP","max_seq":{msg.max_seq},'
-            f'"rx_obs":{msg.rx_obs},"tx_obs":{msg.tx_obs}}}'
-        )
-    if cls is Msg:
-        payload = "null" if msg.payload is None else encode_basestring_ascii(msg.payload)
-        return (
-            f'{{"birth_step":{birth_step},"kind":"MSG","payload":{payload},'
-            f'"sender":{msg.sender},"seq":{msg.seq}}}'
-        )
-    if cls is MsgAck:
-        return (
-            f'{{"birth_step":{birth_step},"kind":"MSGACK",'
-            f'"sender":{msg.sender},"seq":{msg.seq}}}'
-        )
-    raise TypeError(f"not a wire message: {msg!r}")
+    """The JSON-dict form of `msg`: its kind and its fields."""
+    if type(msg) not in (Msg, MsgAck, Gossip, Heartbeat):
+        raise TypeError(f"not a wire message: {msg!r}")
+    return {"kind": msg.kind, **msg._asdict()}

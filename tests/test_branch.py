@@ -156,8 +156,8 @@ def test_branch_rejects_other_configs_and_past_faults():
 
 # values never mutated after construction, which a branch shares, by name;
 # `records[]` are the trace's events as appended
-SHARED = {"cfg", "live", "schedule", "send_lines", "recv_lines", "paths", "descent", "observed",
-          "peers", "records[]"}
+SHARED = {"cfg", "live", "schedule", "send_lines", "recv_lines", "dup_lines", "drop_lines",
+          "overflow_lines", "paths", "descent", "observed", "peers", "records[]"}
 WALKED = (Simulation, SimNode, NodeState, BufferRecord, HeartbeatState, ThetaState, Channel,
           WeightTree, Trace, TraceEvents)
 IMMUTABLE = (int, float, str, bytes, bool, type(None), frozenset)

@@ -3,12 +3,13 @@ draws, cycle accounting, transient-fault repairs, and the reset barrier."""
 
 import hashlib
 import json
+import random
 
 from ssurb import checker, corruption
 from ssurb import trace as trace_mod
 from ssurb.config import from_dict
 from ssurb.sim import Simulation, run_scenario
-from ssurb.wire import encode
+from ssurb.wire import Heartbeat, encode
 
 
 def scenario(**kw):
@@ -371,6 +372,76 @@ def test_corruption_stabilized_digest_frozen():
     assert report_digest(result) == (
         "0aa9e0a63bccec37b39573299632163fa5a22063f35d86b6fec4ae7ea99b9058"
     )
+
+
+def test_capacity_two_benign_fault_digest_frozen():
+    # capacity 2 under omission, duplication and reorder-heavy pops: every
+    # kind's overflow OMIT (MSGACK ones from the replies to MSG deliveries),
+    # drop OMIT and DUP, frozen byte for byte
+    cfg = from_dict(
+        {
+            "n": 4,
+            "buffer_unit_size": 2,
+            "channel_capacity": 2,
+            "scheduler_profile": "reorder-heavy",
+            "seed": 11,
+            "max_steps": 6000,
+            "broadcasts": [
+                {"node": 1, "payload": "a"},
+                {"node": 2, "payload": "b"},
+                {"node": 4, "step": 50, "payload": "c"},
+            ],
+            "fault_plan": {"omission_prob": 0.2, "duplication_prob": 0.2},
+        }
+    )
+    result = run_scenario(cfg)
+    faults = {}
+    for e in result.trace.events:
+        if e["type"] in ("OMIT", "DUP"):
+            key = (e["type"], e.get("cause"))
+            faults.setdefault(key, set()).add(e["kind"])
+    kinds = {"MSG", "MSGACK", "GOSSIP", "HEARTBEAT"}
+    assert faults == {("OMIT", "overflow"): kinds, ("OMIT", "drop"): kinds, ("DUP", None): kinds}
+    assert result.metrics["status"] == "complete-delivery"
+    assert result.metrics["steps"] == 3404
+    assert (result.metrics["omissions"], result.metrics["duplications"]) == (3828, 426)
+    assert (
+        result.metrics["trace_digest"]
+        == "5824bf9af4456948890c147b1170a15b68cec00c8a812c0cd5e64cee774bb77b"
+    )
+    assert report_digest(result) == (
+        "3d46ae2729001984b59eec9da438423e3487d99847880d07b19af6f9927af06f"
+    )
+
+
+def test_reorder_pop_draws_as_randrange():
+    # the step loop draws a reordered pop's index itself; it must take the
+    # index random.Random.randrange(k) takes and leave the generator in the
+    # state randrange leaves, or every reordering trace changes
+    for seed in (0, 1, 2):
+        sim = Simulation(scenario(
+            n=1, seed=seed, channel_capacity=80, broadcasts=[], scheduler_profile="reorder-heavy"
+        ))
+        sim.weights.set(0, 0)  # node 1 never iterates: every step delivers on (1, 1)
+        channel = sim.channels[(1, 1)]
+        reference = random.Random()
+        reordered = 0
+        for k in range(2, 71):
+            for _ in range(40):
+                channel.packets[:] = [(Heartbeat(j, 0), 0) for j in range(k)]
+                sim._reweigh(channel)
+                reference.setstate(sim.rng.getstate())
+                reference.random()  # the slot
+                expected = 0
+                if reference.random() < sim.reorder_prob:
+                    expected = reference.randrange(k)
+                    reordered += 1
+                reference.random(), reference.random()  # omission, duplication
+                sim.step_once()
+                left = {m.sender_count for m, _ in channel.packets}
+                assert set(range(k)) - left == {expected}, (seed, k)
+                assert sim.rng.getstate() == reference.getstate(), (seed, k)
+        assert reordered > 2000
 
 
 def test_crash_starve_one_node_digest_frozen():

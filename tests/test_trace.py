@@ -191,7 +191,7 @@ TYPED_RENDER_BATTERY = [
 
 
 def test_every_code_renders_one_line_from_the_table_and_packet_line():
-    # the simulator renders SEND and RECV lines inline from PACKET_TEMPLATES
+    # the simulator renders every packet line inline from PACKET_TEMPLATES
     # and packet_line renders through the same table: for every code, with
     # and without a mid, both give canonical of the record's dict
     assert {etype for etype, _, _ in trace.PACKET_CODES} == set(trace.PACKET_TYPES)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssurb.trace import canonical
-from ssurb.wire import Gossip, Heartbeat, Msg, MsgAck, encode, encode_json, message_id
+from ssurb.wire import Gossip, Heartbeat, Msg, MsgAck, encode, message_id
 
 EVERY_KIND = pytest.mark.parametrize(
     "msg, expected",
@@ -66,10 +66,8 @@ messages = st.one_of(
 
 @given(messages, ints)
 @settings(max_examples=300, deadline=None)
-def test_encode_json_is_the_canonical_snapshot_packet(msg, birth):
-    assert encode_json(msg, birth) == canonical(dict(encode(msg), birth_step=birth))
-
-
-def test_encode_json_rejects_non_message():
-    with pytest.raises(TypeError):
-        encode_json((1, 2), 0)
+def test_in_flight_is_the_canonical_snapshot_packet(msg, birth):
+    packet, line = msg.in_flight(birth)
+    assert packet == dict(encode(msg), birth_step=birth)
+    assert list(packet) == [*encode(msg), "birth_step"]
+    assert line == canonical(packet)
