@@ -5,17 +5,21 @@ Runs one scenario per n in {2, 4, 8, 16, 32, 64} (and 128 with `--big`):
 bufferUnitSize 4, three broadcasts made as soon as possible by nodes 1-3,
 seed 0, to complete delivery over a fault-free network. Each run has its own process,
 so the peak RSS is that run's alone. For each n it prints the steps, the
-microseconds of process time per step of the simulation, the process
-seconds of `checker.check_all`, the peak RSS and the trace digest:
+microseconds of process time per step of the simulation, the microseconds
+per `NodeState.do_forever_iteration` call, the process seconds of
+`checker.check_all`, the peak RSS and the trace digest. The per-call cost
+comes from a second run of the same scenario with that method wrapped in a
+clock, so the wrapper does not slow the first:
 
-    python3 scripts/step_cost.py          # about 10 s on one core
-    python3 scripts/step_cost.py --big    # n=128 adds about a minute and 600 MB
+    python3 scripts/step_cost.py          # about 20 s on one core
+    python3 scripts/step_cost.py --big    # n=128 adds about two minutes and 600 MB
 
 With `--against OTHER_CHECKOUT` it compares this checkout's `src` with the
 other one's on the same host: each n runs K times on each tree
 (`--repeat K`, default 3), the two trees alternating and the first tree
-of each round alternating too, and it prints each tree's median µs/step,
-their ratio and whether the two trees' trace digests match:
+of each round alternating too, and it prints each tree's median µs/step
+and µs per iteration call, their ratios and whether the two trees' trace
+digests match:
 
     python3 scripts/step_cost.py --against ../parent --repeat 3
 
@@ -47,10 +51,30 @@ NETWORKS = {
 }
 
 
+def iteration_cost(cfg, node_cls, run_scenario) -> float:
+    """Microseconds per `node_cls.do_forever_iteration` call over a run of `cfg`."""
+    original, clock, totals = node_cls.do_forever_iteration, time.perf_counter_ns, [0, 0]
+
+    def timed(self, view):
+        start = clock()
+        result = original(self, view)
+        totals[0] += clock() - start
+        totals[1] += 1
+        return result
+
+    node_cls.do_forever_iteration = timed
+    try:
+        run_scenario(cfg)
+    finally:
+        node_cls.do_forever_iteration = original
+    return totals[0] / 1000 / totals[1]
+
+
 def measure(n: int, src: str, network: str) -> dict:
     sys.path.insert(0, src)
     from ssurb import checker
     from ssurb.config import from_dict
+    from ssurb.node import NodeState
     from ssurb.sim import run_scenario
 
     cfg = from_dict(
@@ -69,16 +93,18 @@ def measure(n: int, src: str, network: str) -> dict:
     start = time.process_time()
     checker.check_all(result.trace.header, result.trace.events)
     check_s = time.process_time() - start
-    steps = result.metrics["steps"]
-    return {
+    row = {
         "n": n,
         "status": result.metrics["status"],
-        "steps": steps,
-        "us_per_step": 1e6 * simulate_s / steps,
+        "steps": result.metrics["steps"],
+        "us_per_step": 1e6 * simulate_s / result.metrics["steps"],
         "check_all_s": check_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "trace_digest": result.metrics["trace_digest"],
     }
+    del result  # the second run's trace does not join the first's in memory
+    row["us_per_iteration"] = iteration_cost(cfg, NodeState, run_scenario)
+    return row
 
 
 def run_one(n: int, src: str, network: str) -> dict:
@@ -95,12 +121,12 @@ def run_one(n: int, src: str, network: str) -> dict:
 
 def table(sizes, network: str) -> None:
     print(f"network: {network}")
-    print(f"{'n':>4} {'steps':>10} {'us/step':>8} {'check_all s':>11} {'peak MB':>8}  trace digest")
+    print(f"{'n':>4} {'steps':>10} {'us/step':>8} {'us/iter':>8} {'check_all s':>11} {'peak MB':>8}  trace digest")
     for n in sizes:
         row = run_one(n, SRC, network)
         print(
-            f"{n:>4} {row['steps']:>10} {row['us_per_step']:>8.1f} {row['check_all_s']:>11.2f}"
-            f" {row['peak_rss_mb']:>8.0f}  {row['trace_digest']}",
+            f"{n:>4} {row['steps']:>10} {row['us_per_step']:>8.1f} {row['us_per_iteration']:>8.1f}"
+            f" {row['check_all_s']:>11.2f} {row['peak_rss_mb']:>8.0f}  {row['trace_digest']}",
             flush=True,
         )
 
@@ -109,17 +135,22 @@ def compare(sizes, other: str, repeat: int, network: str) -> None:
     trees = {"this": SRC, "other": os.path.join(other, "src")}
     print(f"this:  {os.path.abspath(trees['this'])}\nother: {os.path.abspath(trees['other'])}")
     print(f"network: {network}")
-    print(f"{'n':>4} {'steps':>10} {'this us/step':>12} {'other us/step':>13} {'this/other':>10}  digests")
+    print(
+        f"{'n':>4} {'steps':>10} {'this us/step':>12} {'other us/step':>13} {'this/other':>10}"
+        f" {'this us/iter':>12} {'other us/iter':>13} {'this/other':>10}  digests"
+    )
     for n in sizes:
         rows = {"this": [], "other": []}
         for k in range(repeat):
             for side in ("this", "other") if k % 2 == 0 else ("other", "this"):
                 rows[side].append(run_one(n, trees[side], network))
-        medians = {side: statistics.median(r["us_per_step"] for r in rows[side]) for side in rows}
+        step, it = ({side: statistics.median(r[key] for r in rows[side]) for side in rows}
+                    for key in ("us_per_step", "us_per_iteration"))
         digests = {r["trace_digest"] for side in rows for r in rows[side]}
         print(
-            f"{n:>4} {rows['this'][0]['steps']:>10} {medians['this']:>12.1f} {medians['other']:>13.1f}"
-            f" {medians['this'] / medians['other']:>10.3f}  {'match' if len(digests) == 1 else 'DIFFER'}",
+            f"{n:>4} {rows['this'][0]['steps']:>10} {step['this']:>12.1f} {step['other']:>13.1f}"
+            f" {step['this'] / step['other']:>10.3f} {it['this']:>12.1f} {it['other']:>13.1f}"
+            f" {it['this'] / it['other']:>10.3f}  {'match' if len(digests) == 1 else 'DIFFER'}",
             flush=True,
         )
 

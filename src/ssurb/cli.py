@@ -89,8 +89,12 @@ def cmd_check(args) -> int:
 def _parse_seeds(spec: str) -> list[int]:
     if ":" in spec:
         lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in spec.split(",") if s]
+        seeds = list(range(int(lo), int(hi)))
+    else:
+        seeds = [int(s) for s in spec.split(",") if s]
+    if not seeds:
+        raise ValueError(f"--seeds {spec!r} names no seed")
+    return seeds
 
 
 def _parse_grid(items: list[str]) -> dict[str, list]:
@@ -132,7 +136,10 @@ def sweep(base: config.ScenarioConfig, grid: dict[str, list], seeds: list[int], 
     `workers` has no effect; it is accepted so that existing callers keep
     working. The cells are CPU-bound pure Python, so threads gave no speedup,
     and a process pool's speedup came with one more interpreter's memory.
+    An empty `seeds` is a ValueError: it would run nothing and pass.
     """
+    if not seeds:
+        raise ValueError("--seeds: an empty seed list runs nothing")
     cells: list[dict] = [{}]
     for key, values in grid.items():
         cells = [dict(cell, **{key: v}) for cell in cells for v in values]

@@ -8,13 +8,23 @@ a (state, detector view, input) triple always produces bit-identical
 results; the simulator owns scheduling, channels and tracing.
 
 The iteration must be total on arbitrary states: corrupted buffers,
-regressed counters and skewed windows are repaired, never rejected.
+regressed counters and skewed windows are repaired, never rejected. It
+does each macro once per call: `max_seqs` is built for the receive clamp
+(c) and reused by the trim (e), and built again over the trimmed buffer
+for the gossip (g); the trim's `min_tx_obs` is step (b)'s, or `seq` after
+a window repair; the FIFO cursors are lifted once after the obsolete walk
+(d) and once more for the own entry after the local gossip fold; an empty
+buffer skips the per-record passes. It returns its three lists as an
+`IterationResult` named tuple, and its messages are built with
+`tuple.__new__`, without the named tuples' Python-level constructor.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .detectors import DetectorView
 from .wire import Gossip, Msg, MsgAck, WireMessage
@@ -36,15 +46,13 @@ class BufferRecord:
     prev_hb: list[int]  # length n+1, index 0 unused, entries start at -1
 
 
-@dataclass(slots=True)
-class IterationResult:
-    outgoing: list[tuple[int, WireMessage]] = field(default_factory=list)
-    delivered: list[tuple[int, int]] = field(default_factory=list)
-    accepted: list[tuple[tuple[int, int], str]] = field(default_factory=list)
+class IterationResult(NamedTuple):
+    outgoing: list[tuple[int, WireMessage]]
+    delivered: list[tuple[int, int]]
+    accepted: list[tuple[tuple[int, int], str]]
 
 
-def _record_key(r: BufferRecord) -> tuple[int, int]:
-    return (r.sender, r.seq)
+_record_key = attrgetter("sender", "seq")
 
 
 class NodeState:
@@ -93,10 +101,7 @@ class NodeState:
         FIFO mode also counts next_deliver[k] - 1, so a skewed delivery
         cursor is visible to the gossip repair path.
         """
-        m = [0] * (self.n + 1)
-        if self.fifo:
-            for k in range(1, self.n + 1):
-                m[k] = self.next_deliver[k] - 1
+        m = [c - 1 for c in self.next_deliver] if self.fifo else [0] * (self.n + 1)
         for r in self.buffer:
             if r.seq > m[r.sender]:
                 m[r.sender] = r.seq
@@ -131,158 +136,130 @@ class NodeState:
         """Merge knowledge of message (j, s): insert a fresh record or grow its ack set."""
         if s <= self.rx_obs[j]:
             return
-        exists = any(r.sender == j and r.seq == s for r in self.buffer)
-        if not exists and payload is not None:
-            self.buffer.append(
-                BufferRecord(
-                    payload=payload,
-                    sender=j,
-                    seq=s,
-                    delivered=False,
-                    rec_by={j, k},
-                    prev_hb=[-1] * (self.n + 1),
-                )
-            )
-        else:
-            for r in self.buffer:
-                if r.sender == j and r.seq == s:
-                    r.rec_by.add(j)
-                    r.rec_by.add(k)
+        found = False
+        for r in self.buffer:  # every match: a corrupted buffer may hold (j, s) twice
+            if r.seq == s and r.sender == j:
+                r.rec_by.add(j)
+                r.rec_by.add(k)
+                found = True
+        if not found and payload is not None:
+            self.buffer.append(BufferRecord(payload, j, s, False, {j, k}, [-1] * (self.n + 1)))
 
     # -- the do-forever iteration --------------------------------------
 
     def do_forever_iteration(self, view: DetectorView) -> IterationResult:
-        out = IterationResult()
-        b = self.buffer_unit_size
-        trusted = view.trusted
+        b, n, me, fifo, seq = self.buffer_unit_size, self.n, self.self_id, self.fifo, self.seq
+        trusted, buffer, everyone = view.trusted, self.buffer, range(1, n + 1)
+        rx_obs, tx_obs, cursors = self.rx_obs, self.tx_obs, self.next_deliver
 
         # (a) purge: a null payload or a duplicated identity voids the whole buffer
-        seen: set[tuple[int, int]] = set()
-        poisoned = False
-        for r in self.buffer:
-            key = (r.sender, r.seq)
-            if r.payload is None or key in seen:
-                poisoned = True
-                break
-            seen.add(key)
-        if poisoned:
-            self.buffer = []
+        if buffer and len({(r.sender, r.seq) for r in buffer if r.payload is not None}) < len(buffer):
+            buffer = self.buffer = []
 
-        # (b) repair the send window when own records do not cover (mS, seq]
-        ms = self.min_tx_obs(trusted)
-        window_ok = ms <= self.seq <= ms + b
-        if window_ok and self.seq > ms:
-            own_seqs = {r.seq for r in self.buffer if r.sender == self.self_id}
-            window_ok = all(s in own_seqs for s in range(ms + 1, self.seq + 1))
-        if not window_ok:
-            self.tx_obs = [self.seq] * (self.n + 1)
+        # (b) repair the send window when own records do not cover (mS, seq];
+        # mS is then seq, and nothing else moves it before the trim of (e)
+        ms = min(map(tx_obs.__getitem__, trusted)) if trusted else seq
+        if not ms <= seq <= ms + b or (
+            seq > ms and not {r.seq for r in buffer if r.sender == me}.issuperset(range(ms + 1, seq + 1))
+        ):
+            tx_obs = self.tx_obs = [seq] * (n + 1)
+            ms = seq
 
         # (c) clamp receive watermarks to the buffered horizon
-        max_map, rx_obs, everyone = self.max_seqs(), self.rx_obs, range(1, self.n + 1)
-        for k in everyone:
-            horizon = max_map[k] - b
-            if horizon > rx_obs[k]:
-                rx_obs[k] = horizon
-        self._lift_cursors()
-
-        # (d) advance watermarks over obsolete records, ascending (sender, seq):
-        # a record is obsolete once it is the next one past its sender's
-        # watermark, delivered, and received by every trusted node
-        self.buffer.sort(key=_record_key)
-        progress = True
-        while progress:
-            progress = False
-            for r in self.buffer:
-                if rx_obs[r.sender] + 1 == r.seq and r.delivered and trusted <= r.rec_by:
-                    rx_obs[r.sender] += 1
-                    progress = True
-        # keep the delivery cursor ahead of the obsolete watermark before
-        # the delivery pass runs
-        self._lift_cursors()
-
-        # (e) trim: own records stay while some trusted receiver still needs them,
-        # foreign records stay while inside the receive window
-        ms = self.min_tx_obs(trusted)
         max_map = self.max_seqs()
-        self.buffer = [
-            r
-            for r in self.buffer
-            if (
-                ms < r.seq
-                if r.sender == self.self_id
-                else self.rx_obs[r.sender] < r.seq and max_map[r.sender] - b <= r.seq
-            )
-        ]
+        for k in everyone:
+            if max_map[k] - b > rx_obs[k]:
+                rx_obs[k] = max_map[k] - b
+
+        if buffer:
+            # (d) advance watermarks over obsolete records, ascending (sender,
+            # seq): a record is obsolete once it is the next one past its
+            # sender's watermark, delivered, and received by every trusted
+            # node. The identities are unique after (a), so one pass finds
+            # every run of consecutive records.
+            buffer.sort(key=_record_key)
+            for r in buffer:
+                if rx_obs[r.sender] + 1 == r.seq and r.delivered and trusted <= r.rec_by:
+                    rx_obs[r.sender] = r.seq
+        if fifo:  # keep the delivery cursor ahead of the obsolete watermark
+            for k in everyone:
+                if rx_obs[k] >= cursors[k]:
+                    cursors[k] = rx_obs[k] + 1
+        if buffer:
+            # (e) trim: own records stay while some trusted receiver still
+            # needs them, foreign records stay while inside the receive window.
+            # A cursor lifted above puts nd[k] - 1 = rx_obs[k] into max_seqs,
+            # below every foreign record kept, so max_map needs no refresh.
+            self.buffer = buffer = [
+                r
+                for r in buffer
+                if (
+                    ms < r.seq
+                    if r.sender == me
+                    else rx_obs[r.sender] < r.seq and max_map[r.sender] - b <= r.seq
+                )
+            ]
 
         # the sort of (d) and the filter of (e) left the buffer in (sender, seq) order
         self.observed = self._observe(sorted(trusted), ordered=True)
 
         # (f) deliver and (re)transmit, ascending (sender, seq); every copy
-        # of one record is the same immutable Msg
-        u, me, fifo, tx_obs = view.hb, self.self_id, self.fifo, self.tx_obs
-        outgoing = out.outgoing
-        for r in self.buffer:
-            sender, seq, rec_by, prev_hb = r.sender, r.seq, r.rec_by, r.prev_hb
-            if (
-                trusted <= rec_by
-                and not r.delivered
-                and (not fifo or seq == self.next_deliver[sender])
-            ):
+        # of one record is the same immutable Msg, built like the Gossips
+        # below without the named tuple's Python frame
+        u, new = view.hb, tuple.__new__
+        outgoing: list[tuple[int, WireMessage]] = []
+        delivered: list[tuple[int, int]] = []
+        for r in buffer:
+            sender, s, rec_by, prev_hb = r.sender, r.seq, r.rec_by, r.prev_hb
+            if trusted <= rec_by and not r.delivered and (not fifo or s == cursors[sender]):
                 r.delivered = True
-                out.delivered.append((sender, seq))
+                delivered.append((sender, s))
                 if fifo:
-                    self.next_deliver[sender] += 1
+                    cursors[sender] += 1
             msg = None
             for k in everyone:
-                if (
-                    k not in rec_by or (sender == me and seq == tx_obs[k] + 1)
-                ) and prev_hb[k] < u[k]:
+                if (k not in rec_by or (sender == me and s == tx_obs[k] + 1)) and prev_hb[k] < u[k]:
                     prev_hb[k] = u[k]
                     if msg is None:
-                        msg = Msg(r.payload, sender, seq)
+                        msg = new(Msg, (r.payload, sender, s))
                     outgoing.append((k, msg))
 
-        # (g) gossip the flow-control triple to every peer; fold the own triple
-        # locally (the self-addressed gossip without a packet)
-        max_map, new = self.max_seqs(), tuple.__new__
+        # (g) gossip the flow-control triple to every peer, max_seqs of the
+        # trimmed buffer and the delivered cursors; fold the own triple
+        # locally, as `on_gossip` would fold the self-addressed gossip
+        max_map = self.max_seqs()
         for k in everyone:
-            if k != me:  # a Gossip, built without the named tuple's Python frame
+            if k != me:
                 outgoing.append((k, new(Gossip, (max_map[k], rx_obs[k], tx_obs[k]))))
-        self.on_gossip(max_map[me], self.rx_obs[me], self.tx_obs[me], me)
-        # corrupted entries that no gossip refreshed still need the seq floor
-        floor = max(self.tx_obs[1:])
-        if floor > self.seq:
-            self.seq = floor
+        if rx_obs[me] > tx_obs[me]:
+            tx_obs[me] = rx_obs[me]
+        else:
+            rx_obs[me] = tx_obs[me]
+        # seq is floored at the own max_seq and at every obsolete watermark,
+        # also the corrupted entries that no gossip refreshed
+        self.seq = max(seq, max_map[me], max(tx_obs[1:]))
 
         # (h) drain deferred broadcasts that now fit the window
-        if self.reset_phase == NORMAL and self.pending:
+        accepted: list[tuple[tuple[int, int], str]] = []
+        if self.pending and self.reset_phase == NORMAL:
             limit = self.min_tx_obs(trusted) + b
             while self.pending and self.seq < limit:
                 payload = self.pending.popleft()
                 self.seq += 1
                 self.update(payload, me, self.seq, me)
-                out.accepted.append(((me, self.seq), payload))
+                accepted.append(((me, self.seq), payload))
 
-        # final cursor normalization: the obsolete walk and the local
-        # gossip fold may have moved watermarks past the clamp of (c)
-        self._lift_cursors()
-
-        return out
-
-    def _lift_cursors(self) -> None:
-        """FIFO mode: keep every delivery cursor above its obsolete watermark."""
-        if not self.fifo:
-            return
-        for k in range(1, self.n + 1):
-            if self.rx_obs[k] + 1 > self.next_deliver[k]:
-                self.next_deliver[k] = self.rx_obs[k] + 1
+        # the own fold may have moved rx_obs[me] past the cursor lift above
+        if fifo and rx_obs[me] >= cursors[me]:
+            cursors[me] = rx_obs[me] + 1
+        return new(IterationResult, (outgoing, delivered, accepted))
 
     # -- packet handlers ------------------------------------------------
 
     def on_msg(self, payload: str, j: int, s: int, from_id: int) -> MsgAck:
         """Store/ack an incoming broadcast copy. The ack is unconditional."""
         self.update(payload, j, s, from_id)
-        return MsgAck(j, s)
+        return tuple.__new__(MsgAck, (j, s))
 
     def on_msg_ack(self, j: int, s: int, from_id: int) -> None:
         self.update(None, j, s, from_id)

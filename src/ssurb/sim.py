@@ -326,7 +326,7 @@ class Simulation:
         return {i for i, at in self.crashed_at.items() if at + latency <= self.step}
 
     def _view(self, node: SimNode) -> DetectorView:
-        return DetectorView(node.theta.trusted_view(), tuple(node.hb.hb))
+        return tuple.__new__(DetectorView, (node.theta.trusted_view(), tuple(node.hb.hb)))
 
     def _reset_cycle_tracker(self) -> None:
         # a node satisfies the round-trip clause once any iteration it started
@@ -468,28 +468,28 @@ class Simulation:
 
     def _iterate_action(self, i: int) -> None:
         node = self.nodes[i]
-        node.theta.reconcile(self._delayed_crashed())
+        theta = node.theta
+        if self.crashed_at or theta.suspected:  # otherwise nothing is suspected, nor to be
+            theta.reconcile(self._delayed_crashed())
         # the heartbeats and the iteration's packets go out as one batch
         outgoing = node.hb.tick()
-        result = node.state.do_forever_iteration(self._view(node))
-        outgoing += result.outgoing
+        sent, delivered, accepted = node.state.do_forever_iteration(self._view(node))
+        outgoing += sent
         self._send_all(i, outgoing)
         if i not in self.ct_satisfied:
-            msg_sends = {
-                (dst, msg.sender, msg.seq) for dst, msg in result.outgoing if type(msg) is Msg
-            }
+            msg_sends = {(dst, msg.sender, msg.seq) for dst, msg in sent if type(msg) is Msg}
             if msg_sends:
                 self.ct_pending[i].append(msg_sends)
             else:
                 self._satisfy(i)
-        step = self.step
-        for sender, seq in result.delivered:
-            self.trace.append(
-                {"type": "DELIVER", "step": step, "node": i, "mid": [sender, seq]},
-                deliver_line(step, i, sender, seq),
-            )
-            self.delivered_sets[i].add((sender, seq))
-        for mid, payload in result.accepted:
+        if delivered:
+            step, trace, mine = self.step, self.trace, self.delivered_sets[i]
+            append_record, append_line = trace.records.append, trace.pending.append
+            for sender, seq in delivered:
+                append_record({"type": "DELIVER", "step": step, "node": i, "mid": [sender, seq]})
+                append_line(deliver_line(step, i, sender, seq))
+                mine.add((sender, seq))
+        for mid, payload in accepted:
             self._event("BROADCAST", node=i, mid=list(mid), payload_hash=payload_hash(payload))
             self.epoch_mids.append(mid)
         if self.bounded_mode and node.state.check_overflow():

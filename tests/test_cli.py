@@ -1,6 +1,8 @@
 import json
 import threading
 
+import pytest
+
 from ssurb import cli, config, sim
 from ssurb.cli import main
 
@@ -128,6 +130,18 @@ def test_sweep_grid_and_summary(tmp_path, capsys):
     assert summary["seeds"] == [0, 1, 2]
     assert all(len(cell["runs"]) == 3 for cell in summary["cells"])
     assert summary["all_pass"]
+
+
+def test_sweep_rejects_an_empty_seed_list(tmp_path, capsys):
+    # an empty range and an empty comma list would run nothing and pass
+    scenario = write_scenario(tmp_path)
+    for spec in ("5:3", ","):
+        out = tmp_path / f"sweep{len(spec)}"
+        assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", spec]) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ValueError, match="--seeds"):
+        cli.sweep(config.load(str(scenario)), {}, [])
 
 
 def test_sweep_empty_grid_is_single_cell(tmp_path):

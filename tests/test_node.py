@@ -277,6 +277,20 @@ def test_gossip_emitted_to_peers_only():
     assert [dst for dst, _ in gossips] == [1, 3]
 
 
+@pytest.mark.parametrize("trusted", [set(), {1}], ids=["nobody-trusted", "self-trusted"])
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2, node bound: trim (e) keeps every own record above min_tx_obs, "
+    "the regressed seq or tx_obs 0, and the seq floor of (g) lifts seq only afterwards",
+)
+def test_one_iteration_bounds_the_buffer_of_a_regressed_seq(trusted):
+    # n=1, b=1, seq 0 below its own delivered records 1-3: a bound of b*n + n = 2
+    node = NodeState(1, 1, 1)
+    node.buffer = [record(f"m{s}", 1, s, 1, delivered=True) for s in (1, 2, 3)]
+    node.do_forever_iteration(view(1, trusted=trusted))
+    assert len(node.buffer) <= 1 * 1 + 1
+
+
 def test_self_fold_repairs_seq_from_own_buffer():
     node = NodeState(1, 3, 4)
     node.seq = 2
