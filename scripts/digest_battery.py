@@ -26,6 +26,15 @@ produced instead of printed: the script prints `identical, N lines` and
 exits 0, or names the first scenario and top-level field that differ and
 exits 1.
 
+With `--reference` each scenario also runs through the simulator of commit
+1e25b3a (`tests/reference/sim_1e25b3a.py`, a second implementation without
+the hot-path devices), and each run of the sweep as a standalone reference
+run. The script names the first scenario whose metrics, trace digest
+included, differ from the reference's on stderr and exits 1; otherwise it
+ends with `reference: identical on every line` on stderr:
+
+    python3 scripts/digest_battery.py --reference --compare before.jsonl
+
 The scenarios come from this script alone (a seeded generator picks the
 mixed cells), so both sides run the same list.
 """
@@ -40,7 +49,7 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ssurb import checker, cli  # noqa: E402
+from ssurb import checker, cli, config  # noqa: E402
 from ssurb.config import CORRUPTION_KINDS, STOP_MODES, from_dict  # noqa: E402
 from ssurb.sim import run_scenario  # noqa: E402
 from ssurb.trace import canonical  # noqa: E402
@@ -213,8 +222,13 @@ def events_digest(events) -> str:
     return hasher.hexdigest()
 
 
-def sweep_digest() -> str:
-    """SHA-256 of the summary of one small corruption sweep."""
+class ReferenceMismatch(Exception):
+    """A battery run whose metrics differ from the reference simulator's."""
+
+
+def sweep_digest(reference=None) -> str:
+    """SHA-256 of the summary of one small corruption sweep; each of its runs
+    is checked against `reference(cfg)`'s trace digest when given."""
     base = from_dict(
         {
             "n": 3,
@@ -230,15 +244,25 @@ def sweep_digest() -> str:
             [{"node": 2, "step": 120, "kind": kind}] for kind in ("RANDOMIZE-ALL", "WINDOW-SKEW")
         ],
     }
-    return sha256(json.dumps(cli.sweep(base, grid, [0, 1]), sort_keys=True))
+    summary = cli.sweep(base, grid, [0, 1])
+    for cell in summary["cells"] if reference else ():
+        for run in cell["runs"]:
+            cfg = config.apply_overrides(base, dict(cell["overrides"], seed=run["seed"]))
+            if reference(cfg).metrics["trace_digest"] != run["digest"]:
+                raise ReferenceMismatch(f"sweep cell {cell['overrides']} seed {run['seed']}")
+    return sha256(json.dumps(summary, sort_keys=True))
 
 
-def battery_lines():
-    """The battery's JSON lines, one per scenario and then the sweep's."""
+def battery_lines(reference=None):
+    """The battery's JSON lines, one per scenario and then the sweep's. Each
+    run is checked against `reference(cfg)` when given (see `--reference`)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
         for name, raw in scenarios():
-            result = run_scenario(from_dict(raw))
+            cfg = from_dict(raw)
+            result = run_scenario(cfg)
+            if reference and reference(cfg).metrics != result.metrics:
+                raise ReferenceMismatch(name)
             result.trace.write(path)
             with open(path, "rb") as fh:
                 file_digest = hashlib.sha256(fh.read()).hexdigest()
@@ -253,7 +277,7 @@ def battery_lines():
                 "events_digest": events_digest(result.trace.events),
             }
             yield json.dumps(line, sort_keys=True)
-    yield json.dumps({"sweep_digest": sweep_digest()})
+    yield json.dumps({"sweep_digest": sweep_digest(reference)})
 
 
 def first_difference(before: dict, after: dict) -> str:
@@ -264,11 +288,11 @@ def first_difference(before: dict, after: dict) -> str:
     return ""
 
 
-def compare(path: str) -> int:
+def compare(path: str, lines) -> int:
     with open(path, encoding="utf-8") as fh:
         expected = [line.rstrip("\n") for line in fh if line.strip()]
     count = 0
-    for count, line in enumerate(battery_lines(), 1):
+    for count, line in enumerate(lines, 1):
         if count > len(expected):
             print(f"line {count}: not in {path}")
             return 1
@@ -289,12 +313,29 @@ def main() -> int:
     parser.add_argument(
         "--compare", metavar="BEFORE.jsonl", help="check the lines against this file"
     )
+    parser.add_argument(
+        "--reference", action="store_true", help="check every run against the 1e25b3a simulator"
+    )
     args = parser.parse_args()
-    if args.compare:
-        return compare(args.compare)
-    for line in battery_lines():
-        print(line, flush=True)
-    return 0
+    reference = None
+    if args.reference:
+        sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+        from reference.sim_1e25b3a import run_scenario as reference
+
+    lines = battery_lines(reference)
+    try:
+        if args.compare:
+            status = compare(args.compare, lines)
+        else:
+            for line in lines:
+                print(line, flush=True)
+            status = 0
+    except ReferenceMismatch as exc:
+        print(f"reference: {exc} differs from the reference", file=sys.stderr)
+        return 1
+    if reference and status == 0:
+        print("reference: identical on every line", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -87,13 +87,25 @@ def cmd_check(args) -> int:
 
 
 def _parse_seeds(spec: str) -> list[int]:
+    """`lo:hi` (hi excluded) or a comma list. A piece that is not an integer,
+    a seed named twice or no seed at all is a ValueError naming `--seeds`."""
+
+    def seed(piece: str) -> int:
+        try:
+            return int(piece)
+        except ValueError:
+            raise ValueError(f"--seeds {spec!r}: {piece!r} is not an integer") from None
+
     if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        seeds = list(range(int(lo), int(hi)))
+        lo, _, hi = spec.partition(":")
+        seeds = list(range(seed(lo), seed(hi)))
     else:
-        seeds = [int(s) for s in spec.split(",") if s]
+        seeds = [seed(s) for s in spec.split(",") if s]
     if not seeds:
         raise ValueError(f"--seeds {spec!r} names no seed")
+    if len(set(seeds)) < len(seeds):
+        again = next(s for k, s in enumerate(seeds) if s in seeds[:k])
+        raise ValueError(f"--seeds {spec!r}: seed {again} is named twice")
     return seeds
 
 

@@ -17,8 +17,9 @@ Fenwick tree (`WeightTree`) that a step descends in O(log n^2), drawing the
 schedule an explicit weighted list would give. A channel weighs 4 + 4*len
 while non-empty towards a live node and 0 otherwise. A delivery, inline in
 the loop, pops one packet, moves its channel's tree path unless a DUP puts
-it back, and pushes a MSG's MSGACK alone; `_send_all` pushes a node's whole
-batch and then moves each grown channel's path once.
+it back, and, for a MSG, pushes the MSGACK that answers it and moves that
+channel's path, as `_send_all` would for a batch of one. `_send_all`
+pushes a node's whole batch and then moves each grown channel's path once.
 
 Cycle accounting is O(1) per step: two running counts, the live gossip
 pairs not yet seen and the live nodes whose round-trip clause is not yet
@@ -151,7 +152,7 @@ class Channel:
     occupancy: 4 + 4*len, and 0 while the channel is empty or its
     destination has crashed. The channel only holds the packets; the
     simulation pushes, pops and re-weighs it at `slot`. It holds the RECV
-    lines of a GOSSIP and a HEARTBEAT delivered here, up to their step.
+    line of a GOSSIP and of a HEARTBEAT delivered here up to `"step":`.
     """
 
     __slots__ = ("src", "dst", "capacity", "packets", "dst_live", "slot", "recv_gossip", "recv_heartbeat")
@@ -169,9 +170,6 @@ class Channel:
         twin.recv_gossip, twin.recv_heartbeat = self.recv_gossip, self.recv_heartbeat
         twin.packets, twin.dst_live = self.packets[:], self.dst_live
         return twin
-
-    def __len__(self) -> int:
-        return len(self.packets)
 
 
 class SimNode:

@@ -14,10 +14,9 @@ dst, its optional mid and its src and step. The simulator renders every
 packet line it appends (SEND, RECV, DUP, both OMIT causes) inline from that
 table and DELIVER lines from the fixed template `deliver_line`, and appends
 a packet line with a compact record: its code, or for MSG/MSGACK the tuple
-(code, sender, seq, step). `encode_record` renders any other dict claiming
-a packet type through `packet_line` once validated, and every other record
-through `canonical`. A SNAPSHOT's line, `snapshot_line`, is assembled from
-the `canonical` strings of its two halves.
+(code, sender, seq, step). A SNAPSHOT's line, `snapshot_line`, is assembled
+from the `canonical` strings of its two halves. Every other dict, and any
+dict appended without its line, is rendered by `canonical` itself.
 
 The lines are kept once, as the bytes that were hashed. `Trace` feeds
 SHA-256 one chunk of lines at a time (SHA-256 is a streaming hash, so the
@@ -27,7 +26,7 @@ the chunks. `Trace.events` is a read-only view: it hands out the appended
 dicts as they are and decodes a compact packet record's dict from its line
 when asked, a fresh dict each time, so an edit to one does not persist.
 `read` keeps a trace file's packet records of the simulator's shape in the
-same compact form.
+same compact form, their lines rendered by `packet_line`.
 """
 
 from __future__ import annotations
@@ -95,12 +94,9 @@ def packet_line(
 ) -> str:
     """`canonical` of the packet record with these fields: the keys cause,
     dst, kind, mid, src, step and type, in that (sorted) order, the absent
-    optional ones left out. `etype` is one of PACKET_TYPES, `mid` a
-    (sender, seq) pair of ints. Rendered from the code's PACKET_TEMPLATES
-    entry, or for a (type, kind, cause) without a code from the same
-    template built on the spot."""
-    code = PACKET_CODE.get((etype, kind, cause))
-    head, middle, tail = _template(etype, kind, cause) if code is None else PACKET_TEMPLATES[code]
+    optional ones left out. (`etype`, `kind`, `cause`) is one of
+    PACKET_CODES, `mid` a (sender, seq) pair of ints."""
+    head, middle, tail = PACKET_TEMPLATES[PACKET_CODE[(etype, kind, cause)]]
     if mid is None:
         return f'{head}{dst}{middle}"src":{src},"step":{step}{tail}'
     return f'{head}{dst}{middle}"mid":[{mid[0]},{mid[1]}],"src":{src},"step":{step}{tail}'
@@ -127,43 +123,6 @@ def snapshot_line(
         f'"cycle":{cycle},"digest":"{digest}","nodes":{nodes_json},'
         f'"step":{step},"type":"SNAPSHOT"}}'
     )
-
-
-def encode_record(record: dict) -> str:
-    """`canonical(record)`, through `packet_line` for packet records."""
-    etype = record.get("type")
-    if type(etype) is str and etype in PACKET_TYPES:
-        fields = _packet_fields(record)
-        if fields is not None:
-            return packet_line(etype, *fields)
-    return canonical(record)
-
-
-def _packet_fields(record: dict) -> tuple | None:
-    # (step, src, dst, kind, mid, cause) when `packet_line` renders the
-    # record as json would: keys type, step, src, dst, kind and optionally
-    # mid and cause. Anything else, or a value json renders differently
-    # from the template (a bool, a tuple), is None.
-    get = record.get
-    step, src, dst, kind = get("step"), get("src"), get("dst"), get("kind")
-    mid, cause = get("mid"), get("cause")
-    if (
-        len(record) != 5 + (mid is not None) + (cause is not None)
-        or type(step) is not int
-        or type(src) is not int
-        or type(dst) is not int
-        or type(kind) is not str
-        or (cause is not None and type(cause) is not str)
-    ):
-        return None
-    if mid is not None and (
-        type(mid) is not list
-        or len(mid) != 2
-        or type(mid[0]) is not int
-        or type(mid[1]) is not int
-    ):
-        return None
-    return step, src, dst, kind, mid, cause
 
 
 def make_header(cfg) -> dict:
@@ -208,12 +167,12 @@ class Trace:
         self.events = TraceEvents(self.records, self._chunks, self._chunk_starts, self.pending)
 
     def append(self, record, line: str | None = None) -> None:
-        """Record an event: a dict, whose `encode_record` line the caller may
-        pass when it has rendered it already, or a compact packet record with
-        its `packet_line`."""
+        """Record an event: a dict, whose `canonical` line the caller may pass
+        when it has rendered it already, or a compact packet record with its
+        `packet_line`."""
         self.records.append(record)
         pending = self.pending
-        pending.append(encode_record(record) if line is None else line)
+        pending.append(canonical(record) if line is None else line)
         if len(pending) >= CHUNK_LINES:
             self.flush()
 
@@ -300,11 +259,6 @@ class TraceEvents(Sequence):
             yield self[pos]
             pos += 1
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
 
 def read(path: str) -> Trace:
     """The trace written at `path`, its packet records in compact form."""
@@ -329,16 +283,28 @@ def read(path: str) -> Trace:
 
 def _compact(record: dict) -> tuple | None:
     """(compact record, line) for a packet record of the simulator's shape,
-    the form the simulator appends it in; None for any other record."""
-    etype = record.get("type")
-    if type(etype) is not str or etype not in PACKET_TYPES:
+    the form the simulator appends it in: the keys type, step, src, dst and
+    kind, and mid exactly for MSG and MSGACK, and cause for an OMIT, each a
+    value json renders as the template does. None for any other record (a
+    bool or a tuple renders differently, say)."""
+    get = record.get
+    etype, step, src, dst, kind = get("type"), get("step"), get("src"), get("dst"), get("kind")
+    mid, cause = get("mid"), get("cause")
+    if (
+        type(etype) is not str
+        or type(kind) is not str
+        or (cause is not None and type(cause) is not str)
+        or len(record) != 5 + (mid is not None) + (cause is not None)
+        or type(step) is not int
+        or type(src) is not int
+        or type(dst) is not int
+    ):
         return None
-    fields = _packet_fields(record)
-    if fields is None:
-        return None
-    step, src, dst, kind, mid, cause = fields
     code = PACKET_CODE.get((etype, kind, cause))
     if code is None or (mid is None) != (kind not in ("MSG", "MSGACK")):
         return None
-    line = packet_line(etype, *fields)
-    return (code if mid is None else (code, mid[0], mid[1], step)), line
+    if mid is None:
+        return code, packet_line(etype, step, src, dst, kind, None, cause)
+    if type(mid) is not list or len(mid) != 2 or type(mid[0]) is not int or type(mid[1]) is not int:
+        return None
+    return (code, mid[0], mid[1], step), packet_line(etype, step, src, dst, kind, mid, cause)

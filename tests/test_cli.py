@@ -144,6 +144,18 @@ def test_sweep_rejects_an_empty_seed_list(tmp_path, capsys):
         cli.sweep(config.load(str(scenario)), {}, [])
 
 
+def test_sweep_rejects_a_malformed_seed_list(tmp_path, capsys):
+    # a third range bound and a non-integer name the flag and the piece; a
+    # repeated seed would count its run twice in every aggregate
+    scenario = write_scenario(tmp_path)
+    for spec, piece in (("3:5:7", "'5:7'"), ("a", "'a'"), ("1,1", "seed 1")):
+        out = tmp_path / f"sweep-{spec}"
+        assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", spec]) == 2
+        err = capsys.readouterr().err
+        assert "--seeds" in err and piece in err, err
+        assert not out.exists()
+
+
 def test_sweep_empty_grid_is_single_cell(tmp_path):
     scenario = write_scenario(tmp_path)
     out = tmp_path / "sweep"

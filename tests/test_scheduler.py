@@ -30,7 +30,7 @@ def _expected_weights(sim):
     for key in sorted(sim.channels):
         channel = sim.channels[key]
         live_dst = not sim.nodes[key[1]].crashed
-        weights.append(4 + 4 * len(channel) if channel.packets and live_dst else 0)
+        weights.append(4 + 4 * len(channel.packets) if channel.packets and live_dst else 0)
     return weights
 
 

@@ -31,7 +31,7 @@ def test_same_seed_identical_traces():
     first = run_scenario(scenario())
     second = run_scenario(scenario())
     assert first.metrics["trace_digest"] == second.metrics["trace_digest"]
-    assert first.trace.events == second.trace.events
+    assert list(first.trace.events) == list(second.trace.events)
 
 
 def test_different_seeds_diverge():
@@ -46,7 +46,7 @@ def test_channel_capacity_never_exceeded():
         if sim.stop_reason:
             break
         sim.step_once()
-        assert all(len(ch) <= 4 for ch in sim.channels.values())
+        assert all(len(ch.packets) <= 4 for ch in sim.channels.values())
 
 
 def test_crashed_node_takes_no_steps():
@@ -203,7 +203,7 @@ def test_channel_garbage_respects_capacity_and_decodes():
         sim.step_once()
     in_channels = [sim.channels[(src, 2)] for src in (1, 2, 3)]
     corruption.inject("CHANNEL-GARBAGE", sim.nodes[2].state, in_channels, sim.rng, sim.step)
-    assert all(len(ch) <= 3 for ch in in_channels)
+    assert all(len(ch.packets) <= 3 for ch in in_channels)
     injected = [m for ch in in_channels for m, birth in ch.packets if birth == sim.step]
     assert injected
     assert all(encode(m)["kind"] == m.kind for m in injected)
@@ -264,7 +264,7 @@ def test_run_then_check_same_reports(tmp_path):
     result.trace.write(str(path))
     loaded = trace_mod.read(str(path))
     assert loaded.header == result.trace.header
-    assert loaded.events == result.trace.events
+    assert list(loaded.events) == list(result.trace.events)
     original = [r.to_dict() for r in checker.check_all(result.trace.header, result.trace.events)]
     reloaded = [r.to_dict() for r in checker.check_all(loaded.header, loaded.events)]
     assert original == reloaded
