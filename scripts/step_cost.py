@@ -3,13 +3,16 @@
 
 Runs one scenario per n in {2, 4, 8, 16, 32, 64} (and 128 with `--big`):
 bufferUnitSize 4, three broadcasts made as soon as possible by nodes 1-3,
-seed 0, to complete delivery over a fault-free network. Each run has its own process,
-so the peak RSS is that run's alone. For each n it prints the steps, the
-microseconds of process time per step of the simulation, the microseconds
-per `NodeState.do_forever_iteration` call, the process seconds of
-`checker.check_all`, the peak RSS and the trace digest. The per-call cost
-comes from a second run of the same scenario with that method wrapped in a
-clock, so the wrapper does not slow the first:
+seed 0, to complete delivery over a fault-free network. Each n has its own process,
+so the peak RSS is that n's alone. The process runs the scenario again and
+again until the runs have used at least 0.5 s of process time (n=2 takes
+169 steps, a few ms), and for each n it prints the steps, the runs, the
+median microseconds of process time per step of the simulation, the
+microseconds per `NodeState.do_forever_iteration` call, the process
+seconds of `checker.check_all`, the peak RSS and the trace digest. The
+per-call cost comes from further runs of the same scenario, again for at
+least 0.5 s, with that method wrapped in a clock, so the wrapper does not
+slow the timed ones:
 
     python3 scripts/step_cost.py          # about 20 s on one core
     python3 scripts/step_cost.py --big    # n=128 adds about two minutes and 600 MB
@@ -18,8 +21,10 @@ With `--against OTHER_CHECKOUT` it compares this checkout's `src` with the
 other one's on the same host: each n runs K times on each tree
 (`--repeat K`, default 3), the two trees alternating and the first tree
 of each round alternating too, and it prints each tree's median µs/step
-and µs per iteration call, their ratios and whether the two trees' trace
-digests match:
+over all its timed runs, the number of those runs and their spread (the
+interquartile range over the median), the ratio of the medians, the same
+for µs per iteration call (its runs are the K processes), and whether the
+two trees' trace digests match:
 
     python3 scripts/step_cost.py --against ../parent --repeat 3
 
@@ -42,6 +47,7 @@ import time
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 SIZES = (2, 4, 8, 16, 32, 64)
+MIN_PROCESS_S = 0.5  # the process time that the runs of one measurement add up to
 NETWORKS = {
     "fault-free": {},
     "benign": {
@@ -64,7 +70,11 @@ def iteration_cost(cfg, node_cls, run_scenario) -> float:
 
     node_cls.do_forever_iteration = timed
     try:
-        run_scenario(cfg)
+        start = time.process_time()
+        while True:
+            run_scenario(cfg)
+            if time.process_time() - start >= MIN_PROCESS_S:
+                break
     finally:
         node_cls.do_forever_iteration = original
     return totals[0] / 1000 / totals[1]
@@ -87,22 +97,27 @@ def measure(n: int, src: str, network: str) -> dict:
             **NETWORKS[network],
         }
     )
-    start = time.process_time()
-    result = run_scenario(cfg)
-    simulate_s = time.process_time() - start
+    simulate_s = []
+    while sum(simulate_s) < MIN_PROCESS_S:
+        result = None  # the last run's trace does not join the next one's in memory
+        start = time.process_time()
+        result = run_scenario(cfg)
+        simulate_s.append(time.process_time() - start)
+    steps = result.metrics["steps"]
     start = time.process_time()
     checker.check_all(result.trace.header, result.trace.events)
     check_s = time.process_time() - start
     row = {
         "n": n,
         "status": result.metrics["status"],
-        "steps": result.metrics["steps"],
-        "us_per_step": 1e6 * simulate_s / result.metrics["steps"],
+        "steps": steps,
+        "us_per_step": 1e6 * statistics.median(simulate_s) / steps,
+        "us_per_step_runs": [1e6 * s / steps for s in simulate_s],
         "check_all_s": check_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "trace_digest": result.metrics["trace_digest"],
     }
-    del result  # the second run's trace does not join the first's in memory
+    del result  # the wrapped runs' traces do not join the last timed one's in memory
     row["us_per_iteration"] = iteration_cost(cfg, NodeState, run_scenario)
     return row
 
@@ -121,45 +136,62 @@ def run_one(n: int, src: str, network: str) -> dict:
 
 def table(sizes, network: str) -> None:
     print(f"network: {network}")
-    print(f"{'n':>4} {'steps':>10} {'us/step':>8} {'us/iter':>8} {'check_all s':>11} {'peak MB':>8}  trace digest")
+    print(
+        f"{'n':>4} {'steps':>10} {'runs':>5} {'us/step':>8} {'us/iter':>8} {'check_all s':>11}"
+        f" {'peak MB':>8}  trace digest"
+    )
     for n in sizes:
         row = run_one(n, SRC, network)
         print(
-            f"{n:>4} {row['steps']:>10} {row['us_per_step']:>8.1f} {row['us_per_iteration']:>8.1f}"
-            f" {row['check_all_s']:>11.2f} {row['peak_rss_mb']:>8.0f}  {row['trace_digest']}",
+            f"{n:>4} {row['steps']:>10} {len(row['us_per_step_runs']):>5} {row['us_per_step']:>8.1f}"
+            f" {row['us_per_iteration']:>8.1f} {row['check_all_s']:>11.2f} {row['peak_rss_mb']:>8.0f}"
+            f"  {row['trace_digest']}",
             flush=True,
         )
+
+
+def spread(values: list[float]) -> float:
+    """Interquartile range over the median."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return (q3 - q1) / statistics.median(values)
 
 
 def compare(sizes, other: str, repeat: int, network: str) -> None:
     trees = {"this": SRC, "other": os.path.join(other, "src")}
     print(f"this:  {os.path.abspath(trees['this'])}\nother: {os.path.abspath(trees['other'])}")
     print(f"network: {network}")
+    print(f"{'':>15}" + f"{'this':>23}{'other':>23}" * 2)
     print(
-        f"{'n':>4} {'steps':>10} {'this us/step':>12} {'other us/step':>13} {'this/other':>10}"
-        f" {'this us/iter':>12} {'other us/iter':>13} {'this/other':>10}  digests"
+        f"{'n':>4} {'steps':>10}" + f" {'us/step':>9} {'runs':>5} {'spread':>6}" * 2 + f" {'ratio':>6}"
+        + f" {'us/iter':>9} {'runs':>5} {'spread':>6}" * 2 + f" {'ratio':>6}  digests"
     )
     for n in sizes:
         rows = {"this": [], "other": []}
         for k in range(repeat):
             for side in ("this", "other") if k % 2 == 0 else ("other", "this"):
                 rows[side].append(run_one(n, trees[side], network))
-        step, it = ({side: statistics.median(r[key] for r in rows[side]) for side in rows}
-                    for key in ("us_per_step", "us_per_iteration"))
+        line = f"{n:>4} {rows['this'][0]['steps']:>10}"
+        for samples in (
+            {side: [us for r in rows[side] for us in r["us_per_step_runs"]] for side in rows},
+            {side: [r["us_per_iteration"] for r in rows[side]] for side in rows},
+        ):
+            medians = {side: statistics.median(samples[side]) for side in rows}
+            for side in rows:
+                line += f" {medians[side]:>9.1f} {len(samples[side]):>5} {spread(samples[side]):>6.2f}"
+            line += f" {medians['this'] / medians['other']:>6.3f}"
         digests = {r["trace_digest"] for side in rows for r in rows[side]}
-        print(
-            f"{n:>4} {rows['this'][0]['steps']:>10} {step['this']:>12.1f} {step['other']:>13.1f}"
-            f" {step['this'] / step['other']:>10.3f} {it['this']:>12.1f} {it['other']:>13.1f}"
-            f" {it['this'] / it['other']:>10.3f}  {'match' if len(digests) == 1 else 'DIFFER'}",
-            flush=True,
-        )
+        print(f"{line}  {'match' if len(digests) == 1 else 'DIFFER'}", flush=True)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--big", action="store_true", help="also run n=128")
     parser.add_argument("--against", metavar="OTHER_CHECKOUT", help="also time the src of that checkout")
-    parser.add_argument("--repeat", type=int, default=3, metavar="K", help="runs per tree and n with --against")
+    parser.add_argument(
+        "--repeat", type=int, default=3, metavar="K", help="processes per tree and n with --against"
+    )
     parser.add_argument(
         "--network", choices=tuple(NETWORKS), default="fault-free",
         help="fault-free (default), or benign: omission 0.2, duplication 0.1, reorder-heavy",

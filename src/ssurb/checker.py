@@ -28,15 +28,17 @@ Conventions shared by all checks:
 
 Cost. The consistency predicate has one implementation,
 `evaluate_snapshot`: it derives the facts that relate nodes once per
-snapshot and then checks each node against them, so a snapshot costs
-O(its size) rather than O(n * its size). `consistency_check`,
-`snapshot_all_consistent` (the simulator's `stabilized` stop rule) and the
-FAIL witnesses are views of it. `TraceIndex` makes the only pass over the
-events. It records the positions of each event type the checks read, and
-each check bisects out its epoch's share of those positions and walks only
-them. It also evaluates each snapshot at most once for all the checks
-together. A battery costs O(events + sum of snapshot sizes), where it used
-to cost O(checks * events + n * sum of snapshot sizes).
+snapshot, among them the first packet clause each node breaks, in one
+ordered walk over the packets in flight, and then checks each node against
+them, so a snapshot costs O(its size) rather than O(n * its size).
+`consistency_check`, `snapshot_all_consistent` (the simulator's
+`stabilized` stop rule) and the FAIL witnesses are views of it.
+`TraceIndex` makes the only pass over the events. It records the positions
+of each event type the checks read, and each check bisects out its epoch's
+share of those positions and walks only them. It also evaluates each
+snapshot at most once for all the checks together. A battery costs
+O(events + sum of snapshot sizes), where it used to cost O(checks * events
++ n * sum of snapshot sizes).
 
 Events are read as stored. A `Trace` keeps its packet records compact
 (`trace.PACKET_CODES`), and `TraceIndex.packet` reads a packet's type,
@@ -110,13 +112,12 @@ def evaluate_snapshot(
 
     The facts that relate nodes are derived once per snapshot: the node map
     and live set, per (holder, sender) the highest seq and the count of the
-    records a node holds, and, over the packets in flight to live nodes
-    that are younger than `last_corrupt_step`, the highest MSG/MSGACK seq
-    per sender and per channel the highest GOSSIP max_seq, rx_obs and
-    tx_obs. Each node's clauses then run in a fixed order and the first
-    that fails is reported. In-flight packets are rescanned in order only
-    for a node that the packet extremes already show to be failing, to name
-    the packet clause that fails first."""
+    records a node holds, and, in one walk over the packets in flight to
+    live nodes that are younger than `last_corrupt_step`, in channel and
+    packet order, the first packet clause each node breaks. Each node's
+    clauses then run in a fixed order and the first that fails is
+    reported; the packet clauses take their place in that order as the
+    walk's entry for the node."""
     n = header["n"]
     b = header["buffer_unit_size"]
     fifo = header["fifo_enabled"]
@@ -145,57 +146,31 @@ def evaluate_snapshot(
         held_top[k] = top
         held_count[k] = count
 
-    # in-flight packets toward live nodes, past the corruption-era filter
-    msg_top: dict[int, int] = {}  # per sender
-    gossip_in: dict[int, list[tuple[int, float, float]]] = {}  # dst -> (src, max_seq, rx_obs)
-    gossip_out: dict[int, list[tuple[int, float]]] = {}  # src -> (dst, tx_obs)
+    # the first packet clause each node breaks, against the live counters: a
+    # MSG/MSGACK charges its sender, a GOSSIP its destination, then its source
+    packet_breach: dict[int, str] = {}
+    born_after = _NONE if last_corrupt_step is None else last_corrupt_step
     for entry in snapshot["channels"]:
         dst = entry["dst"]
-        if dst in crashed:
+        if dst not in live_set:
             continue
-        g_max = g_rx = g_tx = _NONE
+        src = entry["src"]
         for packet in entry["packets"]:
-            if last_corrupt_step is not None and packet["birth_step"] <= last_corrupt_step:
+            if packet["birth_step"] <= born_after:
                 continue
             kind = packet["kind"]
             if kind == "MSG" or kind == "MSGACK":
-                sender, seq = packet["sender"], packet["seq"]
-                if seq > msg_top.get(sender, _NONE):
-                    msg_top[sender] = seq
+                sender = packet["sender"]
+                if sender not in packet_breach and packet["seq"] > live_seq[sender]:
+                    packet_breach[sender] = "seq-dominance-packet"
             elif kind == "GOSSIP":
-                if packet["max_seq"] > g_max:
-                    g_max = packet["max_seq"]
-                if packet["rx_obs"] > g_rx:
-                    g_rx = packet["rx_obs"]
-                if packet["tx_obs"] > g_tx:
-                    g_tx = packet["tx_obs"]
-        if g_max is not _NONE:  # the channel carries GOSSIP
-            src = entry["src"]
-            gossip_in.setdefault(dst, []).append((src, g_max, g_rx))
-            gossip_out.setdefault(src, []).append((dst, g_tx))
-
-    def packet_clause(i: int, my_seq: int) -> str | None:
-        # the packet clauses in channel and packet order, for node i
-        for entry in snapshot["channels"]:
-            dst = entry["dst"]
-            if dst in crashed:
-                continue
-            src = entry["src"]
-            for packet in entry["packets"]:
-                if last_corrupt_step is not None and packet["birth_step"] <= last_corrupt_step:
-                    continue
-                kind = packet["kind"]
-                if kind in ("MSG", "MSGACK"):
-                    if packet["sender"] == i and packet["seq"] > my_seq:
-                        return "seq-dominance-packet"
-                elif kind == "GOSSIP":
-                    if dst == i and packet["max_seq"] > my_seq:
-                        return "seq-dominance-gossip"
-                    if dst == i and src in live_set and packet["rx_obs"] > live_rx[src][i - 1]:
-                        return "stale-gossip-watermark"
-                    if src == i and dst in live_set and packet["tx_obs"] > live_rx[dst][i - 1]:
-                        return "stale-gossip-echo"
-        return None
+                if dst not in packet_breach:
+                    if packet["max_seq"] > live_seq[dst]:
+                        packet_breach[dst] = "seq-dominance-gossip"
+                    elif src in live_set and packet["rx_obs"] > live_rx[src][dst - 1]:
+                        packet_breach[dst] = "stale-gossip-watermark"
+                if src not in packet_breach and packet["tx_obs"] > live_rx[dst][src - 1]:
+                    packet_breach[src] = "stale-gossip-echo"
 
     def clause_of(i: int) -> str | None:
         me = nodes[i]
@@ -261,18 +236,8 @@ def evaluate_snapshot(
                 return "own-watermark-floor"
             if own_tx > peer_rx:
                 return "watermark-dominance"
-        if (
-            msg_top.get(i, _NONE) > my_seq
-            or any(
-                g_max > my_seq or (src in live_set and g_rx > live_rx[src][i - 1])
-                for src, g_max, g_rx in gossip_in.get(i, ())
-            )
-            or any(
-                dst in live_set and g_tx > live_rx[dst][i - 1]
-                for dst, g_tx in gossip_out.get(i, ())
-            )
-        ):
-            return packet_clause(i, my_seq)
+        if i in packet_breach:
+            return packet_breach[i]
         # the full send-window predicate over the live counters: when it does not
         # hold, a watermark repair (and its dominance dip) is still pending
         trusted_live = [k for k in trusted if k in live_set]

@@ -90,16 +90,20 @@ class WeightTree:
 
     The step loop draws from it inline, exactly as `random.choices(slots,
     weights)` would over the slots of non-zero weight, in slot order: one
-    `random()` scaled by the total, a descent along `descent` to the first
-    slot whose prefix sum exceeds it, and `count_at_most(total - 1)`, the
-    last such slot, when rounding puts the draw at or past the total.
-    Zero-weight slots can never be drawn.
+    `random()` scaled by the total and truncated to an integer x, clamped
+    to total - 1 when rounding puts the draw at the total, and a descent
+    along `descent` to the first slot whose prefix sum exceeds x.
+    `random.choices` bisects for the first prefix sum above the unrounded
+    draw; prefix sums are integers, so a prefix sum exceeds the draw exactly
+    when it exceeds x, and the clamp lands on the last slot of non-zero
+    weight, where `choices` lands such a draw. Zero-weight slots can never
+    be drawn.
 
     The tree spans the smallest power of two above `size`, the slots past
-    `size` weighing 0, so a descent needs no bounds check and ends at or
-    past `size` only when the draw is at or past the total. `paths[slot]`
-    lists the tree nodes whose ranges hold the slot: moving its weight by d
-    adds d to `weights[slot]`, to `total` and to each of those nodes.
+    `size` weighing 0, so a descent needs no bounds check: x < total, so it
+    ends below `size`. `paths[slot]` lists the tree nodes whose ranges hold
+    the slot: moving its weight by d adds d to `weights[slot]`, to `total`
+    and to each of those nodes.
     """
 
     def __init__(self, size: int):
@@ -131,17 +135,6 @@ class WeightTree:
         twin.size, twin.total, twin.descent, twin.paths = self.size, self.total, self.descent, self.paths
         twin.weights, twin.tree = self.weights[:], self.tree[:]
         return twin
-
-    def count_at_most(self, x: float) -> int:
-        """Number of leading slots whose prefix sum is <= x."""
-        tree = self.tree
-        pos = acc = 0
-        for step in self.descent:
-            grown = acc + tree[pos + step]  # int vs float compares exactly
-            if grown <= x:
-                pos += step
-                acc = grown
-        return pos
 
 
 class Channel:
@@ -698,15 +691,16 @@ class Simulation:
 
     def _steps(self, count: int) -> None:
         """Take `count` steps, fewer if one sets a stop reason. A step runs
-        the scheduled faults and broadcasts when due, draws a slot from the
-        weight tree (inline, as `WeightTree` describes), runs that node's
-        iteration or delivers one packet of that channel, and then drives
-        the reset barrier, cycle accounting and interval snapshots. What a
-        delivery reads is bound here once per call."""
+        the scheduled faults and broadcasts when due, draws an integer below
+        the total weight and descends the weight tree to its slot (inline,
+        as `WeightTree` describes), runs that node's iteration or delivers
+        one packet of that channel, and then drives the reset barrier, cycle
+        accounting and interval snapshots. What a delivery reads is bound
+        here once per call."""
         n, channel_slots = self.cfg.n, self.channel_slots
         nodes = [None] + [self.nodes[i] for i in range(1, n + 1)]  # nodes[i] is node i
         wt = self.weights
-        tree, weights, paths, descent, size = wt.tree, wt.weights, wt.paths, wt.descent, wt.size
+        tree, weights, paths, descent = wt.tree, wt.weights, wt.paths, wt.descent
         rand, getrandbits = self.rng.random, self.rng.getrandbits
         reorder, omission, duplication = self.reorder_prob, self.omission_prob, self.duplication_prob
         trace = self.trace
@@ -729,17 +723,15 @@ class Simulation:
                     self.stop_reason = "all-crashed"
                     return
             total = wt.total
-            x = rand() * total
-            # x drops by each prefix the descent passes, exactly: x < 2**53,
-            # so its ulp is at most 1 and divides every integer weight
+            x = int(rand() * total)
+            if x >= total:  # the draw rounded to the total
+                x = total - 1
             slot = 0
             for d in descent:
                 weight = tree[slot + d]
                 if weight <= x:
                     slot += d
                     x -= weight
-            if slot >= size:  # the draw rounded to the total
-                slot = wt.count_at_most(total - 1)
             if slot < n:
                 self._iterate_action(slot + 1)
             else:

@@ -202,9 +202,10 @@ CLAUSE_CASES = [
 
 
 def _clause_names() -> set[str]:
-    # every clause name evaluate_snapshot can return
+    # every clause name evaluate_snapshot can return: a node clause's return,
+    # or the packet walk's entry for the node it charges
     source = inspect.getsource(checker.evaluate_snapshot)
-    return set(re.findall(r'return "([a-z-]+)"', source))
+    return set(re.findall(r'(?:return|packet_breach\[\w+\] =) "([a-z-]+)"', source))
 
 
 def test_clause_table_covers_every_clause():

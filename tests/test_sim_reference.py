@@ -14,7 +14,7 @@ fault-free trunk, must equal the reference's standalone runs too.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from reference import sim_1e25b3a
 
@@ -89,13 +89,20 @@ def _with_faults(raw: dict, faults: dict) -> dict:
     return dict(raw, fault_plan=dict(raw["fault_plan"], **faults))
 
 
+# no shrinking: each shrink step runs both simulators for up to max_steps,
+# so a failing example would shrink for minutes; it is reported as drawn
+_UNSHRUNK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
 def _reference_metrics(cfg) -> dict:
     return sim_1e25b3a.run_scenario(cfg).metrics
 
 
 @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
 @given(data=st.data())
-@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=6, deadline=None, phases=_UNSHRUNK, suppress_health_check=[HealthCheck.too_slow]
+)
 def test_run_scenario_equals_the_reference(kind, data):
     raw = data.draw(scenarios(fifo=True if kind == "NEXT-SKEW" else None))
     cfg = from_dict(_with_faults(raw, data.draw(fault_plans(raw, kind))))
@@ -103,7 +110,9 @@ def test_run_scenario_equals_the_reference(kind, data):
 
 
 @given(st.data())
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=30, deadline=None, phases=_UNSHRUNK, suppress_health_check=[HealthCheck.too_slow]
+)
 def test_run_scenarios_members_equal_the_reference(data):
     # the members' faults fall on a few nearby steps early in the run, so
     # members often branch at one step, or a few steps apart, while MSGs to
