@@ -8,23 +8,24 @@ so the peak RSS is that n's alone. The process runs the scenario again and
 again until the runs have used at least 0.5 s of process time (n=2 takes
 169 steps, a few ms), and for each n it prints the steps, the runs, the
 median microseconds of process time per step of the simulation, the
-microseconds per `NodeState.do_forever_iteration` call, the process
-seconds of `checker.check_all`, the peak RSS and the trace digest. The
-per-call cost comes from further runs of the same scenario, again for at
-least 0.5 s, with that method wrapped in a clock, so the wrapper does not
-slow the timed ones:
+median microseconds per `NodeState.do_forever_iteration` call over further
+runs of the same scenario, again for at least 0.5 s, with that method
+wrapped in a clock, so the wrapper does not slow the timed ones, the
+process seconds of `checker.check_all`, the peak RSS and the trace digest:
 
     python3 scripts/step_cost.py          # about 20 s on one core
     python3 scripts/step_cost.py --big    # n=128 adds about two minutes and 600 MB
 
 With `--against OTHER_CHECKOUT` it compares this checkout's `src` with the
-other one's on the same host: each n runs K times on each tree
-(`--repeat K`, default 3), the two trees alternating and the first tree
-of each round alternating too, and it prints each tree's median µs/step
-over all its timed runs, the number of those runs and their spread (the
+other one's on the same host. For each n one process imports both trees'
+`ssurb` under package names of their own and alternates them run by run,
+the first tree of each round alternating too, so the two trees share the
+process's offset and the host's drift. Each tree runs until it has at
+least K timed runs (`--repeat K`, default 3) and 0.5 s of process time,
+and then as many wrapped runs for the per-call cost. It prints each
+tree's median µs/step, the number of its runs and their spread (the
 interquartile range over the median), the ratio of the medians, the same
-for µs per iteration call (its runs are the K processes), and whether the
-two trees' trace digests match:
+for µs per iteration call, and whether the two trees' trace digests match:
 
     python3 scripts/step_cost.py --against ../parent --repeat 3
 
@@ -37,6 +38,8 @@ pops get a per-n cost too:
 """
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import resource
@@ -57,8 +60,23 @@ NETWORKS = {
 }
 
 
-def iteration_cost(cfg, node_cls, run_scenario) -> float:
-    """Microseconds per `node_cls.do_forever_iteration` call over a run of `cfg`."""
+def scenario(config, n: int, network: str):
+    """The scenario of size `n` over `network`, built by the `config` module."""
+    return config.from_dict(
+        {
+            "n": n,
+            "buffer_unit_size": 4,
+            "seed": 0,
+            "max_steps": 10_000_000,
+            "broadcasts": [{"node": 1 + k % n, "payload": f"m{k}"} for k in range(3)],
+            **NETWORKS[network],
+        }
+    )
+
+
+def iteration_run(cfg, node_cls, run_scenario) -> tuple[float, float]:
+    """(µs per `node_cls.do_forever_iteration` call, process seconds) of one
+    run of `cfg` with that method wrapped in a clock."""
     original, clock, totals = node_cls.do_forever_iteration, time.perf_counter_ns, [0, 0]
 
     def timed(self, view):
@@ -71,32 +89,36 @@ def iteration_cost(cfg, node_cls, run_scenario) -> float:
     node_cls.do_forever_iteration = timed
     try:
         start = time.process_time()
-        while True:
-            run_scenario(cfg)
-            if time.process_time() - start >= MIN_PROCESS_S:
-                break
+        run_scenario(cfg)
+        seconds = time.process_time() - start
     finally:
         node_cls.do_forever_iteration = original
-    return totals[0] / 1000 / totals[1]
+    return totals[0] / 1000 / totals[1], seconds
+
+
+def alternate(sides: list[str], sample, repeat: int) -> dict[str, list[float]]:
+    """`sample(side)` -> (value, process seconds), called in rounds over
+    `sides`, the first side of each round alternating, until every side has
+    at least `repeat` values and 0.5 s of process time. The values by side."""
+    values = {side: [] for side in sides}
+    seconds = dict.fromkeys(sides, 0.0)
+    k = 0
+    while min(map(len, values.values())) < repeat or min(seconds.values()) < MIN_PROCESS_S:
+        for side in sides if k % 2 == 0 else sides[::-1]:
+            value, took = sample(side)
+            values[side].append(value)
+            seconds[side] += took
+        k += 1
+    return values
 
 
 def measure(n: int, src: str, network: str) -> dict:
     sys.path.insert(0, src)
-    from ssurb import checker
-    from ssurb.config import from_dict
+    from ssurb import checker, config
     from ssurb.node import NodeState
     from ssurb.sim import run_scenario
 
-    cfg = from_dict(
-        {
-            "n": n,
-            "buffer_unit_size": 4,
-            "seed": 0,
-            "max_steps": 10_000_000,
-            "broadcasts": [{"node": 1 + k % n, "payload": f"m{k}"} for k in range(3)],
-            **NETWORKS[network],
-        }
-    )
+    cfg = scenario(config, n, network)
     simulate_s = []
     while sum(simulate_s) < MIN_PROCESS_S:
         result = None  # the last run's trace does not join the next one's in memory
@@ -118,17 +140,69 @@ def measure(n: int, src: str, network: str) -> dict:
         "trace_digest": result.metrics["trace_digest"],
     }
     del result  # the wrapped runs' traces do not join the last timed one's in memory
-    row["us_per_iteration"] = iteration_cost(cfg, NodeState, run_scenario)
+    per_call = alternate(["one"], lambda _: iteration_run(cfg, NodeState, run_scenario), 1)["one"]
+    row["us_per_iteration"] = statistics.median(per_call)
     return row
+
+
+def load_tree(src: str, name: str):
+    """The modules of the `ssurb` package under `src`, imported as package
+    `name`, so that two trees can share one process."""
+    package_dir = os.path.join(src, "ssurb")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package_dir, "__init__.py"), submodule_search_locations=[package_dir]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("config", "node", "sim"):
+        setattr(package, module, importlib.import_module(f"{name}.{module}"))
+    return package
+
+
+def measure_pair(n: int, srcs: dict[str, str], network: str, repeat: int) -> dict:
+    """Both trees of `srcs` in this process, alternating run by run."""
+    trees = {side: load_tree(src, f"ssurb_{side}") for side, src in srcs.items()}
+    cfgs = {side: scenario(tree.config, n, network) for side, tree in trees.items()}
+    sides = list(trees)
+    last: dict[str, dict] = {}
+
+    def step_sample(side):
+        start = time.process_time()
+        result = trees[side].sim.run_scenario(cfgs[side])
+        seconds = time.process_time() - start
+        last[side] = result.metrics
+        del result  # its trace is freed outside the timed region
+        return 1e6 * seconds / last[side]["steps"], seconds
+
+    def call_sample(side):
+        tree = trees[side]
+        return iteration_run(cfgs[side], tree.node.NodeState, tree.sim.run_scenario)
+
+    us_per_step = alternate(sides, step_sample, repeat)
+    us_per_iteration = alternate(sides, call_sample, repeat)
+    return {
+        side: {
+            "status": last[side]["status"],
+            "steps": last[side]["steps"],
+            "trace_digest": last[side]["trace_digest"],
+            "us_per_step_runs": us_per_step[side],
+            "us_per_iteration_runs": us_per_iteration[side],
+        }
+        for side in sides
+    }
+
+
+def child(args: list[str]) -> dict:
+    out = subprocess.run(
+        [sys.executable, __file__, *args], check=True, capture_output=True, text=True
+    ).stdout
+    return json.loads(out)
 
 
 def run_one(n: int, src: str, network: str) -> dict:
     """`measure(n, src, network)` in a fresh process."""
-    out = subprocess.run(
-        [sys.executable, __file__, "--one", str(n), "--src", src, "--network", network],
-        check=True, capture_output=True, text=True,
-    ).stdout
-    row = json.loads(out)
+    row = child(["--one", str(n), "--src", src, "--network", network])
     if row["status"] != "complete-delivery":
         raise SystemExit(f"n={n} ({src}): run ended {row['status']}")
     return row
@@ -168,21 +242,21 @@ def compare(sizes, other: str, repeat: int, network: str) -> None:
         + f" {'us/iter':>9} {'runs':>5} {'spread':>6}" * 2 + f" {'ratio':>6}  digests"
     )
     for n in sizes:
-        rows = {"this": [], "other": []}
-        for k in range(repeat):
-            for side in ("this", "other") if k % 2 == 0 else ("other", "this"):
-                rows[side].append(run_one(n, trees[side], network))
-        line = f"{n:>4} {rows['this'][0]['steps']:>10}"
-        for samples in (
-            {side: [us for r in rows[side] for us in r["us_per_step_runs"]] for side in rows},
-            {side: [r["us_per_iteration"] for r in rows[side]] for side in rows},
-        ):
-            medians = {side: statistics.median(samples[side]) for side in rows}
+        rows = child(
+            ["--one", str(n), "--src", trees["this"], "--against", trees["other"],
+             "--network", network, "--repeat", str(repeat)]
+        )
+        for side, row in rows.items():
+            if row["status"] != "complete-delivery":
+                raise SystemExit(f"n={n} ({trees[side]}): run ended {row['status']}")
+        line = f"{n:>4} {rows['this']['steps']:>10}"
+        for key in ("us_per_step_runs", "us_per_iteration_runs"):
+            medians = {side: statistics.median(rows[side][key]) for side in rows}
             for side in rows:
-                line += f" {medians[side]:>9.1f} {len(samples[side]):>5} {spread(samples[side]):>6.2f}"
+                line += f" {medians[side]:>9.1f} {len(rows[side][key]):>5} {spread(rows[side][key]):>6.2f}"
             line += f" {medians['this'] / medians['other']:>6.3f}"
-        digests = {r["trace_digest"] for side in rows for r in rows[side]}
-        print(f"{line}  {'match' if len(digests) == 1 else 'DIFFER'}", flush=True)
+        same = rows["this"]["trace_digest"] == rows["other"]["trace_digest"]
+        print(f"{line}  {'match' if same else 'DIFFER'}", flush=True)
 
 
 def main() -> int:
@@ -190,7 +264,8 @@ def main() -> int:
     parser.add_argument("--big", action="store_true", help="also run n=128")
     parser.add_argument("--against", metavar="OTHER_CHECKOUT", help="also time the src of that checkout")
     parser.add_argument(
-        "--repeat", type=int, default=3, metavar="K", help="processes per tree and n with --against"
+        "--repeat", type=int, default=3, metavar="K",
+        help="at least K timed runs per tree and n with --against",
     )
     parser.add_argument(
         "--network", choices=tuple(NETWORKS), default="fault-free",
@@ -200,7 +275,11 @@ def main() -> int:
     parser.add_argument("--src", default=SRC, help=argparse.SUPPRESS)  # a child's tree
     args = parser.parse_args()
     if args.one is not None:
-        print(json.dumps(measure(args.one, args.src, args.network)))
+        if args.against:  # a child that times both trees; --against is the other's src
+            row = measure_pair(args.one, {"this": args.src, "other": args.against}, args.network, args.repeat)
+        else:
+            row = measure(args.one, args.src, args.network)
+        print(json.dumps(row))
         return 0
     sizes = SIZES + ((128,) if args.big else ())
     if args.against:

@@ -36,16 +36,24 @@ them, so a snapshot costs O(its size) rather than O(n * its size).
 `TraceIndex` makes the only pass over the events. It records the positions
 of each event type the checks read, and each check bisects out its epoch's
 share of those positions and walks only them. It also evaluates each
-snapshot at most once for all the checks together. A battery costs
-O(events + sum of snapshot sizes), where it used to cost O(checks * events
-+ n * sum of snapshot sizes).
+snapshot at most once for all the checks together, and not at all when the
+simulator's `stabilized` stop rule has judged it already: that rule records
+each verdict it computes in the trace's verdict table (`Trace.verdicts`),
+with the last corruption step it judged under, and the index reuses a
+recorded verdict whenever that step is the one it derives for the
+snapshot. A trace read from a file carries no table and is evaluated in
+full. A battery costs O(events + sum of snapshot sizes), where it used to
+cost O(checks * events + n * sum of snapshot sizes). `validity_check`
+gathers the identities present at an epoch's marker only for a checked
+delivery that no earlier broadcast explains.
 
 Events are read as stored. A `Trace` keeps its packet records compact
 (`trace.PACKET_CODES`), and `TraceIndex.packet` reads a packet's type,
 kind, mid and step from that form or from a packet dict in a hand-built
-list, so no check decodes a trace line. `quiescence_check`, which reads
-every record of its window, looks the compact forms up in
-`trace.PACKET_CODES` itself and calls `packet` only for dicts.
+list, so no check decodes a trace line. `quiescence_check` and
+`message_cost`, which read every record of their window or every
+MSG/MSGACK send, look the compact forms up in `trace.PACKET_CODES`
+themselves and call `packet` only for dicts.
 """
 
 from __future__ import annotations
@@ -147,18 +155,28 @@ def evaluate_snapshot(
         held_count[k] = count
 
     # the first packet clause each node breaks, against the live counters: a
-    # MSG/MSGACK charges its sender, a GOSSIP its destination, then its source
+    # MSG/MSGACK charges its sender, a GOSSIP its destination, then its source;
+    # and, as `stale_packets_in_flight` says, whether a non-HEARTBEAT packet
+    # born by the last corruption is in flight to a node not crashed
     packet_breach: dict[int, str] = {}
+    stale = False
     born_after = _NONE if last_corrupt_step is None else last_corrupt_step
     for entry in snapshot["channels"]:
         dst = entry["dst"]
         if dst not in live_set:
+            if dst not in crashed and not stale:  # a destination the snapshot does not hold
+                stale = any(
+                    p["kind"] != "HEARTBEAT" and p["birth_step"] <= born_after
+                    for p in entry["packets"]
+                )
             continue
         src = entry["src"]
         for packet in entry["packets"]:
-            if packet["birth_step"] <= born_after:
-                continue
             kind = packet["kind"]
+            if packet["birth_step"] <= born_after:
+                if kind != "HEARTBEAT":
+                    stale = True
+                continue
             if kind == "MSG" or kind == "MSGACK":
                 sender = packet["sender"]
                 if sender not in packet_breach and packet["seq"] > live_seq[sender]:
@@ -255,7 +273,6 @@ def evaluate_snapshot(
                 return "peer-buffer-bound"
         return None
 
-    stale = stale_packets_in_flight(snapshot, last_corrupt_step)
     if node_id is not None:
         clause = clause_of(node_id)
         return SnapshotVerdict(stale, None if clause is None else node_id, clause)
@@ -292,11 +309,20 @@ def stale_packets_in_flight(snapshot: dict, last_corrupt_step: int | None) -> bo
 
 
 def snapshot_all_consistent(
-    snapshot: dict, header: dict, last_corrupt_step: int | None
+    snapshot: dict,
+    header: dict,
+    last_corrupt_step: int | None,
+    verdicts: dict[int, tuple[int | None, SnapshotVerdict]] | None = None,
+    pos: int | None = None,
 ) -> bool:
     """Every live node consistent, and no corruption-era protocol packet still
-    in flight toward a live node."""
-    return evaluate_snapshot(snapshot, header, last_corrupt_step).consistent
+    in flight toward a live node. With `verdicts`, a trace's verdict table,
+    the verdict is recorded there as (last_corrupt_step, verdict) under the
+    snapshot's record position `pos`, for `TraceIndex` to reuse."""
+    verdict = evaluate_snapshot(snapshot, header, last_corrupt_step)
+    if verdicts is not None:
+        verdicts[pos] = (last_corrupt_step, verdict)
+    return verdict.consistent
 
 
 def drained_cycle(snapshot: dict, last_corrupt_step: int | None) -> int | None:
@@ -327,12 +353,25 @@ class TraceIndex:
     epoch's stabilization marker. Every snapshot verdict is computed at most
     once.
 
+    A `Trace`'s view brings the verdicts its `stabilized` stop rule recorded
+    (`TraceEvents.verdicts`). `verdict` reuses one when it was judged under
+    the last corruption step the index derives for that snapshot, and
+    evaluates the snapshot otherwise. A trace read from a file, or a list of
+    events, brings none.
+
     `records` holds the events as stored: dicts, and a `Trace`'s packet
     records in their compact form, which `packet` reads."""
 
     def __init__(self, header: dict, events):
         self.header = header
-        records = events.records if isinstance(events, TraceEvents) else events
+        if isinstance(events, TraceEvents):
+            records = events.records
+            # (last corruption step, verdict) by snapshot position; a copy, so
+            # the trace's table holds only what the stop rule recorded
+            self._verdicts: dict[int, tuple[int | None, SnapshotVerdict]] = dict(events.verdicts)
+        else:
+            records = events
+            self._verdicts = {}
         self.records = records
         self.crashed: set[int] = set()
         self.end_reason: str | None = None
@@ -347,7 +386,6 @@ class TraceIndex:
         # (position, step of the last CORRUPT before it) of every SNAPSHOT
         self.snapshots: list[tuple[int, int | None]] = []
         self.epochs: list[range] = []
-        self._verdicts: dict[int, SnapshotVerdict] = {}
         last_corrupt: int | None = None
         start = 0
         mid_sends, mid_others = self.mid_sends, self.mid_others
@@ -424,12 +462,13 @@ class TraceIndex:
         )
 
     def verdict(self, pos: int, last_corrupt_step: int | None) -> SnapshotVerdict:
-        """`evaluate_snapshot` of the snapshot at `pos`, evaluated once."""
-        verdict = self._verdicts.get(pos)
-        if verdict is None:
+        """`evaluate_snapshot` of the snapshot at `pos`, evaluated once, or
+        recorded under the same `last_corrupt_step`."""
+        entry = self._verdicts.get(pos)
+        if entry is None or entry[0] != last_corrupt_step:
             verdict = evaluate_snapshot(self.records[pos], self.header, last_corrupt_step)
-            self._verdicts[pos] = verdict
-        return verdict
+            self._verdicts[pos] = entry = (last_corrupt_step, verdict)
+        return entry[1]
 
     def consistent(self, pos: int, last_corrupt_step: int | None) -> bool:
         """Every live node consistent at `pos`, and no corruption-era packet in
@@ -491,38 +530,47 @@ def validity_check(ti: TraceIndex) -> CheckReport:
         if marker is None:
             exemptions += len(delivers)
             continue
-        marker_snapshot = records[marker]
-        preexisting: set[tuple[int, int]] = set()
-        for entry in marker_snapshot["nodes"]:
-            for r in entry["buffer"]:
-                preexisting.add((r["sender"], r["seq"]))
-        for entry in marker_snapshot["channels"]:
-            for packet in entry["packets"]:
-                if packet["kind"] in ("MSG", "MSGACK"):
-                    preexisting.add((packet["sender"], packet["seq"]))
-        # identities that moved through the recovery window may be buffered
-        # live without showing in the marker's observed states yet
-        window = range(epoch.start, marker)
-        for positions in (ti.within(ti.mid_sends, window), ti.within(ti.mid_others, window)):
-            for pos in positions:
-                preexisting.add(ti.packet(pos)[2])
         broadcast_at: dict[tuple[int, int], int] = {}
         for pos in ti.within(ti.broadcasts, epoch):
             broadcast_at.setdefault(_mid(records[pos]), pos)
+        preexisting: set[tuple[int, int]] | None = None  # built for the first checked orphan
         for pos in delivers:
             event = records[pos]
             mid = _mid(event)
             if broadcast_at.get(mid, pos) < pos:
                 continue
-            if pos < marker or mid in preexisting:
-                exemptions += 1
-                continue
-            return CheckReport(
-                "validity",
-                "FAIL",
-                witness={"step": event["step"], "node": event["node"], "mid": list(mid)},
-            )
+            if pos >= marker:
+                if preexisting is None:
+                    preexisting = _preexisting(ti, epoch, marker)
+                if mid not in preexisting:
+                    return CheckReport(
+                        "validity",
+                        "FAIL",
+                        witness={"step": event["step"], "node": event["node"], "mid": list(mid)},
+                    )
+            exemptions += 1
     return CheckReport("validity", "PASS", measured={"exemptions": exemptions})
+
+
+def _preexisting(ti: TraceIndex, epoch: range, marker: int) -> set[tuple[int, int]]:
+    """The identities present in the system at the epoch's marker: held or in
+    flight in its snapshot, or carried by a MSG/MSGACK record of the recovery
+    window, since those may be buffered live without showing in the marker's
+    observed states yet."""
+    snapshot = ti.records[marker]
+    preexisting: set[tuple[int, int]] = set()
+    for entry in snapshot["nodes"]:
+        for r in entry["buffer"]:
+            preexisting.add((r["sender"], r["seq"]))
+    for entry in snapshot["channels"]:
+        for packet in entry["packets"]:
+            if packet["kind"] in ("MSG", "MSGACK"):
+                preexisting.add((packet["sender"], packet["seq"]))
+    window = range(epoch.start, marker)
+    for positions in (ti.within(ti.mid_sends, window), ti.within(ti.mid_others, window)):
+        for pos in positions:
+            preexisting.add(ti.packet(pos)[2])
+    return preexisting
 
 
 def integrity_check(ti: TraceIndex) -> CheckReport:
@@ -753,7 +801,12 @@ def message_cost(ti: TraceIndex) -> CheckReport:
         if not entries:
             continue
         for pos in ti.within(ti.mid_sends, epoch):
-            _, kind, mid, _ = ti.packet(pos)
+            # `ti.packet(pos)`, inlined for the compact records
+            record = records[pos]
+            if type(record) is tuple:
+                kind, mid = PACKET_CODES[record[0]][1], (record[1], record[2])
+            else:
+                _, kind, mid, _ = ti.packet(pos)
             if broadcast_at.get(mid, pos) < pos:
                 entries[mid]["msg_sends" if kind == "MSG" else "ack_sends"] += 1
         for pos in ti.within(ti.delivers, epoch):

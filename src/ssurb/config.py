@@ -7,7 +7,6 @@ report it and exit with the usage status.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -277,8 +276,9 @@ def load(path: str) -> ScenarioConfig:
 
 def apply_overrides(cfg: ScenarioConfig, overrides: dict[str, Any]) -> ScenarioConfig:
     """Re-validate the config with dotted-path overrides applied, e.g.
-    {"fault_plan.omission_prob": 0.2, "seed": 7}."""
-    raw = copy.deepcopy(cfg.to_dict())
+    {"fault_plan.omission_prob": 0.2, "seed": 7}. `to_dict` builds fresh
+    containers, so no override reaches `cfg`."""
+    raw = cfg.to_dict()
     for dotted, value in overrides.items():
         parts = dotted.split(".")
         target = raw

@@ -34,6 +34,11 @@ or HEARTBEAT RECV from its channel's prefix. A SNAPSHOT encodes its
 `nodes` once, takes each in-flight packet's record and JSON together from
 `in_flight` and assembles its digest input and line from the two strings.
 
+The `stabilized` stop rule records each snapshot verdict it computes in
+the trace's verdict table (`Trace.verdicts`), keyed by the snapshot's
+record position, with the last corruption step it judged under;
+`check_all` reads them instead of evaluating those snapshots again.
+
 `run_scenarios` runs configs that differ only in their crashes and
 corruptions off one fault-free trunk: `Simulation.branch` copies the
 trunk's mutable state at a member's first fault step and shares the rest,
@@ -659,6 +664,7 @@ class Simulation:
     def _on_cycle_boundary(self) -> None:
         self.cycle_count += 1
         self._event("CYCLE", k=self.cycle_count)
+        pos = len(self.trace.records)  # the snapshot's record position
         snapshot = self._emit_snapshot()
         self._reset_cycle_tracker()
 
@@ -668,14 +674,18 @@ class Simulation:
             settled = self._settled_complete_delivery()
         elif mode == "stabilized":
             # the checker's marker rule: from the cycle drained_cycle admits
-            # on, the first all-consistent snapshot
+            # on, the first all-consistent snapshot; each verdict goes into
+            # the trace's table, so check_all does not evaluate it again
             if self.marker_cycle is None:
                 self.marker_cycle = drained_cycle(snapshot, self.last_corrupt_step)
+            trace = self.trace
             settled = (
                 self.marker_cycle is not None
                 and self.cycle_count >= self.marker_cycle
                 and self.sched_ptr >= len(self.schedule)
-                and snapshot_all_consistent(snapshot, self.trace.header, self.last_corrupt_step)
+                and snapshot_all_consistent(
+                    snapshot, trace.header, self.last_corrupt_step, trace.verdicts, pos
+                )
             )
         if not settled:
             self.stop_counter = None

@@ -27,6 +27,13 @@ dicts as they are and decodes a compact packet record's dict from its line
 when asked, a fresh dict each time, so an edit to one does not persist.
 `read` keeps a trace file's packet records of the simulator's shape in the
 same compact form, their lines rendered by `packet_line`.
+
+A `Trace` also owns a verdict table, `verdicts`: the simulator's
+`stabilized` stop rule records there, by the snapshot's record position,
+the last corruption step it judged the snapshot under and the
+`checker.SnapshotVerdict` it found, and the checker reuses them (see
+`checker.TraceIndex`). The view exposes the same table. A trace read from
+a file starts with an empty one.
 """
 
 from __future__ import annotations
@@ -151,7 +158,11 @@ class Trace:
     hashed chunks, or in `pending` until the next chunk is cut. The
     simulator appends to `records` and `pending` itself and calls `flush`
     once a step when `CHUNK_LINES` lines are pending; a chunk may run
-    longer, which changes neither the digest nor the written bytes."""
+    longer, which changes neither the digest nor the written bytes.
+
+    `verdicts` maps the record position of a snapshot the stop rule judged
+    to (last corruption step, `checker.SnapshotVerdict`). It is neither
+    hashed nor written."""
 
     def __init__(self, header: dict):
         self.header = header
@@ -162,9 +173,12 @@ class Trace:
         # short, so each is indexed by the position of its first event
         self._chunks: list[bytes] = []
         self._chunk_starts: list[int] = []
-        # the view shares these lists, never the trace itself: a cycle between
-        # the two would leave a finished trace to the cyclic collector
-        self.events = TraceEvents(self.records, self._chunks, self._chunk_starts, self.pending)
+        self.verdicts: dict[int, tuple] = {}
+        # the view shares these containers, never the trace itself: a cycle
+        # between the two would leave a finished trace to the cyclic collector
+        self.events = TraceEvents(
+            self.records, self._chunks, self._chunk_starts, self.pending, self.verdicts
+        )
 
     def append(self, record, line: str | None = None) -> None:
         """Record an event: a dict, whose `canonical` line the caller may pass
@@ -177,11 +191,13 @@ class Trace:
             self.flush()
 
     def branch(self, header: dict) -> Trace:
-        """These events under `header`, in lists of their own; the kept chunks
-        are re-hashed after it, as a trace started with `header` hashes them."""
+        """These events under `header`, in lists of their own, with a copy of
+        the verdict table; the kept chunks are re-hashed after it, as a trace
+        started with `header` hashes them."""
         twin = Trace(header)
         twin.records[:], twin.pending[:] = self.records, self.pending
         twin._chunks[:], twin._chunk_starts[:] = self._chunks, self._chunk_starts
+        twin.verdicts.update(self.verdicts)
         twin._hasher.update(b"".join(self._chunks))
         return twin
 
@@ -216,12 +232,17 @@ def decode_line(line: bytes | str) -> dict:
 class TraceEvents(Sequence):
     """Read-only sequence of a trace's events, negative indexes and slices
     included. Appended dicts are handed out as they are; a compact packet
-    record's dict is decoded from its line on each read."""
+    record's dict is decoded from its line on each read. `verdicts` is the
+    trace's verdict table."""
 
-    __slots__ = ("records", "_chunks", "_starts", "_pending", "_split")
+    __slots__ = ("records", "verdicts", "_chunks", "_starts", "_pending", "_split")
 
-    def __init__(self, records: list, chunks: list[bytes], starts: list[int], pending: list[str]):
+    def __init__(
+        self, records: list, chunks: list[bytes], starts: list[int], pending: list[str],
+        verdicts: dict[int, tuple],
+    ):
         self.records = records  # the events as appended, packet records compact
+        self.verdicts = verdicts
         self._chunks, self._starts, self._pending = chunks, starts, pending
         self._split: tuple[int, list[bytes]] = (-1, [])  # the last chunk read, split
 

@@ -7,8 +7,8 @@ import pytest
 
 from ssurb import checker
 from ssurb.config import ScenarioConfig, from_dict
-from ssurb.sim import run_scenario
-from ssurb.trace import make_header
+from ssurb.sim import run_scenario, run_scenarios
+from ssurb.trace import PACKET_CODE, Trace, make_header, packet_line
 
 
 def header(n=3, b=4, fifo=False, w=5):
@@ -256,6 +256,39 @@ def test_stale_packet_blocks_all_consistent_after_corruption():
     assert checker.snapshot_all_consistent(snap, h, 2)  # packet born after it
 
 
+def test_stale_flag_is_stale_packets_in_flight():
+    """`evaluate_snapshot` finds the stale flag in its packet walk by the rule
+    of `stale_packets_in_flight`: a non-HEARTBEAT packet born by the last
+    corruption, to a destination that has not crashed, even one the
+    snapshot holds no node for."""
+    h = header()
+    nodes = [fresh_node(i, 3) for i in (1, 2, 3)]
+    nodes[2] = dict(nodes[2], crashed=True)
+
+    def channel(dst, kind, birth):
+        packet = {"kind": kind, "birth_step": birth}
+        if kind == "HEARTBEAT":
+            packet.update(sender_count=0, dst_count=0)
+        else:
+            packet.update(max_seq=0, rx_obs=0, tx_obs=0)
+        return {"src": 1, "dst": dst, "packets": [packet]}
+
+    for channels in (
+        [channel(3, "GOSSIP", 2)],  # to the crashed node
+        [channel(2, "HEARTBEAT", 2)],
+        [channel(2, "GOSSIP", 2)],
+        [channel(2, "GOSSIP", 6)],  # born after the corruption
+        [channel(4, "GOSSIP", 2)],  # to a node the snapshot does not hold
+        [channel(4, "HEARTBEAT", 2), channel(2, "GOSSIP", 6)],
+    ):
+        snap = snapshot(nodes, channels)
+        for last_corrupt_step in (None, 4):
+            expected = checker.stale_packets_in_flight(snap, last_corrupt_step)
+            assert checker.evaluate_snapshot(snap, h, last_corrupt_step).stale == expected
+            assert checker.evaluate_snapshot(snap, h, last_corrupt_step, 1).stale == expected
+    assert checker.evaluate_snapshot(snapshot(nodes, [channel(4, "GOSSIP", 2)]), h, 4).stale
+
+
 # -- event-level checks -------------------------------------------------------------
 
 
@@ -456,32 +489,107 @@ def test_closure_fail_names_node_and_clause():
 
 
 def test_each_snapshot_evaluated_once(monkeypatch):
-    cfg = from_dict(
-        {
-            "n": 4,
-            "buffer_unit_size": 2,
-            "seed": 3,
-            "stop_mode": "stabilized",
-            "quiescence_window_cycles": 3,
-            "broadcasts": [{"node": k, "payload": f"m{k}"} for k in (1, 2, 3, 4)],
-            "fault_plan": {"corruptions": [{"node": 2, "step": 250, "kind": "RANDOMIZE-ALL"}]},
-        }
-    )
-    result = run_scenario(cfg)
-    assert result.metrics["status"] == "stabilized"
-    events = result.trace.events
-    calls = []
+    """The `stabilized` stop rule and `check_all` together evaluate each
+    snapshot at most once, and at least one is evaluated: a standalone run,
+    and the members of a `run_scenarios` group, whose shared prefix the trunk
+    judged and whose records are the trunk's own dicts."""
+    raw = {
+        "n": 4,
+        "buffer_unit_size": 2,
+        "seed": 3,
+        "stop_mode": "stabilized",
+        "quiescence_window_cycles": 3,
+        "broadcasts": [{"node": k, "payload": f"m{k}"} for k in (1, 2, 3, 4)],
+        "fault_plan": {"corruptions": [{"node": 2, "step": 250, "kind": "RANDOMIZE-ALL"}]},
+    }
+    member = dict(raw, fault_plan={"corruptions": [{"node": 3, "step": 300, "kind": "SEQ-REGRESSION"}]})
+    evaluated = []  # the snapshots themselves, so that no id is reused
     original = checker.evaluate_snapshot
 
     def counting(snapshot, header, last_corrupt_step, node_id=None):
-        calls.append(snapshot["step"])
+        evaluated.append(snapshot)
         return original(snapshot, header, last_corrupt_step, node_id)
 
     monkeypatch.setattr(checker, "evaluate_snapshot", counting)
-    reports = checker.check_all(result.trace.header, events)
-    assert not [r.name for r in reports if r.verdict == "FAIL"]
-    assert 0 < len(calls) <= sum(1 for e in events if e["type"] == "SNAPSHOT")
-    assert len(calls) == len(set(calls))
+    results = [run_scenario(from_dict(raw))]
+    results += [result for _, result in sorted(run_scenarios([from_dict(raw), from_dict(member)]))]
+    for result in results:
+        assert result.metrics["status"] == "stabilized"
+        reports = checker.check_all(result.trace.header, result.trace.events)
+        assert not [r.name for r in reports if r.verdict == "FAIL"]
+    assert evaluated
+    assert len({id(snapshot) for snapshot in evaluated}) == len(evaluated)
+
+
+def _checked_trace(h, events, compact_at=None):
+    """A `Trace` of these events, the packet record at `compact_at`, a dict,
+    appended in compact form as the simulator appends it."""
+    trace = Trace(h)
+    for pos, event in enumerate(events):
+        if pos == compact_at:
+            mid = event["mid"]
+            code = PACKET_CODE[(event["type"], event["kind"], None)]
+            line = packet_line(event["type"], event["step"], event["src"], event["dst"], event["kind"], mid)
+            trace.append((code, mid[0], mid[1], event["step"]), line)
+        else:
+            trace.append(event)
+    return trace
+
+
+def _recovered_events(n=3):
+    """A corruption at step 1, a compact MSG SEND of (2, 5) in the recovery
+    window, and the marker at the cycle-2 snapshot, where node 1 holds its
+    own message (1, 1); the position of the SEND and of the marker."""
+    holder = dict(fresh_node(1, n), seq=1, buffer=[rec("m", 1, 1, n)])
+    events = base_events(n) + [
+        ev("CORRUPT", node=1, kind="RANDOMIZE-ALL", step=1),
+        ev("SEND", src=2, dst=1, kind="MSG", mid=[2, 5], step=2),
+        ev("CYCLE", k=1, step=3),
+        snapshot([fresh_node(i, n) for i in range(1, n + 1)], step=3, cycle=1),
+        ev("CYCLE", k=2, step=5),
+        snapshot([holder] + [fresh_node(i, n) for i in range(2, n + 1)], step=5, cycle=2),
+    ]
+    return events, 2, 6
+
+
+def test_validity_exempts_identities_present_at_the_marker():
+    h = header()
+    events, send, marker = _recovered_events()
+    delivers = [
+        ev("DELIVER", node=2, mid=[1, 1], step=6),  # held in the marker snapshot
+        ev("DELIVER", node=3, mid=[2, 5], step=7),  # sent in the recovery window only
+    ]
+    end = [ev("END", reason="stabilized", step=9)]
+    trace = _checked_trace(h, events + delivers + end, compact_at=send)
+    assert type(trace.records[send]) is tuple
+    ti = checker.index_trace(h, trace.events)
+    assert ti.markers == [marker]
+    report = checker.validity_check(ti)
+    assert report.verdict == "PASS" and report.measured == {"exemptions": 2}
+
+    orphan = ev("DELIVER", node=3, mid=[9, 9], step=8)  # present nowhere
+    trace = _checked_trace(h, events + delivers + [orphan] + end, compact_at=send)
+    report = checker.validity_check(checker.index_trace(h, trace.events))
+    assert report.verdict == "FAIL"
+    assert report.witness == {"step": 8, "node": 3, "mid": [9, 9]}
+
+
+def test_recorded_verdict_used_only_under_its_corruption_step():
+    h = header()
+    events, _, marker = _recovered_events()
+    events.append(ev("END", reason="stabilized", step=9))
+    plain = [r.to_dict() for r in checker.check_all(h, events)]
+    assert not [r for r in plain if r["verdict"] == "FAIL"]
+    planted = checker.SnapshotVerdict(False, 2, "planted")
+    trace = _checked_trace(h, events)
+    # judged under another corruption step: evaluated again, as without a table
+    trace.verdicts[marker] = (0, planted)
+    assert [r.to_dict() for r in checker.check_all(h, trace.events)] == plain
+    # under the step the index derives (the CORRUPT at step 1): read as recorded
+    trace.verdicts[marker] = (1, planted)
+    ti = checker.index_trace(h, trace.events)
+    assert ti.verdict(marker, 1) is planted
+    assert ti.markers == [None]
 
 
 def test_gate_exit_semantics():

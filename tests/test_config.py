@@ -75,6 +75,19 @@ def test_overrides_dotted_paths():
     assert cfg.seed == 0  # original untouched
 
 
+def test_overrides_with_list_values_stay_independent():
+    base = from_dict(minimal(fault_plan={"corruptions": [{"node": 1, "step": 5, "kind": "RANDOMIZE-ALL"}]}))
+    before = base.to_dict()
+    skew = [{"node": 2, "step": 9, "kind": "WINDOW-SKEW"}]
+    a = apply_overrides(base, {"fault_plan.corruptions": skew, "seed": 1})
+    b = apply_overrides(base, {"fault_plan.corruptions": [], "broadcasts": [{"node": 3, "payload": "x"}]})
+    skew.append({"node": 3, "step": 11, "kind": "NULL-PAYLOAD"})  # the caller's list, edited later
+    assert a.fault_plan.corruptions == [(2, 9, "WINDOW-SKEW")]
+    assert a.broadcasts == base.broadcasts == []
+    assert b.fault_plan.corruptions == [] and [e.payload for e in b.broadcasts] == ["x"]
+    assert base.to_dict() == before
+
+
 def test_override_unknown_path_rejected():
     cfg = from_dict(minimal())
     with pytest.raises(ConfigError):

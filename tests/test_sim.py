@@ -7,8 +7,8 @@ import random
 
 from ssurb import checker, corruption
 from ssurb import trace as trace_mod
-from ssurb.config import from_dict
-from ssurb.sim import Simulation, run_scenario
+from ssurb.config import CORRUPTION_KINDS, from_dict
+from ssurb.sim import Simulation, run_scenario, run_scenarios
 from ssurb.wire import Heartbeat, encode
 
 
@@ -258,16 +258,33 @@ def test_barrier_survives_crash_during_disable():
     assert not [r.name for r in reports if r.verdict == "FAIL"]
 
 
+def _stabilized(kind, fifo=False, step=250):
+    return scenario(
+        fifo_enabled=fifo, stop_mode="stabilized", quiescence_window_cycles=3,
+        fault_plan={"corruptions": [{"node": 2, "step": step, "kind": kind}]},
+    )
+
+
 def test_run_then_check_same_reports(tmp_path):
-    result = run_scenario(scenario())
-    path = tmp_path / "trace.jsonl"
-    result.trace.write(str(path))
-    loaded = trace_mod.read(str(path))
-    assert loaded.header == result.trace.header
-    assert list(loaded.events) == list(result.trace.events)
-    original = [r.to_dict() for r in checker.check_all(result.trace.header, result.trace.events)]
-    reloaded = [r.to_dict() for r in checker.check_all(loaded.header, loaded.events)]
-    assert original == reloaded
+    """A run's reports from its in-memory events, which carry the verdicts its
+    `stabilized` stop rule recorded, equal those of its trace read back from
+    the file, which carries none: a complete-delivery run, a stabilized run
+    under every corruption kind, and a member that branched off a trunk."""
+    results = [run_scenario(scenario())]
+    results += [run_scenario(_stabilized(kind, kind == "NEXT-SKEW")) for kind in CORRUPTION_KINDS]
+    branched = dict(run_scenarios([_stabilized("RANDOMIZE-ALL", step=120), _stabilized("SEQ-REGRESSION")]))
+    results.append(branched[1])
+    assert any(result.trace.verdicts for result in results)
+    for k, result in enumerate(results):
+        path = tmp_path / f"trace-{k}.jsonl"
+        result.trace.write(str(path))
+        loaded = trace_mod.read(str(path))
+        assert loaded.header == result.trace.header
+        assert list(loaded.events) == list(result.trace.events)
+        assert not loaded.events.verdicts
+        original = [r.to_dict() for r in checker.check_all(result.trace.header, result.trace.events)]
+        reloaded = [r.to_dict() for r in checker.check_all(loaded.header, loaded.events)]
+        assert original == reloaded, result.trace.header
 
 
 def test_interval_snapshots_emitted():
