@@ -24,8 +24,10 @@ process's offset and the host's drift. Each tree runs until it has at
 least K timed runs (`--repeat K`, default 3) and 0.5 s of process time,
 and then as many wrapped runs for the per-call cost. It prints each
 tree's median µs/step, the number of its runs and their spread (the
-interquartile range over the median), the ratio of the medians, the same
-for µs per iteration call, and whether the two trees' trace digests match:
+interquartile range over the median), the ratio of the medians, and the
+median and the min-max of the per-round ratios (this tree's run over the
+other's run of the same round, which shares its drift), the same for µs
+per iteration call, and whether the two trees' trace digests match:
 
     python3 scripts/step_cost.py --against ../parent --repeat 3
 
@@ -236,10 +238,12 @@ def compare(sizes, other: str, repeat: int, network: str) -> None:
     trees = {"this": SRC, "other": os.path.join(other, "src")}
     print(f"this:  {os.path.abspath(trees['this'])}\nother: {os.path.abspath(trees['other'])}")
     print(f"network: {network}")
-    print(f"{'':>15}" + f"{'this':>23}{'other':>23}" * 2)
+    print(f"{'':>15}" + (f"{'this':>23}{'other':>23}" + f"{'':>7}{'per round':>23}") * 2)
     print(
         f"{'n':>4} {'steps':>10}" + f" {'us/step':>9} {'runs':>5} {'spread':>6}" * 2 + f" {'ratio':>6}"
-        + f" {'us/iter':>9} {'runs':>5} {'spread':>6}" * 2 + f" {'ratio':>6}  digests"
+        + f" {'median':>6} {'min-max':>15}"
+        + f" {'us/iter':>9} {'runs':>5} {'spread':>6}" * 2 + f" {'ratio':>6}"
+        + f" {'median':>6} {'min-max':>15}  digests"
     )
     for n in sizes:
         rows = child(
@@ -255,6 +259,9 @@ def compare(sizes, other: str, repeat: int, network: str) -> None:
             for side in rows:
                 line += f" {medians[side]:>9.1f} {len(rows[side][key]):>5} {spread(rows[side][key]):>6.2f}"
             line += f" {medians['this'] / medians['other']:>6.3f}"
+            # `alternate` runs whole rounds, so the k-th runs of both trees share a round
+            rounds = [a / b for a, b in zip(rows["this"][key], rows["other"][key])]
+            line += f" {statistics.median(rounds):>6.3f} {f'{min(rounds):.3f}-{max(rounds):.3f}':>15}"
         same = rows["this"]["trace_digest"] == rows["other"]["trace_digest"]
         print(f"{line}  {'match' if same else 'DIFFER'}", flush=True)
 

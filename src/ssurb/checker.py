@@ -32,20 +32,18 @@ snapshot, among them the first packet clause each node breaks, in one
 ordered walk over the packets in flight, and then checks each node against
 them, so a snapshot costs O(its size) rather than O(n * its size).
 `consistency_check`, `snapshot_all_consistent` (the simulator's
-`stabilized` stop rule) and the FAIL witnesses are views of it.
+`stabilized` stop rule) and the FAIL witnesses are views of it. The walk
+reads the (message, birth step) pairs a `trace.Snapshot` keeps;
+`channels_of` gives the packets of a dict-form snapshot that form.
 `TraceIndex` makes the only pass over the events. It records the positions
 of each event type the checks read, and each check bisects out its epoch's
 share of those positions and walks only them. It also evaluates each
 snapshot at most once for all the checks together, and not at all when the
-simulator's `stabilized` stop rule has judged it already: that rule records
-each verdict it computes in the trace's verdict table (`Trace.verdicts`),
-with the last corruption step it judged under, and the index reuses a
-recorded verdict whenever that step is the one it derives for the
-snapshot. A trace read from a file carries no table and is evaluated in
-full. A battery costs O(events + sum of snapshot sizes), where it used to
-cost O(checks * events + n * sum of snapshot sizes). `validity_check`
-gathers the identities present at an epoch's marker only for a checked
-delivery that no earlier broadcast explains.
+stop rule left its verdict on the `Snapshot` under the last corruption
+step the index derives for it. A battery costs O(events + sum of snapshot
+sizes), where it used to cost O(checks * events + n * sum of snapshot
+sizes). `validity_check` gathers the identities present at an epoch's
+marker only for a checked delivery that no earlier broadcast explains.
 
 Events are read as stored. A `Trace` keeps its packet records compact
 (`trace.PACKET_CODES`), and `TraceIndex.packet` reads a packet's type,
@@ -60,9 +58,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
-from .trace import PACKET_CODES, PACKET_TYPES, TraceEvents
+from .trace import PACKET_CODES, PACKET_TYPES, Snapshot, TraceEvents
+from .wire import Gossip, Heartbeat, Msg, MsgAck, WireMessage, message_id
 
 # the codes of compact SEND records
 _SEND_CODES = frozenset(code for code, triple in enumerate(PACKET_CODES) if triple[0] == "SEND")
@@ -97,6 +97,26 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 _NONE = float("-inf")  # below every counter: "no such value in the snapshot"
+# each kind's message class, and the getter of its fields from a packet dict
+_MESSAGES = {cls.kind: (cls, itemgetter(*cls._fields)) for cls in (Msg, MsgAck, Gossip, Heartbeat)}
+
+
+def channels_of(snapshot: dict) -> list[tuple[int, int, list[tuple[WireMessage, int]]]]:
+    """The non-empty channels of `snapshot` as a `trace.Snapshot` holds them:
+    (src, dst, packets), `packets` the (message, birth step) pairs in
+    flight. A dict-form snapshot, a decoded trace line or a hand-built
+    event, has each packet dict turned into its `wire` message, the inverse
+    of `wire.encode`."""
+    if isinstance(snapshot, Snapshot):
+        return snapshot["channels"]
+    channels = []
+    for entry in snapshot["channels"]:
+        packets = []
+        for packet in entry["packets"]:
+            cls, fields = _MESSAGES[packet["kind"]]
+            packets.append((tuple.__new__(cls, fields(packet)), packet["birth_step"]))
+        channels.append((entry["src"], entry["dst"], packets))
+    return channels
 
 
 class SnapshotVerdict(NamedTuple):
@@ -161,33 +181,28 @@ def evaluate_snapshot(
     packet_breach: dict[int, str] = {}
     stale = False
     born_after = _NONE if last_corrupt_step is None else last_corrupt_step
-    for entry in snapshot["channels"]:
-        dst = entry["dst"]
+    for src, dst, packets in channels_of(snapshot):
         if dst not in live_set:
             if dst not in crashed and not stale:  # a destination the snapshot does not hold
-                stale = any(
-                    p["kind"] != "HEARTBEAT" and p["birth_step"] <= born_after
-                    for p in entry["packets"]
-                )
+                stale = any(type(msg) is not Heartbeat and birth <= born_after for msg, birth in packets)
             continue
-        src = entry["src"]
-        for packet in entry["packets"]:
-            kind = packet["kind"]
-            if packet["birth_step"] <= born_after:
-                if kind != "HEARTBEAT":
+        for msg, birth in packets:
+            cls = type(msg)
+            if birth <= born_after:
+                if cls is not Heartbeat:
                     stale = True
                 continue
-            if kind == "MSG" or kind == "MSGACK":
-                sender = packet["sender"]
-                if sender not in packet_breach and packet["seq"] > live_seq[sender]:
+            if cls is Msg or cls is MsgAck:
+                sender = msg.sender
+                if sender not in packet_breach and msg.seq > live_seq[sender]:
                     packet_breach[sender] = "seq-dominance-packet"
-            elif kind == "GOSSIP":
+            elif cls is Gossip:
                 if dst not in packet_breach:
-                    if packet["max_seq"] > live_seq[dst]:
+                    if msg.max_seq > live_seq[dst]:
                         packet_breach[dst] = "seq-dominance-gossip"
-                    elif src in live_set and packet["rx_obs"] > live_rx[src][dst - 1]:
+                    elif src in live_set and msg.rx_obs > live_rx[src][dst - 1]:
                         packet_breach[dst] = "stale-gossip-watermark"
-                if src not in packet_breach and packet["tx_obs"] > live_rx[dst][src - 1]:
+                if src not in packet_breach and msg.tx_obs > live_rx[dst][src - 1]:
                     packet_breach[src] = "stale-gossip-echo"
 
     def clause_of(i: int) -> str | None:
@@ -299,29 +314,22 @@ def stale_packets_in_flight(snapshot: dict, last_corrupt_step: int | None) -> bo
     if last_corrupt_step is None:
         return False
     crashed = {e["id"] for e in snapshot["nodes"] if e["crashed"]}
-    for entry in snapshot["channels"]:
-        if entry["dst"] in crashed:
+    for _, dst, packets in channels_of(snapshot):
+        if dst in crashed:
             continue
-        for packet in entry["packets"]:
-            if packet["kind"] != "HEARTBEAT" and packet["birth_step"] <= last_corrupt_step:
+        for msg, birth in packets:
+            if type(msg) is not Heartbeat and birth <= last_corrupt_step:
                 return True
     return False
 
 
-def snapshot_all_consistent(
-    snapshot: dict,
-    header: dict,
-    last_corrupt_step: int | None,
-    verdicts: dict[int, tuple[int | None, SnapshotVerdict]] | None = None,
-    pos: int | None = None,
-) -> bool:
+def snapshot_all_consistent(snapshot: dict, header: dict, last_corrupt_step: int | None) -> bool:
     """Every live node consistent, and no corruption-era protocol packet still
-    in flight toward a live node. With `verdicts`, a trace's verdict table,
-    the verdict is recorded there as (last_corrupt_step, verdict) under the
-    snapshot's record position `pos`, for `TraceIndex` to reuse."""
+    in flight toward a live node. A `trace.Snapshot` keeps the verdict as
+    (last_corrupt_step, verdict), for `TraceIndex` to reuse."""
     verdict = evaluate_snapshot(snapshot, header, last_corrupt_step)
-    if verdicts is not None:
-        verdicts[pos] = (last_corrupt_step, verdict)
+    if isinstance(snapshot, Snapshot):
+        snapshot.verdict = (last_corrupt_step, verdict)
     return verdict.consistent
 
 
@@ -351,28 +359,16 @@ class TraceIndex:
     """One pass over a trace: crash set, end reason, epochs as ranges of event
     positions, the positions of each kind of event the checks read, and each
     epoch's stabilization marker. Every snapshot verdict is computed at most
-    once.
+    once, and not at all when `verdict` can reuse the stop rule's.
 
-    A `Trace`'s view brings the verdicts its `stabilized` stop rule recorded
-    (`TraceEvents.verdicts`). `verdict` reuses one when it was judged under
-    the last corruption step the index derives for that snapshot, and
-    evaluates the snapshot otherwise. A trace read from a file, or a list of
-    events, brings none.
-
-    `records` holds the events as stored: dicts, and a `Trace`'s packet
-    records in their compact form, which `packet` reads."""
+    `records` holds the events as stored: dicts, and a `Trace`'s
+    `Snapshot`s and compact packet records, which `packet` reads."""
 
     def __init__(self, header: dict, events):
         self.header = header
-        if isinstance(events, TraceEvents):
-            records = events.records
-            # (last corruption step, verdict) by snapshot position; a copy, so
-            # the trace's table holds only what the stop rule recorded
-            self._verdicts: dict[int, tuple[int | None, SnapshotVerdict]] = dict(events.verdicts)
-        else:
-            records = events
-            self._verdicts = {}
+        records = events.records if isinstance(events, TraceEvents) else events
         self.records = records
+        self._evaluated: dict[int, SnapshotVerdict] = {}  # by position, by this index
         self.crashed: set[int] = set()
         self.end_reason: str | None = None
         # ascending event positions, by type; a check bisects out its epoch
@@ -462,13 +458,18 @@ class TraceIndex:
         )
 
     def verdict(self, pos: int, last_corrupt_step: int | None) -> SnapshotVerdict:
-        """`evaluate_snapshot` of the snapshot at `pos`, evaluated once, or
-        recorded under the same `last_corrupt_step`."""
-        entry = self._verdicts.get(pos)
-        if entry is None or entry[0] != last_corrupt_step:
-            verdict = evaluate_snapshot(self.records[pos], self.header, last_corrupt_step)
-            self._verdicts[pos] = entry = (last_corrupt_step, verdict)
-        return entry[1]
+        """`evaluate_snapshot` of the snapshot at `pos` under the last
+        corruption step the index derives for it: the stop rule's verdict on
+        the record when judged under the same `last_corrupt_step`, or else
+        evaluated here, once."""
+        snapshot = self.records[pos]
+        judged = getattr(snapshot, "verdict", None)
+        if judged is not None and judged[0] == last_corrupt_step:
+            return judged[1]
+        verdict = self._evaluated.get(pos)
+        if verdict is None:
+            verdict = self._evaluated[pos] = evaluate_snapshot(snapshot, self.header, last_corrupt_step)
+        return verdict
 
     def consistent(self, pos: int, last_corrupt_step: int | None) -> bool:
         """Every live node consistent at `pos`, and no corruption-era packet in
@@ -562,10 +563,11 @@ def _preexisting(ti: TraceIndex, epoch: range, marker: int) -> set[tuple[int, in
     for entry in snapshot["nodes"]:
         for r in entry["buffer"]:
             preexisting.add((r["sender"], r["seq"]))
-    for entry in snapshot["channels"]:
-        for packet in entry["packets"]:
-            if packet["kind"] in ("MSG", "MSGACK"):
-                preexisting.add((packet["sender"], packet["seq"]))
+    for _, _, packets in channels_of(snapshot):
+        for msg, _ in packets:
+            mid = message_id(msg)
+            if mid is not None:
+                preexisting.add(mid)
     window = range(epoch.start, marker)
     for positions in (ti.within(ti.mid_sends, window), ti.within(ti.mid_others, window)):
         for pos in positions:

@@ -30,14 +30,17 @@ round-trips rescanned, because the suspicion clause changes with the step.
 Packet records are appended in the trace's compact form (see `trace`),
 each line rendered from the `trace.PACKET_TEMPLATES` entries of its type
 and cause, with every dst rendered in once per simulation, or for a GOSSIP
-or HEARTBEAT RECV from its channel's prefix. A SNAPSHOT encodes its
-`nodes` once, takes each in-flight packet's record and JSON together from
-`in_flight` and assembles its digest input and line from the two strings.
+or HEARTBEAT RECV from its channel's prefix. A SNAPSHOT is a
+`trace.Snapshot`: its `channels` hold a list copy of each non-empty
+channel's (message, birth step) pairs, which are immutable and shared, so
+no packet dict is built. It encodes its `nodes` once, renders each
+packet's JSON with `in_flight`, and assembles its digest input and line
+from the two strings.
 
-The `stabilized` stop rule records each snapshot verdict it computes in
-the trace's verdict table (`Trace.verdicts`), keyed by the snapshot's
-record position, with the last corruption step it judged under;
-`check_all` reads them instead of evaluating those snapshots again.
+The `stabilized` stop rule judges the snapshot it has just emitted with
+`snapshot_all_consistent`, which leaves the verdict on that record with
+the last corruption step it judged under; `check_all` reads it there
+instead of evaluating the snapshot again.
 
 `run_scenarios` runs configs that differ only in their crashes and
 corruptions off one fault-free trunk: `Simulation.branch` copies the
@@ -61,6 +64,7 @@ from .trace import (
     CHUNK_LINES,
     PACKET_CODE,
     PACKET_TEMPLATES,
+    Snapshot,
     Trace,
     canonical,
     deliver_line,
@@ -363,7 +367,7 @@ class Simulation:
         record.update(fields)
         self.trace.append(record)
 
-    def _emit_snapshot(self, boundary: bool = True) -> dict:
+    def _emit_snapshot(self, boundary: bool = True) -> Snapshot:
         nodes_ser = []
         for i in sorted(self.nodes):
             node = self.nodes[i]
@@ -379,34 +383,31 @@ class Simulation:
                 live_next=state.next_deliver[1:],
                 live_own_seqs=sorted(r.seq for r in state.buffer if r.sender == i),
             ))
-        # the in-flight packets, nearly all of a snapshot, are rendered from
-        # their fields, each record with its JSON, rather than encoded as dicts
+        # the in-flight packets, nearly all of a snapshot, are kept as the
+        # channels' own immutable pairs and rendered from their fields
         channels_ser, channel_lines = [], []
         for channel in self.channel_slots:  # in sorted (src, dst) order
-            if not channel.packets:
+            packets = channel.packets
+            if not packets:
                 continue
-            packets, texts = [], []
-            for m, birth in channel.packets:
-                packet, text = m.in_flight(birth)
-                packets.append(packet)
-                texts.append(text)
             src, dst = channel.src, channel.dst
-            channels_ser.append({"src": src, "dst": dst, "packets": packets})
-            channel_lines.append(f'{{"dst":{dst},"packets":[{",".join(texts)}],"src":{src}}}')
+            channels_ser.append((src, dst, packets[:]))
+            texts = ",".join([m.in_flight(birth) for m, birth in packets])
+            channel_lines.append(f'{{"dst":{dst},"packets":[{texts}],"src":{src}}}')
         # each half is encoded once; the digest input and the trace line are
         # both assembled from the two strings
         nodes_json, channels_json = canonical(nodes_ser), f'[{",".join(channel_lines)}]'
         digest = hashlib.sha256(snapshot_state(nodes_json, channels_json).encode()).hexdigest()
         step, cycle = self.step, self.cycle_count
-        record = {
-            "type": "SNAPSHOT",
-            "step": step,
-            "cycle": cycle,
-            "boundary": boundary,
-            "nodes": nodes_ser,
-            "channels": channels_ser,
-            "digest": digest,
-        }
+        record = Snapshot(
+            type="SNAPSHOT",
+            step=step,
+            cycle=cycle,
+            boundary=boundary,
+            nodes=nodes_ser,
+            channels=channels_ser,
+            digest=digest,
+        )
         self.trace.append(
             record, snapshot_line(step, cycle, boundary, nodes_json, channels_json, digest)
         )
@@ -664,7 +665,6 @@ class Simulation:
     def _on_cycle_boundary(self) -> None:
         self.cycle_count += 1
         self._event("CYCLE", k=self.cycle_count)
-        pos = len(self.trace.records)  # the snapshot's record position
         snapshot = self._emit_snapshot()
         self._reset_cycle_tracker()
 
@@ -674,18 +674,15 @@ class Simulation:
             settled = self._settled_complete_delivery()
         elif mode == "stabilized":
             # the checker's marker rule: from the cycle drained_cycle admits
-            # on, the first all-consistent snapshot; each verdict goes into
-            # the trace's table, so check_all does not evaluate it again
+            # on, the first all-consistent snapshot; each verdict stays on
+            # its snapshot, so check_all does not evaluate it again
             if self.marker_cycle is None:
                 self.marker_cycle = drained_cycle(snapshot, self.last_corrupt_step)
-            trace = self.trace
             settled = (
                 self.marker_cycle is not None
                 and self.cycle_count >= self.marker_cycle
                 and self.sched_ptr >= len(self.schedule)
-                and snapshot_all_consistent(
-                    snapshot, trace.header, self.last_corrupt_step, trace.verdicts, pos
-                )
+                and snapshot_all_consistent(snapshot, self.trace.header, self.last_corrupt_step)
             )
         if not settled:
             self.stop_counter = None

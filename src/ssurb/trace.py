@@ -14,26 +14,22 @@ dst, its optional mid and its src and step. The simulator renders every
 packet line it appends (SEND, RECV, DUP, both OMIT causes) inline from that
 table and DELIVER lines from the fixed template `deliver_line`, and appends
 a packet line with a compact record: its code, or for MSG/MSGACK the tuple
-(code, sender, seq, step). A SNAPSHOT's line, `snapshot_line`, is assembled
-from the `canonical` strings of its two halves. Every other dict, and any
-dict appended without its line, is rendered by `canonical` itself.
+(code, sender, seq, step). It appends a SNAPSHOT as a `Snapshot`, whose
+channels hold the (message, birth step) pairs in flight rather than their
+dicts, with its line, `snapshot_line`, assembled from the `canonical`
+strings of its two halves. Every other dict, and any dict appended without
+its line, is rendered by `canonical` itself.
 
 The lines are kept once, as the bytes that were hashed. `Trace` feeds
 SHA-256 one chunk of lines at a time (SHA-256 is a streaming hash, so the
 digest is the one a line-by-line update gives) and keeps each chunk,
 indexed by the position of its first event; `write` writes the header and
 the chunks. `Trace.events` is a read-only view: it hands out the appended
-dicts as they are and decodes a compact packet record's dict from its line
-when asked, a fresh dict each time, so an edit to one does not persist.
-`read` keeps a trace file's packet records of the simulator's shape in the
-same compact form, their lines rendered by `packet_line`.
-
-A `Trace` also owns a verdict table, `verdicts`: the simulator's
-`stabilized` stop rule records there, by the snapshot's record position,
-the last corruption step it judged the snapshot under and the
-`checker.SnapshotVerdict` it found, and the checker reuses them (see
-`checker.TraceIndex`). The view exposes the same table. A trace read from
-a file starts with an empty one.
+plain dicts as they are and decodes any other record, a compact packet
+record or a `Snapshot`, from its line when asked, a fresh dict each time,
+so an edit to one does not persist. `read` keeps a trace file's packet
+records of the simulator's shape in the same compact form, their lines
+rendered by `packet_line`, and its snapshots as the dicts of their lines.
 """
 
 from __future__ import annotations
@@ -150,19 +146,26 @@ def make_header(cfg) -> dict:
     }
 
 
+class Snapshot(dict):
+    """A SNAPSHOT record as the simulator keeps it: the keys of its line, but
+    `channels` holds (src, dst, packets) for each non-empty channel, in
+    (src, dst) order, `packets` a list of the (message, birth step) pairs in
+    flight there, the messages those of `wire`. `verdict` is (last
+    corruption step, `checker.SnapshotVerdict`) once the `stabilized` stop
+    rule has judged the snapshot; it is neither hashed nor written."""
+
+    __slots__ = ("verdict",)
+
+
 class Trace:
     """Header plus ordered events, with an incrementally maintained digest.
 
-    `records` holds each event as appended: a dict, or a compact packet
-    record (see the module docstring). Every line is kept in one of the
-    hashed chunks, or in `pending` until the next chunk is cut. The
-    simulator appends to `records` and `pending` itself and calls `flush`
-    once a step when `CHUNK_LINES` lines are pending; a chunk may run
-    longer, which changes neither the digest nor the written bytes.
-
-    `verdicts` maps the record position of a snapshot the stop rule judged
-    to (last corruption step, `checker.SnapshotVerdict`). It is neither
-    hashed nor written."""
+    `records` holds each event as appended: a dict, a `Snapshot`, or a
+    compact packet record (see the module docstring). Every line is kept in
+    one of the hashed chunks, or in `pending` until the next chunk is cut.
+    The simulator appends to `records` and `pending` itself and calls
+    `flush` once a step when `CHUNK_LINES` lines are pending; a chunk may
+    run longer, which changes neither the digest nor the written bytes."""
 
     def __init__(self, header: dict):
         self.header = header
@@ -173,17 +176,14 @@ class Trace:
         # short, so each is indexed by the position of its first event
         self._chunks: list[bytes] = []
         self._chunk_starts: list[int] = []
-        self.verdicts: dict[int, tuple] = {}
         # the view shares these containers, never the trace itself: a cycle
         # between the two would leave a finished trace to the cyclic collector
-        self.events = TraceEvents(
-            self.records, self._chunks, self._chunk_starts, self.pending, self.verdicts
-        )
+        self.events = TraceEvents(self.records, self._chunks, self._chunk_starts, self.pending)
 
     def append(self, record, line: str | None = None) -> None:
         """Record an event: a dict, whose `canonical` line the caller may pass
-        when it has rendered it already, or a compact packet record with its
-        `packet_line`."""
+        when it has rendered it already, a `Snapshot` with its
+        `snapshot_line`, or a compact packet record with its `packet_line`."""
         self.records.append(record)
         pending = self.pending
         pending.append(canonical(record) if line is None else line)
@@ -191,13 +191,12 @@ class Trace:
             self.flush()
 
     def branch(self, header: dict) -> Trace:
-        """These events under `header`, in lists of their own, with a copy of
-        the verdict table; the kept chunks are re-hashed after it, as a trace
-        started with `header` hashes them."""
+        """These events under `header`, in lists of their own; the kept
+        chunks are re-hashed after it, as a trace started with `header`
+        hashes them."""
         twin = Trace(header)
         twin.records[:], twin.pending[:] = self.records, self.pending
         twin._chunks[:], twin._chunk_starts[:] = self._chunks, self._chunk_starts
-        twin.verdicts.update(self.verdicts)
         twin._hasher.update(b"".join(self._chunks))
         return twin
 
@@ -231,18 +230,13 @@ def decode_line(line: bytes | str) -> dict:
 
 class TraceEvents(Sequence):
     """Read-only sequence of a trace's events, negative indexes and slices
-    included. Appended dicts are handed out as they are; a compact packet
-    record's dict is decoded from its line on each read. `verdicts` is the
-    trace's verdict table."""
+    included. Appended plain dicts are handed out as they are; any other
+    record's dict is decoded from its line on each read."""
 
-    __slots__ = ("records", "verdicts", "_chunks", "_starts", "_pending", "_split")
+    __slots__ = ("records", "_chunks", "_starts", "_pending", "_split")
 
-    def __init__(
-        self, records: list, chunks: list[bytes], starts: list[int], pending: list[str],
-        verdicts: dict[int, tuple],
-    ):
+    def __init__(self, records: list, chunks: list[bytes], starts: list[int], pending: list[str]):
         self.records = records  # the events as appended, packet records compact
-        self.verdicts = verdicts
         self._chunks, self._starts, self._pending = chunks, starts, pending
         self._split: tuple[int, list[bytes]] = (-1, [])  # the last chunk read, split
 

@@ -5,10 +5,12 @@ Four packet kinds: MSG carries an application payload with its identity
 carries the per-peer flow-control triple, and HEARTBEAT carries liveness
 counters. Messages are immutable named tuples, cheap to build, with the
 kind as a class attribute; two messages are equal when they have the same
-kind and fields. `encode` gives a message's JSON-dict form; `in_flight`
-gives a snapshot's record of the message in flight, that form plus its
-birth step, with the record's canonical JSON. The bounded-counter reset
-barrier is driven by the simulator and sends no packets.
+kind and fields. `encode` gives a message's one JSON-dict form.
+`in_flight` gives the text a snapshot records for a message in flight:
+the canonical JSON of that dict with the birth step added, rendered from
+the fields without building the dict, since a snapshot keeps the message
+itself. The bounded-counter reset barrier is driven by the simulator and
+sends no packets.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ class Msg(NamedTuple):
     seq: int
     kind = "MSG"
 
-    def in_flight(self, birth: int) -> tuple[dict, str]:
-        """`encode(self)` with "birth_step" added, as a snapshot records the
-        message in flight since step `birth`, and its canonical JSON."""
+    def in_flight(self, birth: int) -> str:
+        """The canonical JSON of `encode(self)` with "birth_step" added, as a
+        snapshot records the message in flight since step `birth`."""
         payload, sender, seq = self
         text = "null" if payload is None else encode_basestring_ascii(payload)
-        return ({"kind": "MSG", "payload": payload, "sender": sender, "seq": seq, "birth_step": birth},
-                f'{{"birth_step":{birth},"kind":"MSG","payload":{text},"sender":{sender},"seq":{seq}}}')
+        return f'{{"birth_step":{birth},"kind":"MSG","payload":{text},"sender":{sender},"seq":{seq}}}'
 
 
 class MsgAck(NamedTuple):
@@ -37,10 +38,9 @@ class MsgAck(NamedTuple):
     seq: int
     kind = "MSGACK"
 
-    def in_flight(self, birth: int) -> tuple[dict, str]:
+    def in_flight(self, birth: int) -> str:
         sender, seq = self
-        return ({"kind": "MSGACK", "sender": sender, "seq": seq, "birth_step": birth},
-                f'{{"birth_step":{birth},"kind":"MSGACK","sender":{sender},"seq":{seq}}}')
+        return f'{{"birth_step":{birth},"kind":"MSGACK","sender":{sender},"seq":{seq}}}'
 
 
 class Gossip(NamedTuple):
@@ -56,10 +56,9 @@ class Gossip(NamedTuple):
     tx_obs: int
     kind = "GOSSIP"
 
-    def in_flight(self, birth: int) -> tuple[dict, str]:
+    def in_flight(self, birth: int) -> str:
         top, rx, tx = self
-        return ({"kind": "GOSSIP", "max_seq": top, "rx_obs": rx, "tx_obs": tx, "birth_step": birth},
-                f'{{"birth_step":{birth},"kind":"GOSSIP","max_seq":{top},"rx_obs":{rx},"tx_obs":{tx}}}')
+        return f'{{"birth_step":{birth},"kind":"GOSSIP","max_seq":{top},"rx_obs":{rx},"tx_obs":{tx}}}'
 
 
 class Heartbeat(NamedTuple):
@@ -67,10 +66,9 @@ class Heartbeat(NamedTuple):
     dst_count: int
     kind = "HEARTBEAT"
 
-    def in_flight(self, birth: int) -> tuple[dict, str]:
+    def in_flight(self, birth: int) -> str:
         sent, seen = self
-        return ({"kind": "HEARTBEAT", "sender_count": sent, "dst_count": seen, "birth_step": birth},
-                f'{{"birth_step":{birth},"dst_count":{seen},"kind":"HEARTBEAT","sender_count":{sent}}}')
+        return f'{{"birth_step":{birth},"dst_count":{seen},"kind":"HEARTBEAT","sender_count":{sent}}}'
 
 
 def _same_kind_eq(self, other) -> bool:

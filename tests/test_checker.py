@@ -8,7 +8,7 @@ import pytest
 from ssurb import checker
 from ssurb.config import ScenarioConfig, from_dict
 from ssurb.sim import run_scenario, run_scenarios
-from ssurb.trace import PACKET_CODE, Trace, make_header, packet_line
+from ssurb.trace import PACKET_CODE, Snapshot, Trace, make_header, packet_line
 
 
 def header(n=3, b=4, fifo=False, w=5):
@@ -539,15 +539,22 @@ def _checked_trace(h, events, compact_at=None):
 def _recovered_events(n=3):
     """A corruption at step 1, a compact MSG SEND of (2, 5) in the recovery
     window, and the marker at the cycle-2 snapshot, where node 1 holds its
-    own message (1, 1); the position of the SEND and of the marker."""
+    own message (1, 1) and a MSG (2, 0) is in flight to node 3; the
+    position of the SEND and of the marker."""
     holder = dict(fresh_node(1, n), seq=1, buffer=[rec("m", 1, 1, n)])
+    in_flight = {"kind": "MSG", "payload": "x", "sender": 2, "seq": 0, "birth_step": 4}
     events = base_events(n) + [
         ev("CORRUPT", node=1, kind="RANDOMIZE-ALL", step=1),
         ev("SEND", src=2, dst=1, kind="MSG", mid=[2, 5], step=2),
         ev("CYCLE", k=1, step=3),
         snapshot([fresh_node(i, n) for i in range(1, n + 1)], step=3, cycle=1),
         ev("CYCLE", k=2, step=5),
-        snapshot([holder] + [fresh_node(i, n) for i in range(2, n + 1)], step=5, cycle=2),
+        snapshot(
+            [holder] + [fresh_node(i, n) for i in range(2, n + 1)],
+            [{"src": 2, "dst": 3, "packets": [in_flight]}],
+            step=5,
+            cycle=2,
+        ),
     ]
     return events, 2, 6
 
@@ -557,6 +564,7 @@ def test_validity_exempts_identities_present_at_the_marker():
     events, send, marker = _recovered_events()
     delivers = [
         ev("DELIVER", node=2, mid=[1, 1], step=6),  # held in the marker snapshot
+        ev("DELIVER", node=3, mid=[2, 0], step=6),  # in flight in the marker snapshot
         ev("DELIVER", node=3, mid=[2, 5], step=7),  # sent in the recovery window only
     ]
     end = [ev("END", reason="stabilized", step=9)]
@@ -565,7 +573,7 @@ def test_validity_exempts_identities_present_at_the_marker():
     ti = checker.index_trace(h, trace.events)
     assert ti.markers == [marker]
     report = checker.validity_check(ti)
-    assert report.verdict == "PASS" and report.measured == {"exemptions": 2}
+    assert report.verdict == "PASS" and report.measured == {"exemptions": 3}
 
     orphan = ev("DELIVER", node=3, mid=[9, 9], step=8)  # present nowhere
     trace = _checked_trace(h, events + delivers + [orphan] + end, compact_at=send)
@@ -581,13 +589,14 @@ def test_recorded_verdict_used_only_under_its_corruption_step():
     plain = [r.to_dict() for r in checker.check_all(h, events)]
     assert not [r for r in plain if r["verdict"] == "FAIL"]
     planted = checker.SnapshotVerdict(False, 2, "planted")
-    trace = _checked_trace(h, events)
-    # judged under another corruption step: evaluated again, as without a table
-    trace.verdicts[marker] = (0, planted)
-    assert [r.to_dict() for r in checker.check_all(h, trace.events)] == plain
+    # the marker as the simulator keeps a snapshot, where the stop rule leaves its verdict
+    judged = events[marker] = Snapshot(events[marker], channels=checker.channels_of(events[marker]))
+    # judged under another corruption step: evaluated again, as with no verdict
+    judged.verdict = (0, planted)
+    assert [r.to_dict() for r in checker.check_all(h, events)] == plain
     # under the step the index derives (the CORRUPT at step 1): read as recorded
-    trace.verdicts[marker] = (1, planted)
-    ti = checker.index_trace(h, trace.events)
+    judged.verdict = (1, planted)
+    ti = checker.index_trace(h, events)
     assert ti.verdict(marker, 1) is planted
     assert ti.markers == [None]
 

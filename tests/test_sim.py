@@ -266,25 +266,33 @@ def _stabilized(kind, fifo=False, step=250):
 
 
 def test_run_then_check_same_reports(tmp_path):
-    """A run's reports from its in-memory events, which carry the verdicts its
-    `stabilized` stop rule recorded, equal those of its trace read back from
-    the file, which carries none: a complete-delivery run, a stabilized run
-    under every corruption kind, and a member that branched off a trunk."""
+    """A run's reports from its in-memory events, whose snapshots carry the
+    verdicts its `stabilized` stop rule left on them, equal those of its
+    trace read back from the file and those of its events decoded into a
+    list, whose snapshots are dicts and carry none: a complete-delivery run,
+    a stabilized run under every corruption kind, and a member that branched
+    off a trunk."""
     results = [run_scenario(scenario())]
     results += [run_scenario(_stabilized(kind, kind == "NEXT-SKEW")) for kind in CORRUPTION_KINDS]
     branched = dict(run_scenarios([_stabilized("RANDOMIZE-ALL", step=120), _stabilized("SEQ-REGRESSION")]))
     results.append(branched[1])
-    assert any(result.trace.verdicts for result in results)
+
+    def judged(records):
+        return [r for r in records if getattr(r, "verdict", None) is not None]
+
+    assert any(judged(result.trace.records) for result in results)
     for k, result in enumerate(results):
         path = tmp_path / f"trace-{k}.jsonl"
         result.trace.write(str(path))
         loaded = trace_mod.read(str(path))
+        decoded = list(result.trace.events)
         assert loaded.header == result.trace.header
-        assert list(loaded.events) == list(result.trace.events)
-        assert not loaded.events.verdicts
+        assert list(loaded.events) == decoded
+        assert not judged(loaded.records) and not judged(decoded)
         original = [r.to_dict() for r in checker.check_all(result.trace.header, result.trace.events)]
         reloaded = [r.to_dict() for r in checker.check_all(loaded.header, loaded.events)]
-        assert original == reloaded, result.trace.header
+        listed = [r.to_dict() for r in checker.check_all(result.trace.header, decoded)]
+        assert original == reloaded == listed, result.trace.header
 
 
 def test_interval_snapshots_emitted():
