@@ -1,9 +1,10 @@
 """Property tests: the repair loop is total on arbitrary states, its repairs
-hold after a single pass, four passes with a frozen detector view reach a
+hold after a single pass, repeated passes with a frozen detector view reach a
 fixpoint, and transitions are replay-deterministic."""
 
 import copy
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,16 +79,10 @@ def test_seq_and_watermarks_never_regress(case):
     assert all(a >= b for a, b in zip(node.next_deliver, next0))
 
 
-@given(arbitrary_node())
-@settings(max_examples=200, deadline=None)
-def test_repeated_iteration_reaches_fixpoint(case):
-    # the local repair pipeline is four passes deep: a send-window repair
-    # (b) lifts the own FIFO cursor only at the end of its pass, then the
-    # deliveries settle, then the obsolete walk and the watermark fold, then
-    # the trim (see test_send_window_repair_takes_a_fourth_pass)
-    node, view = case
-    node.pending.clear()
-    for _ in range(4):
+def _settles_in_three_passes(node, view):
+    # the local repair pipeline is three passes deep: deliveries settle first,
+    # then the obsolete walk and the watermark fold, then the trim
+    for _ in range(3):
         node.do_forever_iteration(view)
     frozen = copy.deepcopy(node)
     node.do_forever_iteration(view)
@@ -95,26 +90,28 @@ def test_repeated_iteration_reaches_fixpoint(case):
     assert node.seq == frozen.seq
 
 
-def test_send_window_repair_takes_a_fourth_pass():
+@given(arbitrary_node())
+@settings(max_examples=200, deadline=None)
+def test_repeated_iteration_reaches_fixpoint(case):
+    node, view = case
+    node.pending.clear()
+    _settles_in_three_passes(node, view)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a send-window repair (b) lifts the own FIFO cursor only after the delivery "
+    "step (f), so an own record just above the repaired seq is delivered a pass late "
+    "and the pipeline is four passes deep",
+)
+def test_send_window_repair_settles_in_three_passes():
     # an own record above seq, with the send window out of range: pass 1
-    # repairs the window to seq and lifts the own cursor past it only after
-    # the delivery step, pass 2 delivers, pass 3 walks and folds, pass 4 trims
+    # repairs the window to seq, pass 2 delivers, pass 3 walks and folds,
+    # pass 4 trims
     node = NodeState(4, 4, 2, fifo=True)
     node.seq = 10
     node.buffer = [BufferRecord("0", 4, 11, False, {4}, [0] * 5)]
-    view = DetectorView(frozenset({4}), (0,) * 5)
-    seen = []
-    for _ in range(5):
-        out = node.do_forever_iteration(view)
-        seen.append((out.delivered, node.next_deliver[4], node.rx_obs[4], node.tx_obs[4], len(node.buffer)))
-    assert seen == [
-        ([], 11, 10, 10, 1),
-        ([(4, 11)], 12, 10, 10, 1),
-        ([], 12, 11, 11, 1),
-        ([], 12, 11, 11, 0),
-        ([], 12, 11, 11, 0),
-    ]
-    assert node.seq == 11
+    _settles_in_three_passes(node, DetectorView(frozenset({4}), (0,) * 5))
 
 
 @given(arbitrary_node())
