@@ -52,7 +52,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from ssurb import checker, cli, config  # noqa: E402
 from ssurb.config import CORRUPTION_KINDS, STOP_MODES, from_dict  # noqa: E402
 from ssurb.sim import run_scenario  # noqa: E402
-from ssurb.trace import canonical  # noqa: E402
+from ssurb.trace import as_snapshot, canonical  # noqa: E402
 
 
 def broadcasts(n: int, count: int, spacing: int = 40) -> list[dict]:
@@ -207,8 +207,9 @@ def verdicts_digest(header: dict, events: list[dict]) -> str:
         if event["type"] == "CORRUPT":
             last_corrupt = event["step"]
         elif event["type"] == "SNAPSHOT":
+            snapshot = as_snapshot(event)  # its packets decoded once for all its nodes
             for entry in event["nodes"]:
-                ok, clause = checker.consistency_check(event, entry["id"], header, last_corrupt)
+                ok, clause = checker.consistency_check(snapshot, entry["id"], header, last_corrupt)
                 verdicts.append([event["step"], entry["id"], ok, clause])
     return sha256(json.dumps(verdicts))
 

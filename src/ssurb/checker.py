@@ -33,8 +33,9 @@ ordered walk over the packets in flight, and then checks each node against
 them, so a snapshot costs O(its size) rather than O(n * its size).
 `consistency_check`, `snapshot_all_consistent` (the simulator's
 `stabilized` stop rule) and the FAIL witnesses are views of it. The walk
-reads the (message, birth step) pairs a `trace.Snapshot` keeps;
-`channels_of` gives the packets of a dict-form snapshot that form.
+reads the (message, birth step) pairs a `trace.Snapshot` keeps, as the
+simulator and `trace.read` build it; `trace.as_snapshot` decodes those of a
+dict-form snapshot on each call.
 `TraceIndex` makes the only pass over the events. It records the positions
 of each event type the checks read, and each check bisects out its epoch's
 share of those positions and walks only them. It also evaluates each
@@ -58,11 +59,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple
 
-from .trace import PACKET_CODES, PACKET_TYPES, Snapshot, TraceEvents
-from .wire import Gossip, Heartbeat, Msg, MsgAck, WireMessage, message_id
+from .trace import PACKET_CODES, PACKET_TYPES, Snapshot, TraceEvents, as_snapshot
+from .wire import Gossip, Heartbeat, Msg, MsgAck, message_id
 
 # the codes of compact SEND records
 _SEND_CODES = frozenset(code for code, triple in enumerate(PACKET_CODES) if triple[0] == "SEND")
@@ -97,26 +97,6 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 _NONE = float("-inf")  # below every counter: "no such value in the snapshot"
-# each kind's message class, and the getter of its fields from a packet dict
-_MESSAGES = {cls.kind: (cls, itemgetter(*cls._fields)) for cls in (Msg, MsgAck, Gossip, Heartbeat)}
-
-
-def channels_of(snapshot: dict) -> list[tuple[int, int, list[tuple[WireMessage, int]]]]:
-    """The non-empty channels of `snapshot` as a `trace.Snapshot` holds them:
-    (src, dst, packets), `packets` the (message, birth step) pairs in
-    flight. A dict-form snapshot, a decoded trace line or a hand-built
-    event, has each packet dict turned into its `wire` message, the inverse
-    of `wire.encode`."""
-    if isinstance(snapshot, Snapshot):
-        return snapshot["channels"]
-    channels = []
-    for entry in snapshot["channels"]:
-        packets = []
-        for packet in entry["packets"]:
-            cls, fields = _MESSAGES[packet["kind"]]
-            packets.append((tuple.__new__(cls, fields(packet)), packet["birth_step"]))
-        channels.append((entry["src"], entry["dst"], packets))
-    return channels
 
 
 class SnapshotVerdict(NamedTuple):
@@ -181,7 +161,7 @@ def evaluate_snapshot(
     packet_breach: dict[int, str] = {}
     stale = False
     born_after = _NONE if last_corrupt_step is None else last_corrupt_step
-    for src, dst, packets in channels_of(snapshot):
+    for src, dst, packets in as_snapshot(snapshot)["channels"]:
         if dst not in live_set:
             if dst not in crashed and not stale:  # a destination the snapshot does not hold
                 stale = any(type(msg) is not Heartbeat and birth <= born_after for msg, birth in packets)
@@ -314,7 +294,7 @@ def stale_packets_in_flight(snapshot: dict, last_corrupt_step: int | None) -> bo
     if last_corrupt_step is None:
         return False
     crashed = {e["id"] for e in snapshot["nodes"] if e["crashed"]}
-    for _, dst, packets in channels_of(snapshot):
+    for _, dst, packets in as_snapshot(snapshot)["channels"]:
         if dst in crashed:
             continue
         for msg, birth in packets:
@@ -563,7 +543,7 @@ def _preexisting(ti: TraceIndex, epoch: range, marker: int) -> set[tuple[int, in
     for entry in snapshot["nodes"]:
         for r in entry["buffer"]:
             preexisting.add((r["sender"], r["seq"]))
-    for _, _, packets in channels_of(snapshot):
+    for _, _, packets in as_snapshot(snapshot)["channels"]:
         for msg, _ in packets:
             mid = message_id(msg)
             if mid is not None:

@@ -29,7 +29,7 @@ plain dicts as they are and decodes any other record, a compact packet
 record or a `Snapshot`, from its line when asked, a fresh dict each time,
 so an edit to one does not persist. `read` keeps a trace file's packet
 records of the simulator's shape in the same compact form, their lines
-rendered by `packet_line`, and its snapshots as the dicts of their lines.
+rendered by `packet_line`, and its snapshots as `Snapshot`s (`as_snapshot`).
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+
+from .wire import decode
 
 TRACE_FORMAT = "ssurb-trace-v1"
 
@@ -155,6 +157,18 @@ class Snapshot(dict):
     rule has judged the snapshot; it is neither hashed nor written."""
 
     __slots__ = ("verdict",)
+
+
+def as_snapshot(record: dict) -> Snapshot:
+    """A SNAPSHOT record as a `Snapshot`: a dict-form one, a trace line's or
+    a hand-built one, with each packet dict of its channels decoded."""
+    if isinstance(record, Snapshot):
+        return record
+    channels = [
+        (entry["src"], entry["dst"], [(decode(p), p["birth_step"]) for p in entry["packets"]])
+        for entry in record["channels"]
+    ]
+    return Snapshot(record, channels=channels)
 
 
 class Trace:
@@ -276,7 +290,8 @@ class TraceEvents(Sequence):
 
 
 def read(path: str) -> Trace:
-    """The trace written at `path`, its packet records in compact form."""
+    """The trace written at `path`, its packet records in compact form and
+    its snapshots as `Snapshot`s, as the simulator appends them."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = (line for line in (ln.strip() for ln in fh) if line)
         first = next(lines, None)
@@ -288,8 +303,9 @@ def read(path: str) -> Trace:
         trace = Trace(header)
         for line in lines:
             record = json.loads(line)
-            compact = _compact(record)
-            if compact is None:
+            if record.get("type") == "SNAPSHOT":
+                trace.append(as_snapshot(record), canonical(record))
+            elif (compact := _compact(record)) is None:
                 trace.append(record)
             else:
                 trace.append(*compact)

@@ -5,17 +5,18 @@ Four packet kinds: MSG carries an application payload with its identity
 carries the per-peer flow-control triple, and HEARTBEAT carries liveness
 counters. Messages are immutable named tuples, cheap to build, with the
 kind as a class attribute; two messages are equal when they have the same
-kind and fields. `encode` gives a message's one JSON-dict form.
-`in_flight` gives the text a snapshot records for a message in flight:
-the canonical JSON of that dict with the birth step added, rendered from
-the fields without building the dict, since a snapshot keeps the message
-itself. The bounded-counter reset barrier is driven by the simulator and
-sends no packets.
+kind and fields. `encode` gives a message's one JSON-dict form and
+`decode` the message of such a dict. `in_flight` gives the text a snapshot
+records for a message in flight: the canonical JSON of that dict with the
+birth step added, rendered from the fields without building the dict, since
+a snapshot keeps the message itself. The bounded-counter reset barrier is
+driven by the simulator and sends no packets.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple, Union
 
 
@@ -101,3 +102,14 @@ def encode(msg: WireMessage) -> dict:
     if type(msg) not in (Msg, MsgAck, Gossip, Heartbeat):
         raise TypeError(f"not a wire message: {msg!r}")
     return {"kind": msg.kind, **msg._asdict()}
+
+
+# each kind's message class, and the getter of its fields from its dict
+_DECODERS = {cls.kind: (cls, itemgetter(*cls._fields)) for cls in (Msg, MsgAck, Gossip, Heartbeat)}
+
+
+def decode(packet: dict) -> WireMessage:
+    """The message whose `encode` form `packet` holds; other keys, such as
+    the "birth_step" of a packet in a snapshot, are ignored."""
+    cls, fields = _DECODERS[packet["kind"]]
+    return tuple.__new__(cls, fields(packet))

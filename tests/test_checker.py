@@ -8,7 +8,7 @@ import pytest
 from ssurb import checker
 from ssurb.config import ScenarioConfig, from_dict
 from ssurb.sim import run_scenario, run_scenarios
-from ssurb.trace import PACKET_CODE, Snapshot, Trace, make_header, packet_line
+from ssurb.trace import PACKET_CODE, Trace, as_snapshot, make_header, packet_line
 
 
 def header(n=3, b=4, fifo=False, w=5):
@@ -590,7 +590,7 @@ def test_recorded_verdict_used_only_under_its_corruption_step():
     assert not [r for r in plain if r["verdict"] == "FAIL"]
     planted = checker.SnapshotVerdict(False, 2, "planted")
     # the marker as the simulator keeps a snapshot, where the stop rule leaves its verdict
-    judged = events[marker] = Snapshot(events[marker], channels=checker.channels_of(events[marker]))
+    judged = events[marker] = as_snapshot(events[marker])
     # judged under another corruption step: evaluated again, as with no verdict
     judged.verdict = (0, planted)
     assert [r.to_dict() for r in checker.check_all(h, events)] == plain
