@@ -1,9 +1,11 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssurb.trace import canonical
-from ssurb.wire import Gossip, Heartbeat, Msg, MsgAck, encode, message_id
+from ssurb.wire import Gossip, Heartbeat, Msg, MsgAck, decode, encode, message_id
 
 EVERY_KIND = pytest.mark.parametrize(
     "msg, expected",
@@ -73,3 +75,5 @@ messages = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_in_flight_is_the_canonical_snapshot_packet(msg, birth):
     assert msg.in_flight(birth) == canonical(dict(encode(msg), birth_step=birth))
+    # a snapshot read back from its line decodes the packet to the same message
+    assert decode(json.loads(msg.in_flight(birth))) == msg
