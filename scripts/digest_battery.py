@@ -8,8 +8,8 @@ duplication, interval snapshots, every stop mode and bounded-mode global
 resets. For each scenario it prints one JSON line: the run's metrics
 (trace digest included), the SHA-256 of the trace file `Trace.write`
 produces, the SHA-256 of the checker reports sorted by name, and the
-SHA-256 of every snapshot's per-node `checker.consistency_check` verdicts,
-(ok, clause) for each node, crashed ones included, in every snapshot of the
+SHA-256 of every snapshot's per-node consistency verdicts, (ok, clause) of
+`checker.evaluate_snapshot` for each node, crashed ones included, in every snapshot of the
 trace, also those before the stabilization marker that `check_all` never
 evaluates, and the SHA-256 of `canonical(e)` over the run's
 `trace.events`, which shows that the events read back as the same dicts.
@@ -209,8 +209,8 @@ def verdicts_digest(header: dict, events: list[dict]) -> str:
         elif event["type"] == "SNAPSHOT":
             snapshot = as_snapshot(event)  # its packets decoded once for all its nodes
             for entry in event["nodes"]:
-                ok, clause = checker.consistency_check(snapshot, entry["id"], header, last_corrupt)
-                verdicts.append([event["step"], entry["id"], ok, clause])
+                verdict = checker.evaluate_snapshot(snapshot, header, last_corrupt, entry["id"])
+                verdicts.append([event["step"], entry["id"], verdict.node is None, verdict.clause])
     return sha256(json.dumps(verdicts))
 
 

@@ -157,7 +157,7 @@ def load_tree(src: str, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("config", "node", "sim"):
+    for module in ("checker", "config", "node", "sim"):
         setattr(package, module, importlib.import_module(f"{name}.{module}"))
     return package
 

@@ -31,11 +31,10 @@ Cost. The consistency predicate has one implementation,
 snapshot, among them the first packet clause each node breaks, in one
 ordered walk over the packets in flight, and then checks each node against
 them, so a snapshot costs O(its size) rather than O(n * its size).
-`consistency_check`, `snapshot_all_consistent` (the simulator's
-`stabilized` stop rule) and the FAIL witnesses are views of it. The walk
-reads the (message, birth step) pairs a `trace.Snapshot` keeps, as the
-simulator and `trace.read` build it; `trace.as_snapshot` decodes those of a
-dict-form snapshot on each call.
+`snapshot_all_consistent` (the simulator's `stabilized` stop rule) and the
+FAIL witnesses are views of it. The walk reads the (message, birth step)
+pairs a `trace.Snapshot` keeps, as the simulator and `trace.read` build it;
+`trace.as_snapshot` decodes those of a dict-form snapshot on each call.
 `TraceIndex` makes the only pass over the events. It records the positions
 of each event type the checks read, and each check bisects out its epoch's
 share of those positions and walks only them. It also evaluates each
@@ -46,13 +45,11 @@ sizes), where it used to cost O(checks * events + n * sum of snapshot
 sizes). `validity_check` gathers the identities present at an epoch's
 marker only for a checked delivery that no earlier broadcast explains.
 
-Events are read as stored. A `Trace` keeps its packet records compact
-(`trace.PACKET_CODES`), and `TraceIndex.packet` reads a packet's type,
-kind, mid and step from that form or from a packet dict in a hand-built
-list, so no check decodes a trace line. `quiescence_check` and
-`message_cost`, which read every record of their window or every
-MSG/MSGACK send, look the compact forms up in `trace.PACKET_CODES`
-themselves and call `packet` only for dicts.
+Events are read as stored, and every packet record a check reads is
+compact: a `Trace` keeps them so (`trace.compact`), and `TraceIndex` applies
+`trace.compact` once to a plain event list, so a packet dict outside its
+rule is a `ValueError` here too. A check looks a packet's type and kind up
+in `trace.PACKET_CODES` by its code, and no check decodes a trace line.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .trace import PACKET_CODES, PACKET_TYPES, Snapshot, TraceEvents, as_snapshot
+from .trace import PACKET_CODES, Snapshot, TraceEvents, as_snapshot, compact
 from .wire import Gossip, Heartbeat, Msg, MsgAck, message_id
 
 # the codes of compact SEND records
@@ -279,15 +276,6 @@ def evaluate_snapshot(
     return SnapshotVerdict(stale, None, None)
 
 
-def consistency_check(
-    snapshot: dict, node_id: int, header: dict, last_corrupt_step: int | None
-) -> tuple[bool, str | None]:
-    """The consistency predicate for one node against a full system snapshot:
-    (ok, failing-clause-name), as `evaluate_snapshot` finds it."""
-    verdict = evaluate_snapshot(snapshot, header, last_corrupt_step, node_id)
-    return verdict.node is None, verdict.clause
-
-
 def stale_packets_in_flight(snapshot: dict, last_corrupt_step: int | None) -> bool:
     """True while corruption-era protocol packets are still in transit toward
     live nodes; their consumption can re-poison node state."""
@@ -341,12 +329,12 @@ class TraceIndex:
     epoch's stabilization marker. Every snapshot verdict is computed at most
     once, and not at all when `verdict` can reuse the stop rule's.
 
-    `records` holds the events as stored: dicts, and a `Trace`'s
-    `Snapshot`s and compact packet records, which `packet` reads."""
+    `records` holds the events as stored: dicts, `Snapshot`s and compact
+    packet records, a plain event list's packet dicts made compact here."""
 
     def __init__(self, header: dict, events):
         self.header = header
-        records = events.records if isinstance(events, TraceEvents) else events
+        records = events.records if isinstance(events, TraceEvents) else [compact(e) for e in events]
         self.records = records
         self._evaluated: dict[int, SnapshotVerdict] = {}  # by position, by this index
         self.crashed: set[int] = set()
@@ -374,10 +362,7 @@ class TraceIndex:
                 (mid_sends if event[0] in _SEND_CODES else mid_others).append(pos)
                 continue
             etype = event["type"]
-            if etype in PACKET_TYPES:
-                if "mid" in event:
-                    (mid_sends if etype == "SEND" else mid_others).append(pos)
-            elif etype == "DELIVER":
+            if etype == "DELIVER":
                 delivers.append(pos)
             elif etype == "BROADCAST":
                 broadcasts.append(pos)
@@ -416,26 +401,6 @@ class TraceIndex:
     def within(positions: list[int], span: range) -> list[int]:
         """The positions of an ascending list that fall in `span`."""
         return positions[bisect_left(positions, span.start):bisect_left(positions, span.stop)]
-
-    def packet(self, pos: int) -> tuple[str, str, tuple[int, int] | None, int | None]:
-        """(type, kind, mid, step) of the packet record at `pos`. The mid is
-        None for a packet that carries none; so is the step of a compact
-        record without a mid, which only its line holds."""
-        record = self.records[pos]
-        cls = type(record)
-        if cls is tuple:
-            etype, kind, _ = PACKET_CODES[record[0]]
-            return etype, kind, (record[1], record[2]), record[3]
-        if cls is int:
-            etype, kind, _ = PACKET_CODES[record]
-            return etype, kind, None, None
-        mid = record.get("mid")
-        return (
-            record["type"],
-            record["kind"],
-            None if mid is None else (mid[0], mid[1]),
-            record["step"],
-        )
 
     def verdict(self, pos: int, last_corrupt_step: int | None) -> SnapshotVerdict:
         """`evaluate_snapshot` of the snapshot at `pos` under the last
@@ -549,9 +514,11 @@ def _preexisting(ti: TraceIndex, epoch: range, marker: int) -> set[tuple[int, in
             if mid is not None:
                 preexisting.add(mid)
     window = range(epoch.start, marker)
+    records = ti.records
     for positions in (ti.within(ti.mid_sends, window), ti.within(ti.mid_others, window)):
         for pos in positions:
-            preexisting.add(ti.packet(pos)[2])
+            _, sender, seq, _ = records[pos]
+            preexisting.add((sender, seq))
     return preexisting
 
 
@@ -633,7 +600,6 @@ def quiescence_check(ti: TraceIndex) -> CheckReport:
     heartbeat_events = 0
     witness = None
     for pos in range(cycles[-w], epoch.stop):
-        # `ti.packet(pos)`, inlined for the compact records
         record = records[pos]
         cls = type(record)
         if cls is int:
@@ -642,8 +608,6 @@ def quiescence_check(ti: TraceIndex) -> CheckReport:
         elif cls is tuple:
             etype, kind, _ = PACKET_CODES[record[0]]
             mid, step = (record[1], record[2]), record[3]
-        elif record["type"] in PACKET_TYPES:
-            etype, kind, mid, step = ti.packet(pos)
         else:
             continue
         if etype != "SEND" and etype != "RECV":
@@ -783,14 +747,10 @@ def message_cost(ti: TraceIndex) -> CheckReport:
         if not entries:
             continue
         for pos in ti.within(ti.mid_sends, epoch):
-            # `ti.packet(pos)`, inlined for the compact records
-            record = records[pos]
-            if type(record) is tuple:
-                kind, mid = PACKET_CODES[record[0]][1], (record[1], record[2])
-            else:
-                _, kind, mid, _ = ti.packet(pos)
+            code, sender, seq, _ = records[pos]
+            mid = (sender, seq)
             if broadcast_at.get(mid, pos) < pos:
-                entries[mid]["msg_sends" if kind == "MSG" else "ack_sends"] += 1
+                entries[mid]["msg_sends" if PACKET_CODES[code][1] == "MSG" else "ack_sends"] += 1
         for pos in ti.within(ti.delivers, epoch):
             mid = _mid(records[pos])
             at = broadcast_at.get(mid, pos)

@@ -6,19 +6,22 @@ channel contents in canonical field order, which is what the state-level
 checkers consume. The digest is a SHA-256 over the canonical encoding of
 all records joined by newlines and is the replay-equality witness.
 
-SEND/RECV/OMIT/DUP records, nearly all of a trace, have one line format,
-which gives the same bytes as `canonical`. It is kept in one table,
-`PACKET_TEMPLATES`: for each code in `PACKET_CODES`, the index of a
-(type, kind, cause), the constant (head, middle, tail) around the record's
-dst, its optional mid and its src and step. The simulator renders every
-packet line it appends (SEND, RECV, DUP, both OMIT causes) inline from that
-table and DELIVER lines from the fixed template `deliver_line`, and appends
-a packet line with a compact record: its code, or for MSG/MSGACK the tuple
-(code, sender, seq, step). It appends a SNAPSHOT as a `Snapshot`, whose
-channels hold the (message, birth step) pairs in flight rather than their
-dicts, with its line, `snapshot_line`, assembled from the `canonical`
-strings of its two halves. Every other dict, and any dict appended without
-its line, is rendered by `canonical` itself.
+SEND/RECV/OMIT/DUP records, nearly all of a trace, are kept compact: a
+record's code, the index of its (type, kind, cause) in `PACKET_CODES`, or
+for MSG/MSGACK the tuple (code, sender, seq, step). `compact` is the one
+rule that takes a packet dict to that form, or refuses it with a
+`ValueError`, and `Trace.append` applies it, so no trace holds a packet
+dict. Their lines have one format, which gives the same bytes as
+`canonical`, kept in one table, `PACKET_TEMPLATES`: for each code, the
+constant (head, middle, tail) around the record's dst, its optional mid
+and its src and step. The simulator renders every packet line it appends
+inline from that table and DELIVER lines from the fixed template
+`deliver_line`. It appends a SNAPSHOT as a `Snapshot`, whose channels hold
+the (message, birth step) pairs in flight rather than their dicts, with
+its line, `snapshot_line`, assembled from the `canonical` strings of its
+two halves. Any record appended without its line is rendered by
+`canonical`, or from its code's template if it is a packet dict of the
+simulator's exact shape.
 
 The lines are kept once, as the bytes that were hashed. `Trace` feeds
 SHA-256 one chunk of lines at a time (SHA-256 is a streaming hash, so the
@@ -27,9 +30,8 @@ indexed by the position of its first event; `write` writes the header and
 the chunks. `Trace.events` is a read-only view: it hands out the appended
 plain dicts as they are and decodes any other record, a compact packet
 record or a `Snapshot`, from its line when asked, a fresh dict each time,
-so an edit to one does not persist. `read` keeps a trace file's packet
-records of the simulator's shape in the same compact form, their lines
-rendered by `packet_line`, and its snapshots as `Snapshot`s (`as_snapshot`).
+so an edit to one does not persist. `read` appends each record of a trace
+file as decoded, its snapshots as `Snapshot`s (`as_snapshot`).
 """
 
 from __future__ import annotations
@@ -88,23 +90,52 @@ PACKET_TEMPLATES: tuple[tuple[str, str, str], ...] = tuple(
 )
 
 
-def packet_line(
-    etype: str,
-    step: int,
-    src: int,
-    dst: int,
-    kind: str,
-    mid: tuple[int, int] | list[int] | None = None,
-    cause: str | None = None,
-) -> str:
-    """`canonical` of the packet record with these fields: the keys cause,
-    dst, kind, mid, src, step and type, in that (sorted) order, the absent
-    optional ones left out. (`etype`, `kind`, `cause`) is one of
-    PACKET_CODES, `mid` a (sender, seq) pair of ints."""
-    head, middle, tail = PACKET_TEMPLATES[PACKET_CODE[(etype, kind, cause)]]
-    if mid is None:
-        return f'{head}{dst}{middle}"src":{src},"step":{step}{tail}'
-    return f'{head}{dst}{middle}"mid":[{mid[0]},{mid[1]}],"src":{src},"step":{step}{tail}'
+_MID_KINDS = ("MSG", "MSGACK")
+# each code's keys: type, step, src, dst and kind, and mid and cause if it has them
+_KEYS = tuple(5 + (kind in _MID_KINDS) + (cause is not None) for _, kind, cause in PACKET_CODES)
+
+
+def compact(record):
+    """The form a record is kept in: a packet dict (of a type in
+    PACKET_TYPES) as its code or (code, sender, seq, step), any other record
+    as it is. A packet dict whose (type, kind, cause) is not in PACKET_CODES,
+    or that carries a two-field mid (a list or tuple of two) other than
+    exactly when its kind is MSG or MSGACK, is a `ValueError`. A missing
+    field reads as None."""
+    if type(record) is not dict or record.get("type") not in PACKET_TYPES:
+        return record
+    get = record.get
+    kind, cause, mid = get("kind"), get("cause"), get("mid")
+    code = None
+    if type(kind) is str and (cause is None or type(cause) is str):
+        code = PACKET_CODE.get((record["type"], kind, cause))
+    if code is None:
+        raise ValueError(f"packet record of no (type, kind, cause) in PACKET_CODES: {record!r}")
+    if kind not in _MID_KINDS:
+        if mid is not None:
+            raise ValueError(f"{kind} packet record with a mid: {record!r}")
+        return code
+    if type(mid) not in (list, tuple) or len(mid) != 2:
+        raise ValueError(f"{kind} packet record without a two-field mid: {record!r}")
+    return code, mid[0], mid[1], get("step")
+
+
+def _packet_dict_line(record: dict, stored) -> str:
+    """The line of a packet dict that `compact` keeps as `stored`: its
+    code's template line when the dict holds only the template's keys, each
+    a value json renders as the template does; `canonical` otherwise (of a
+    bool, a tuple or an extra key, say)."""
+    get = record.get
+    step, src, dst = get("step"), get("src"), get("dst")
+    code = stored if type(stored) is int else stored[0]
+    if type(step) is int and type(src) is int and type(dst) is int and len(record) == _KEYS[code]:
+        head, middle, tail = PACKET_TEMPLATES[code]
+        if type(stored) is int:
+            return f'{head}{dst}{middle}"src":{src},"step":{step}{tail}'
+        mid = record["mid"]
+        if type(mid) is list and type(mid[0]) is int and type(mid[1]) is int:
+            return f'{head}{dst}{middle}"mid":[{mid[0]},{mid[1]}],"src":{src},"step":{step}{tail}'
+    return canonical(record)
 
 
 def deliver_line(step: int, node: int, sender: int, seq: int) -> str:
@@ -197,10 +228,14 @@ class Trace:
     def append(self, record, line: str | None = None) -> None:
         """Record an event: a dict, whose `canonical` line the caller may pass
         when it has rendered it already, a `Snapshot` with its
-        `snapshot_line`, or a compact packet record with its `packet_line`."""
-        self.records.append(record)
+        `snapshot_line`, or a compact packet record with its template line.
+        A packet dict is kept as `compact` makes it, or refused unappended."""
+        stored = compact(record)
+        if line is None:
+            line = canonical(record) if stored is record else _packet_dict_line(record, stored)
+        self.records.append(stored)
         pending = self.pending
-        pending.append(canonical(record) if line is None else line)
+        pending.append(line)
         if len(pending) >= CHUNK_LINES:
             self.flush()
 
@@ -290,52 +325,28 @@ class TraceEvents(Sequence):
 
 
 def read(path: str) -> Trace:
-    """The trace written at `path`, its packet records in compact form and
-    its snapshots as `Snapshot`s, as the simulator appends them."""
+    """The trace written at `path`: each record appended as decoded, its
+    snapshots as `Snapshot`s, so its packet records are compact, as the
+    simulator appends them. A line json cannot decode, or a packet record
+    that `compact` refuses, is a `ValueError` naming the path and the line
+    number."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = (line for line in (ln.strip() for ln in fh) if line)
-        first = next(lines, None)
+        lines = ((number, line) for number, line in enumerate((ln.strip() for ln in fh), 1) if line)
+        _, first = next(lines, (0, None))
         if first is None:
             raise ValueError(f"{path}: empty trace file")
         header = json.loads(first)
         if header.get("type") != "HEADER" or header.get("format") != TRACE_FORMAT:
             raise ValueError(f"{path}: not a {TRACE_FORMAT} trace")
         trace = Trace(header)
-        for line in lines:
-            record = json.loads(line)
-            if record.get("type") == "SNAPSHOT":
-                trace.append(as_snapshot(record), canonical(record))
-            elif (compact := _compact(record)) is None:
-                trace.append(record)
-            else:
-                trace.append(*compact)
+        for number, line in lines:
+            try:
+                record = json.loads(line)
+                if record.get("type") == "SNAPSHOT":
+                    trace.append(as_snapshot(record), canonical(record))
+                else:
+                    trace.append(record)
+            except ValueError as exc:  # a line json cannot decode, or a packet `compact` refuses
+                raise ValueError(f"{path}:{number}: {exc}") from None
     return trace
 
-
-def _compact(record: dict) -> tuple | None:
-    """(compact record, line) for a packet record of the simulator's shape,
-    the form the simulator appends it in: the keys type, step, src, dst and
-    kind, and mid exactly for MSG and MSGACK, and cause for an OMIT, each a
-    value json renders as the template does. None for any other record (a
-    bool or a tuple renders differently, say)."""
-    get = record.get
-    etype, step, src, dst, kind = get("type"), get("step"), get("src"), get("dst"), get("kind")
-    mid, cause = get("mid"), get("cause")
-    if (
-        type(etype) is not str
-        or type(kind) is not str
-        or (cause is not None and type(cause) is not str)
-        or len(record) != 5 + (mid is not None) + (cause is not None)
-        or type(step) is not int
-        or type(src) is not int
-        or type(dst) is not int
-    ):
-        return None
-    code = PACKET_CODE.get((etype, kind, cause))
-    if code is None or (mid is None) != (kind not in ("MSG", "MSGACK")):
-        return None
-    if mid is None:
-        return code, packet_line(etype, step, src, dst, kind, None, cause)
-    if type(mid) is not list or len(mid) != 2 or type(mid[0]) is not int or type(mid[1]) is not int:
-        return None
-    return (code, mid[0], mid[1], step), packet_line(etype, step, src, dst, kind, mid, cause)

@@ -8,7 +8,7 @@ import pytest
 from ssurb import checker
 from ssurb.config import ScenarioConfig, from_dict
 from ssurb.sim import run_scenario, run_scenarios
-from ssurb.trace import PACKET_CODE, Trace, as_snapshot, make_header, packet_line
+from ssurb.trace import Trace, as_snapshot, make_header
 
 
 def header(n=3, b=4, fifo=False, w=5):
@@ -62,8 +62,8 @@ def test_fresh_system_is_consistent():
     h = header()
     snap = snapshot([fresh_node(i, 3) for i in (1, 2, 3)])
     for i in (1, 2, 3):
-        ok, clause = checker.consistency_check(snap, i, h, None)
-        assert ok, clause
+        verdict = checker.evaluate_snapshot(snap, h, None, i)
+        assert verdict.node is None, verdict.clause
     assert checker.snapshot_all_consistent(snap, h, None)
 
 
@@ -74,8 +74,7 @@ def test_duplicate_identity_fails_consistency():
     node1["tx_obs"] = [0, 0, 0]
     node1["buffer"] = [rec("a", 2, 5, 3), rec("b", 2, 5, 3)]
     snap = snapshot([node1, fresh_node(2, 3), fresh_node(3, 3)])
-    ok, clause = checker.consistency_check(snap, 1, h, None)
-    assert not ok and clause == "duplicate-identity"
+    assert checker.evaluate_snapshot(snap, h, None, 1)[1:] == (1, "duplicate-identity")
 
 
 def test_peer_record_above_seq_fails_dominance():
@@ -87,8 +86,7 @@ def test_peer_record_above_seq_fails_dominance():
     node2["buffer"] = [rec("m", 1, 9, 3)]
     node2["rx_obs"] = [5, 0, 0]
     snap = snapshot([node1, node2, fresh_node(3, 3)])
-    ok, clause = checker.consistency_check(snap, 1, h, None)
-    assert not ok and clause == "seq-dominance-buffer"
+    assert checker.evaluate_snapshot(snap, h, None, 1)[1:] == (1, "seq-dominance-buffer")
 
 
 def test_null_payload_fails_consistency():
@@ -96,8 +94,7 @@ def test_null_payload_fails_consistency():
     node1 = fresh_node(1, 3)
     node1["buffer"] = [rec(None, 2, 1, 3)]
     snap = snapshot([node1, fresh_node(2, 3), fresh_node(3, 3)])
-    ok, clause = checker.consistency_check(snap, 1, h, None)
-    assert not ok and clause == "null-payload"
+    assert checker.evaluate_snapshot(snap, h, None, 1)[1:] == (1, "null-payload")
 
 
 def test_obsolete_record_fails_consistency():
@@ -105,8 +102,7 @@ def test_obsolete_record_fails_consistency():
     node1 = fresh_node(1, 3)
     node1["buffer"] = [rec("m", 2, 1, 3, delivered=True, rec_by=[1, 2, 3])]
     snap = snapshot([node1, fresh_node(2, 3), fresh_node(3, 3)])
-    ok, clause = checker.consistency_check(snap, 1, h, None)
-    assert not ok and clause == "obsolete-record"
+    assert checker.evaluate_snapshot(snap, h, None, 1)[1:] == (1, "obsolete-record")
 
 
 def gossip(src, dst, max_seq=0, rx_obs=0, tx_obs=0):
@@ -222,9 +218,9 @@ def test_each_clause_names_its_node(clause, node, b, fifo, doctor):
     channels = []
     doctor(nodes, channels)
     snap = snapshot(nodes, channels, step=9, cycle=1)
-    assert checker.consistency_check(snap, node, h, None) == (False, clause)
+    assert checker.evaluate_snapshot(snap, h, None, node)[1:] == (node, clause)
     for before in range(1, node):
-        assert checker.consistency_check(snap, before, h, None) == (True, None)
+        assert checker.evaluate_snapshot(snap, h, None, before)[1:] == (None, None)
     assert checker.evaluate_snapshot(snap, h, None) == (False, node, clause)
     assert not checker.snapshot_all_consistent(snap, h, None)
     events = [
@@ -521,18 +517,11 @@ def test_each_snapshot_evaluated_once(monkeypatch):
     assert len({id(snapshot) for snapshot in evaluated}) == len(evaluated)
 
 
-def _checked_trace(h, events, compact_at=None):
-    """A `Trace` of these events, the packet record at `compact_at`, a dict,
-    appended in compact form as the simulator appends it."""
+def _checked_trace(h, events):
+    """A `Trace` of these events, its packet dicts kept compact."""
     trace = Trace(h)
-    for pos, event in enumerate(events):
-        if pos == compact_at:
-            mid = event["mid"]
-            code = PACKET_CODE[(event["type"], event["kind"], None)]
-            line = packet_line(event["type"], event["step"], event["src"], event["dst"], event["kind"], mid)
-            trace.append((code, mid[0], mid[1], event["step"]), line)
-        else:
-            trace.append(event)
+    for event in events:
+        trace.append(event)
     return trace
 
 
@@ -568,7 +557,7 @@ def test_validity_exempts_identities_present_at_the_marker():
         ev("DELIVER", node=3, mid=[2, 5], step=7),  # sent in the recovery window only
     ]
     end = [ev("END", reason="stabilized", step=9)]
-    trace = _checked_trace(h, events + delivers + end, compact_at=send)
+    trace = _checked_trace(h, events + delivers + end)
     assert type(trace.records[send]) is tuple
     ti = checker.index_trace(h, trace.events)
     assert ti.markers == [marker]
@@ -576,7 +565,7 @@ def test_validity_exempts_identities_present_at_the_marker():
     assert report.verdict == "PASS" and report.measured == {"exemptions": 3}
 
     orphan = ev("DELIVER", node=3, mid=[9, 9], step=8)  # present nowhere
-    trace = _checked_trace(h, events + delivers + [orphan] + end, compact_at=send)
+    trace = _checked_trace(h, events + delivers + [orphan] + end)
     report = checker.validity_check(checker.index_trace(h, trace.events))
     assert report.verdict == "FAIL"
     assert report.witness == {"step": 8, "node": 3, "mid": [9, 9]}

@@ -1,4 +1,5 @@
-"""The packet-record template renders exactly what `canonical` renders,
+"""`Trace.append` keeps every packet dict compact or refuses it, by one
+rule; the packet-record template renders exactly what `canonical` renders,
 every other record is rendered by `canonical` itself, and the batched
 digest is the SHA-256 of the canonical records joined by newlines. The
 trace keeps each line once, as hashed; its events view reads the dicts
@@ -6,6 +7,8 @@ back from the compact packet records, and `write` copies the lines."""
 
 import gc
 import hashlib
+import json
+import re
 import tracemalloc
 import weakref
 from unittest import mock
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssurb import checker, trace
+from ssurb import checker, cli, trace
 from ssurb.config import from_dict
 from ssurb.sim import Simulation, run_scenario
 from ssurb.trace import canonical
@@ -53,64 +56,76 @@ def simulator_packets(draw):
     return record
 
 
+@st.composite
+def off_shape_packets(draw):
+    """A packet record the rule accepts whose line json renders otherwise
+    than the template: a bool or a tuple where the template renders an int
+    or a list, or an extra key."""
+    record = draw(simulator_packets())
+    key = draw(st.sampled_from(("step", "src", "dst", "extra") + (("mid",) if "mid" in record else ())))
+    if key == "mid":
+        record["mid"] = draw(st.one_of(st.tuples(ints, ints), st.tuples(st.booleans(), ints).map(list)))
+    else:
+        record[key] = draw(st.one_of(st.booleans(), st.tuples(ints, ints)))
+    return record
+
+
 scalars = st.one_of(st.none(), st.booleans(), ints, st.text(max_size=4))
-other_records = st.one_of(
-    # other event types, with whatever fields
-    st.builds(
-        lambda etype, fields: dict(fields, type=etype),
-        st.text(max_size=8).filter(lambda t: t not in PACKET_TYPES),
-        st.dictionaries(st.text(max_size=5), scalars, max_size=5),
-    ),
-    # packet types off the simulator's shape: an extra or null field, a
-    # bool or a tuple where json renders differently from the template
-    st.builds(
-        lambda record, key, value: dict(record, **{key: value}),
-        packet_records(),
-        st.sampled_from(("step", "src", "dst", "kind", "mid", "cause", "extra")),
-        st.one_of(
-            st.none(),
-            st.booleans(),
-            st.tuples(ints, ints),
-            st.lists(ints, max_size=3).filter(lambda v: len(v) != 2),
-        ),
-    ),
+# other event types, with whatever fields
+non_packet_records = st.builds(
+    lambda etype, fields: dict(fields, type=etype),
+    st.text(max_size=8).filter(lambda t: t not in PACKET_TYPES),
+    st.dictionaries(st.text(max_size=5), scalars, max_size=5),
 )
+HEADER = {"type": "HEADER", "format": trace.TRACE_FORMAT, "n": 2}
 
 
-def _compact_watching_canonical(record):
-    with mock.patch.object(trace, "canonical", wraps=canonical) as spy:
-        compact = trace._compact(record)
-    return compact, spy.call_count
+def _stored(record):
+    """The compact record the rule stores for an accepted packet dict."""
+    code = trace.PACKET_CODE[(record["type"], record["kind"], record.get("cause"))]
+    mid = record.get("mid")
+    return code if mid is None else (code, mid[0], mid[1], record["step"])
 
 
 @given(st.one_of(simulator_packets(), packet_records()))
 @settings(max_examples=300, deadline=None)
 def test_packet_template_equals_canonical(record):
-    # `read` keeps a packet record of the simulator's shape compact, its line
-    # rendered by packet_line from the template table, never by canonical
+    # a packet dict the rule accepts is stored compact; one of the
+    # simulator's shape gets its line from its code's template, never from
+    # canonical, and that line is canonical's
     etype, kind, cause, mid = record["type"], record["kind"], record.get("cause"), record.get("mid")
-    code = trace.PACKET_CODE.get((etype, kind, cause))
-    shaped = code is not None and (mid is None) == (kind not in ("MSG", "MSGACK"))
-    compact, canonical_calls = _compact_watching_canonical(record)
-    assert canonical_calls == 0
-    if not shaped:
-        assert compact is None
-        return
-    assert compact == (code if mid is None else (code, mid[0], mid[1], record["step"]), canonical(record))
+    accepted = (etype, kind, cause) in trace.PACKET_CODE and (mid is None) == (kind not in ("MSG", "MSGACK"))
+    t = trace.Trace(HEADER)
+    with mock.patch.object(trace, "canonical", wraps=canonical) as spy:
+        if not accepted:
+            with pytest.raises(ValueError):
+                t.append(record)
+            assert t.records == [] and t.pending == []
+            return
+        t.append(record)
+    assert spy.call_count == 0
+    assert t.records == [_stored(record)]
+    assert t.pending == [canonical(record)]
+    assert t.events[0] == record
 
 
-@given(record=other_records)
+@given(record=st.one_of(non_packet_records, off_shape_packets()))
 @settings(max_examples=300, deadline=None)
 def test_other_records_go_through_canonical(record):
-    # other records, packet ones off the template's shape included, are not
-    # compacted by `read`, and a record appended without a line is hashed
-    # and written as canonical renders it
-    assert trace._compact(record) is None
-    t = trace.Trace({"type": "HEADER", "format": trace.TRACE_FORMAT, "n": 2})
+    # a record appended without a line is hashed and written as canonical
+    # renders it, unless it is a packet dict of the simulator's shape: an
+    # accepted packet dict off that shape is still stored compact, and the
+    # events view reads it back from its canonical line
+    t = trace.Trace(HEADER)
     with mock.patch.object(trace, "canonical", wraps=canonical) as spy:
         t.append(record)
     assert t.pending == [canonical(record)]
     assert spy.call_count == 1
+    if record["type"] in PACKET_TYPES:
+        assert t.records == [_stored(record)]
+        assert t.events[0] == json.loads(canonical(record))
+    else:
+        assert t.records == [record] and t.events[0] is record
 
 
 @given(st.integers(0, 10**9), st.integers(1, 200), st.integers(1, 200), st.integers(-5, 10**9))
@@ -217,10 +232,10 @@ TYPED_RENDER_BATTERY = [
 ]
 
 
-def test_every_code_renders_one_line_from_the_table_and_packet_line():
+def test_every_code_renders_one_line_from_the_table():
     # the simulator renders every packet line inline from PACKET_TEMPLATES
-    # and packet_line renders through the same table: for every code, with
-    # and without a mid, both give canonical of the record's dict
+    # and `Trace.append` renders a packet dict through the same table: for
+    # every code, with and without a mid, both give canonical of the dict
     assert {etype for etype, _, _ in trace.PACKET_CODES} == set(trace.PACKET_TYPES)
     assert {cause for _, _, cause in trace.PACKET_CODES} == {None, "overflow", "drop"}
     step, src, dst = 123456, 7, 12
@@ -237,7 +252,10 @@ def test_every_code_renders_one_line_from_the_table_and_packet_line():
             table_line = f'{head}{dst}{middle}{mid_field}"src":{src},"step":{step}{tail}'
             expected = canonical(record)
             assert table_line == expected, (code, mid)
-            assert trace.packet_line(etype, step, src, dst, kind, mid, cause) == expected
+            if (mid is None) == (kind not in ("MSG", "MSGACK")):  # a dict the rule accepts
+                t = trace.Trace(HEADER)
+                t.append(record)
+                assert t.pending == [expected], (code, mid)
 
 
 def test_typed_packet_lines_match_canonical():
@@ -276,7 +294,7 @@ def test_write_validates_records_appended_without_a_line(tmp_path):
     header = {"type": "HEADER", "format": trace.TRACE_FORMAT, "n": 2}
     t = trace.Trace(header)
     typed = {"type": "SEND", "step": 0, "src": 1, "dst": 2, "kind": "HEARTBEAT"}
-    t.append(typed, trace.packet_line("SEND", 0, 1, 2, "HEARTBEAT"))
+    t.append(typed)
     # off the template's shape: json renders the bool and the tuple itself
     t.append({"type": "RECV", "step": 1, "src": True, "dst": 2, "kind": "MSG", "mid": (1, 1)})
     t.append({"type": "END", "step": 2, "reason": "max-steps"})
@@ -321,17 +339,11 @@ def _compact_trace(count, digest_at=()):
             continue
         etype, kind, cause = trace.PACKET_CODES[pos % len(trace.PACKET_CODES)]
         record = {"type": etype, "step": step, "src": src, "dst": dst, "kind": kind}
-        code = trace.PACKET_CODE[(etype, kind, cause)]
-        mid = None
         if kind in ("MSG", "MSGACK"):
-            mid = (src, pos)
-            record["mid"] = list(mid)
-            compact = (code, src, pos, step)
-        else:
-            compact = code
+            record["mid"] = [src, pos]
         if cause is not None:
             record["cause"] = cause
-        t.append(compact, trace.packet_line(etype, step, src, dst, kind, mid, cause))
+        t.append(record)  # kept compact
         expected.append(record)
     return t, expected
 
@@ -356,7 +368,7 @@ def test_view_reads_compact_records_across_chunk_edges():
     assert list(events) == expected
     assert list(events) != expected[:-1]
     # a record appended after the reads: the view follows the trace
-    t.append(trace.PACKET_CODE[("SEND", "GOSSIP", None)], trace.packet_line("SEND", 999, 1, 2, "GOSSIP"))
+    t.append({"type": "SEND", "step": 999, "src": 1, "dst": 2, "kind": "GOSSIP"})
     assert len(events) == 701
     assert events[-1] == {"type": "SEND", "step": 999, "src": 1, "dst": 2, "kind": "GOSSIP"}
     assert events[699] == expected[699]
@@ -470,7 +482,11 @@ def test_read_keeps_simulator_shaped_packets_compact(tmp_path):
     path = tmp_path / "trace.jsonl"
     result = run_scenario(from_dict(TYPED_RENDER_BATTERY[2]))
     result.trace.write(str(path))
-    back = trace.read(str(path))
+    with mock.patch.object(trace, "canonical", wraps=canonical) as spy:
+        back = trace.read(str(path))
+    # canonical renders the header and each record that is not a packet,
+    # and no packet line
+    assert spy.call_count == 1 + sum(type(r) not in (int, tuple) for r in back.records)
     assert back.digest() == result.trace.digest()
     # the same records: a snapshot is read back as a `Snapshot` too, so its
     # channels, decoded from the line written, are compared with the
@@ -480,19 +496,54 @@ def test_read_keeps_simulator_shaped_packets_compact(tmp_path):
     assert snapshots and all(type(back.records[pos]) is trace.Snapshot for pos in snapshots)
     assert any(kept[pos]["channels"] for pos in snapshots)
     assert back.records == kept
-    # packets off the simulator's shape stay dicts, as read
-    header = {"type": "HEADER", "format": trace.TRACE_FORMAT, "n": 2}
-    odd = [
-        {"type": "SEND", "step": 0, "src": 1, "dst": 2, "kind": "GOSSIP", "mid": [1, 1]},
-        {"type": "SEND", "step": 0, "src": 1, "dst": 2, "kind": "MSG"},
-        {"type": "RECV", "step": 1, "src": 1, "dst": 2, "kind": "GOSSIQ"},
-        {"type": "OMIT", "step": 1, "src": 1, "dst": 2, "kind": "HEARTBEAT", "cause": "lost"},
-        {"type": "DUP", "step": 2, "src": 1, "dst": 2, "kind": "MSGACK", "mid": [2, 1], "extra": 0},
-    ]
-    written = trace.Trace(header)
-    for record in odd:
-        written.append(record)
+    # a packet dict the rule accepts off the simulator's shape is read back
+    # compact too, its line rendered by canonical
+    dup = {"type": "DUP", "step": 2, "src": 1, "dst": 2, "kind": "MSGACK", "mid": [2, 1], "extra": 0}
+    written = trace.Trace(HEADER)
+    written.append(dup)
     written.write(str(path))
     back = trace.read(str(path))
-    assert back.records == odd
+    assert back.records == written.records == [(trace.PACKET_CODE[("DUP", "MSGACK", None)], 2, 1, 2)]
     assert back.digest() == written.digest()
+    assert list(back.events) == [dup]
+
+
+# packet dicts outside the rule: a kind without a mid carrying one, a kind
+# with a mid carrying none or one of three fields, and a kind or a cause not
+# in PACKET_CODES
+REFUSED = [
+    {"type": "SEND", "step": 0, "src": 1, "dst": 2, "kind": "GOSSIP", "mid": [1, 1]},
+    {"type": "SEND", "step": 0, "src": 1, "dst": 2, "kind": "MSG"},
+    {"type": "RECV", "step": 1, "src": 1, "dst": 2, "kind": "MSGACK", "mid": [1, 1, 1]},
+    {"type": "RECV", "step": 1, "src": 1, "dst": 2, "kind": "GOSSIQ"},
+    {"type": "OMIT", "step": 1, "src": 1, "dst": 2, "kind": "HEARTBEAT", "cause": "lost"},
+]
+
+
+@pytest.mark.parametrize(
+    "record", REFUSED, ids=["gossip-mid", "msg-no-mid", "msgack-three-field-mid", "gossiq", "lost"]
+)
+def test_packet_dicts_outside_the_rule_are_refused(record, tmp_path, capsys):
+    t = trace.Trace(HEADER)
+    with pytest.raises(ValueError):
+        t.append(record)
+    assert t.records == [] and t.pending == []
+    events = [{"type": "SEND", "step": 0, "src": 1, "dst": 2, "kind": "HEARTBEAT"}, record]
+    with pytest.raises(ValueError):
+        checker.index_trace(HEADER, events)
+    # in a file, on line 3 after the header: read and `ssurb check` name it
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(canonical(r) for r in [HEADER] + events) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+        trace.read(str(path))
+    assert cli.main(["check", "--trace", str(path)]) == 2
+    assert f"{path}:3: " in capsys.readouterr().err
+
+
+def test_read_names_a_line_json_cannot_decode(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(canonical(HEADER) + '\n{"type": "CYCLE", "step": 0, "k": 1}\n{"dst":2,"kind":"HEART\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: Unterminated string"):
+        trace.read(str(path))
+    assert cli.main(["check", "--trace", str(path)]) == 2
+    assert f"{path}:3: " in capsys.readouterr().err
