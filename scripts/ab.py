@@ -2,17 +2,18 @@
 """In-process A/B of this checkout against another: simulation and checks.
 
 Loads this checkout's `src` twice and OTHER_CHECKOUT's once, each under a
-package name of its own (`step_cost.load_tree`), so that the three share one
-process, its offset and the host's drift. A shape is one unit of a
-benchmark workload, built by the generators of `perfbench/workloads.py`:
-`acceptance` is `acceptance_scenarios` (6 scenarios), `scale` is
-`scale_scenarios` (one n=16 scenario) and `corrupt` is every cell of
-`corrupt_grids` over `CORRUPT_BASE` for one of `corrupt_seeds` (28
-scenarios). Each round runs every scenario on the three trees, the order
-rotating from scenario to scenario, and times `run_scenario` and
-`check_all` apart, in process time. The three runs of a scenario must give
-the same metrics and reports; otherwise the script names the first
-difference and exits 1.
+package name of its own (`load_tree`), so that the three share one process,
+its offset and the host's drift. A shape is one unit of a benchmark
+workload, built by the generators of `perfbench/workloads.py`: `acceptance`
+is `acceptance_scenarios` (6 scenarios), `scale` is `scale_scenarios` (one
+n=16 scenario) and `corrupt` is every cell of `corrupt_grids` over
+`CORRUPT_BASE` for one of `corrupt_seeds` (28 scenarios). `sizes` is
+`scripts/step_cost.py`'s fault-free scenario at n = 16, 32 and 64 (3
+scenarios, about 0.2, 1 and 5 s each; `--seed` does not change it). Each
+round runs every scenario on the three trees, the order rotating from
+scenario to scenario, and times `run_scenario` and `check_all` apart, in
+process time. The three runs of a scenario must give the same metrics and
+reports; otherwise the script names the first difference and exits 1.
 
 For each shape and timer it prints, for other/this and for this/this (the
 A/A, which shows what noise alone reads), the ratio of the summed times,
@@ -23,6 +24,8 @@ the wins: the pairs in which the first tree took less time.
 """
 
 import argparse
+import importlib
+import importlib.util
 import os
 import statistics
 import sys
@@ -33,12 +36,27 @@ ROOT = os.path.dirname(HERE)
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, HERE)
 
+import step_cost  # noqa: E402
 import workloads  # noqa: E402  (perfbench/workloads.py)
-from step_cost import load_tree  # noqa: E402
 
-SHAPES = ("acceptance", "scale", "corrupt")
+SHAPES = ("acceptance", "scale", "corrupt", "sizes")
 TREES = ("other", "this", "this2")
 TIMERS = ("run_scenario", "check_all")
+
+
+def load_tree(src: str, name: str):
+    """The modules of the `ssurb` package under `src`, imported as package
+    `name`, so that two trees can share one process."""
+    package_dir = os.path.join(src, "ssurb")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package_dir, "__init__.py"), submodule_search_locations=[package_dir]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("checker", "config", "sim"):
+        setattr(package, module, importlib.import_module(f"{name}.{module}"))
+    return package
 
 
 def scenarios(config, shape: str, seed: int) -> list:
@@ -47,6 +65,8 @@ def scenarios(config, shape: str, seed: int) -> list:
         return [config.from_dict(raw) for raw in workloads.acceptance_scenarios(seed, 1)]
     if shape == "scale":
         return [config.from_dict(raw) for raw in workloads.scale_scenarios(seed, 1)]
+    if shape == "sizes":
+        return [step_cost.scenario(config, n, "fault-free") for n in (16, 32, 64)]
     base = config.from_dict(workloads.CORRUPT_BASE)
     return [
         config.apply_overrides(base, dict(cell, seed=s))

@@ -109,6 +109,21 @@ def _parse_seeds(spec: str) -> list[int]:
     return seeds
 
 
+def _split_values(raw: str) -> list[str]:
+    """`raw` cut at each comma outside JSON brackets, braces and strings."""
+    pieces, start, depth, quoted, escaped = [], 0, 0, False, False
+    for i, ch in enumerate(raw):
+        if quoted:
+            escaped, quoted = not escaped and ch == "\\", escaped or ch != '"'
+        elif ch == "," and depth == 0:
+            pieces.append(raw[start:i])
+            start = i + 1
+        else:
+            quoted = ch == '"'
+            depth += (ch in "[{") - (ch in "]}")
+    return pieces + [raw[start:]]
+
+
 def _parse_grid(items: list[str]) -> dict[str, list]:
     grid = {}
     for item in items:
@@ -116,7 +131,7 @@ def _parse_grid(items: list[str]) -> dict[str, list]:
             raise config.ConfigError(item, "grid entry must look like key=v1,v2")
         key, raw = item.split("=", 1)
         values = []
-        for piece in raw.split(","):
+        for piece in _split_values(raw):
             try:
                 values.append(json.loads(piece))
             except json.JSONDecodeError:
@@ -189,6 +204,8 @@ def cmd_sweep(args) -> int:
     seeds = _parse_seeds(args.seeds)
     try:
         summary = sweep(cfg, grid, seeds)
+    except config.ConfigError:
+        raise
     except Exception:
         print("sweep cell crashed under base config:", file=sys.stderr)
         print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True), file=sys.stderr)

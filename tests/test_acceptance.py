@@ -25,14 +25,19 @@ batches are computed once per session:
 import json
 import multiprocessing
 import os
-import statistics
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from ssurb import checker, cli
-from ssurb.config import CORRUPTION_KINDS, from_dict
-from ssurb.sim import run_scenario, run_scenarios
+from ssurb.config import from_dict
+from ssurb.sim import run_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+import complexity  # noqa: E402  (scripts/complexity.py)
 
 SUITE_NS = (2, 3, 5)
 SUITE_SEEDS = range(50)
@@ -54,25 +59,6 @@ def schedule(n, count=5):
     return entries
 
 
-def checked(raw, result):
-    reports = {r.name: r for r in checker.check_all(result.trace.header, result.trace.events)}
-    return {"config": raw, "metrics": result.metrics, "reports": reports}
-
-
-def run_one(raw):
-    return checked(raw, run_scenario(from_dict(raw)))
-
-
-def run_group(raws):
-    """`run_one` over configs that differ only in their fault plans, through
-    `run_scenarios`, which simulates their fault-free prefix once; results
-    in config order."""
-    runs = [None] * len(raws)
-    for index, result in run_scenarios([from_dict(raw) for raw in raws]):
-        runs[index] = checked(raws[index], result)
-    return runs
-
-
 @pytest.fixture(scope="session")
 def pool():
     """Up to two worker processes for the session's run batches; spawned, so
@@ -82,15 +68,9 @@ def pool():
         yield executor
 
 
-def run_many(pool, configs):
-    """`run_one` over `configs`, results in config order."""
-    return list(pool.map(run_one, configs, chunksize=4))
-
-
 @pytest.fixture(scope="session")
 def suite1(pool):
-    return run_many(
-        pool,
+    return complexity.run_all(
         [
             {
                 "n": n,
@@ -102,14 +82,14 @@ def suite1(pool):
             }
             for n in SUITE_NS
             for seed in SUITE_SEEDS
-        ]
+        ],
+        pool.map,
     )
 
 
 @pytest.fixture(scope="session")
 def suite2(pool):
-    return run_many(
-        pool,
+    return complexity.run_all(
         [
             {
                 "n": n,
@@ -128,63 +108,19 @@ def suite2(pool):
             }
             for n in SUITE_NS
             for seed in SUITE_SEEDS
-        ]
+        ],
+        pool.map,
     )
 
 
 @pytest.fixture(scope="session")
 def corruption_sweep(pool):
-    keys, configs = [], []
-    groups = {}  # positions of the configs that differ only in their corruption
-    for b in (1, 2, 4, 8):
-        for kind in CORRUPTION_KINDS:
-            for seed in range(20):
-                groups.setdefault((b, kind == "NEXT-SKEW", seed), []).append(len(configs))
-                keys.append(b)
-                configs.append(
-                    {
-                        "n": 4,
-                        "buffer_unit_size": b,
-                        "seed": seed,
-                        "max_steps": 15_000,
-                        "fifo_enabled": kind == "NEXT-SKEW",
-                        "stop_mode": "stabilized",
-                        "quiescence_window_cycles": 3,
-                        "broadcasts": [
-                            {"node": 1 + (k % 4), "payload": f"m{k}"} for k in range(6)
-                        ],
-                        "fault_plan": {
-                            "corruptions": [{"node": 2, "step": 250, "kind": kind}]
-                        },
-                    }
-                )
-    runs = [None] * len(configs)
-    batches = [[configs[i] for i in group] for group in groups.values()]
-    for group, results in zip(groups.values(), pool.map(run_group, batches)):
-        for i, run in zip(group, results):
-            runs[i] = run
-    cells = {}
-    for b, run in zip(keys, runs):
-        cells.setdefault(b, []).append(run)
-    return cells
+    return complexity.run_all(complexity.stabilization_raws(), pool.map)
 
 
 @pytest.fixture(scope="session")
 def cost_sweep(pool):
-    ns = range(2, 9)
-    configs = [
-        {
-            "n": n,
-            "buffer_unit_size": 4,
-            "seed": seed,
-            "max_steps": 30_000,
-            "broadcasts": [{"node": 1 + (k % n), "payload": f"m{k}"} for k in range(3)],
-        }
-        for n in ns
-        for seed in range(10)
-    ]
-    runs = run_many(pool, configs)
-    return {n: runs[10 * i : 10 * (i + 1)] for i, n in enumerate(ns)}
+    return complexity.run_all(complexity.cost_raws(), pool.map)
 
 
 def all_verdicts(runs, names):
@@ -276,7 +212,7 @@ def test_criterion_3_quiescence(suite1, suite2):
 
 
 def test_criterion_4_buffer_bound(suite1, suite2, corruption_sweep):
-    runs = suite1 + suite2 + [r for cell in corruption_sweep.values() for r in cell]
+    runs = suite1 + suite2 + corruption_sweep
     bad = [
         (run["config"]["n"], run["config"]["seed"], run["reports"]["buffer-bounds"].witness)
         for run in runs
@@ -287,50 +223,38 @@ def test_criterion_4_buffer_bound(suite1, suite2, corruption_sweep):
 
 
 def test_criterion_5_stabilization_scaling(corruption_sweep):
-    medians = {}
-    unstabilized = []
-    for b, runs in corruption_sweep.items():
-        values = []
-        for run in runs:
-            report = run["reports"]["stabilization-time"]
-            if report.verdict != "PASS":
-                unstabilized.append((b, run["config"]["seed"], report.witness))
-            else:
-                values.append(report.measured["cycles"])
-        medians[b] = statistics.median(values)
-    m1, m2 = medians[1], medians[2]
-    slope, intercept = m2 - m1, 2 * m1 - m2
-    fits = {b: medians[b] <= 2 * (slope * b + intercept) for b in (4, 8)}
-    ok = not unstabilized and all(fits.values())
+    table = complexity.stabilization_table(corruption_sweep)
+    slope, intercept, checks = complexity.trend(table)
+    unstabilized = [
+        (run["config"]["buffer_unit_size"], run["config"]["seed"],
+         run["reports"]["stabilization-time"].witness)
+        for run in corruption_sweep
+        if complexity.stabilization_cycles(run) is None
+    ]
+    ok = not unstabilized and all(fits for *_, fits in checks)
+    medians = {b: row["median_cycles"] for b, row in table.items()}
     criterion(5, "stabilization O(B) trend", ok,
               f"medians={medians} fit=a*B+b with a={slope}, b={intercept}; "
               f"unstabilized={unstabilized[:3]}")
 
 
 def test_criterion_6_message_cost_scaling(cost_sweep):
-    ratios = {}
-    for n, runs in cost_sweep.items():
-        worst = max(run["reports"]["message-cost"].measured["max_total"] for run in runs)
-        ratios[n] = worst / (n * n)
-    ok = ratios[8] <= 2 * ratios[4]
+    table = complexity.cost_table(cost_sweep)
+    worst = {n: row["max_msgs_per_broadcast"] for n, row in table.items()}
+    ok = worst[8] / (8 * 8) <= 2 * (worst[4] / (4 * 4))
     criterion(6, "message cost O(n^2) trend", ok,
-              "ratios=" + json.dumps({k: round(v, 2) for k, v in sorted(ratios.items())}))
+              "ratios=" + json.dumps({n: row["ratio_over_n2"] for n, row in sorted(table.items())}))
 
 
 def test_criterion_7_delivery_latency(suite1, cost_sweep):
-    worst = 0
-    for run in suite1 + [r for runs in cost_sweep.values() for r in runs]:
-        worst = max(worst, run["reports"]["message-cost"].measured["max_latency_cycles"])
+    latencies = [run["reports"]["message-cost"].measured["max_latency_cycles"] for run in suite1]
+    latencies += [row["max_latency_cycles"] for row in complexity.cost_table(cost_sweep).values()]
+    worst = max(latencies)
     criterion(7, "delivery within 3 cycles", worst <= 3, f"max observed latency={worst}")
 
 
 def test_criterion_8_convergence_closure(suite1, suite2, corruption_sweep, cost_sweep):
-    runs = (
-        suite1
-        + suite2
-        + [r for cell in corruption_sweep.values() for r in cell]
-        + [r for rs in cost_sweep.values() for r in rs]
-    )
+    runs = suite1 + suite2 + corruption_sweep + cost_sweep
     bad = [
         (run["config"].get("n"), run["config"].get("seed"),
          run["reports"]["consistency-closure"].witness)
@@ -341,17 +265,19 @@ def test_criterion_8_convergence_closure(suite1, suite2, corruption_sweep, cost_
 
 
 def test_criterion_9_bounded_mode_reset():
-    run = run_one(
-        {
-            "n": 3,
-            "buffer_unit_size": 2,
-            "bounded_mode": True,
-            "maxint": 64,
-            "seed": 23,
-            "max_steps": 120_000,
-            "broadcasts": [{"node": 1, "payload": f"p{k}"} for k in range(80)]
-            + [{"node": 2, "payload": f"q{k}"} for k in range(6)],
-        }
+    [run] = complexity.run_checked(
+        [
+            {
+                "n": 3,
+                "buffer_unit_size": 2,
+                "bounded_mode": True,
+                "maxint": 64,
+                "seed": 23,
+                "max_steps": 120_000,
+                "broadcasts": [{"node": 1, "payload": f"p{k}"} for k in range(80)]
+                + [{"node": 2, "payload": f"q{k}"} for k in range(6)],
+            }
+        ]
     )
     resets = run["metrics"]["resets"]
     post_reset_broadcasts = [

@@ -199,6 +199,46 @@ def test_sweep_runs_each_cell_in_the_calling_thread(tmp_path, monkeypatch):
     assert cli.sweep(base, grid, [0, 1]) == summary
 
 
+def test_sweep_vary_takes_list_valued_cells(tmp_path):
+    # commas inside JSON brackets, braces and strings do not cut a cell, so
+    # the CLI runs the corruption grid that cli.sweep takes as a dict
+    scenario = write_scenario(tmp_path)
+    plans = [[{"node": 2, "step": 40, "kind": kind}] for kind in ("RANDOMIZE-ALL", "WINDOW-SKEW")]
+    out = tmp_path / "sweep"
+    vary = "fault_plan.corruptions=" + ",".join(json.dumps(plan) for plan in plans)
+    code = main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "0:2", "--vary", vary])
+    expected = cli.sweep(config.load(str(scenario)), {"fault_plan.corruptions": plans}, [0, 1])
+    assert len(expected["cells"]) == 2
+    assert code == (0 if expected["all_pass"] else 1)
+    assert (out / "summary.json").read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_sweep_vary_scalar_forms_parse_as_before():
+    grid = cli._parse_grid(["b=1,2", "p=uniform, reorder-heavy", "x= 3 ,true,", "e=", "s=a b,1.5"])
+    assert grid == {
+        "b": [1, 2],
+        "p": ["uniform", " reorder-heavy"],
+        "x": [3, True, ""],
+        "e": [""],
+        "s": ["a b", 1.5],
+    }
+    assert cli._parse_grid(['q="a,b",[1,{"k":"]"}]']) == {"q": ["a,b", [1, {"k": "]"}]]}
+
+
+def test_sweep_config_error_in_the_grid_exits_2_without_the_crash_dump(tmp_path, capsys, monkeypatch):
+    scenario = write_scenario(tmp_path)
+    out = tmp_path / "sweep"
+    vary = 'fault_plan.corruptions=[{"node":9,"step":1,"kind":"RANDOMIZE-ALL"}]'
+    assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--vary", vary]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fault_plan.corruptions") and "crashed" not in err, err
+    # a real crash still dumps the base config
+    monkeypatch.setattr(cli, "sweep", lambda *a: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["sweep", "--scenario", str(scenario), "--out", str(out)])
+    assert capsys.readouterr().err.startswith("sweep cell crashed under base config:")
+
+
 def test_verify_replay_passes(tmp_path):
     scenario = write_scenario(tmp_path)
     out = tmp_path / "out"

@@ -1,0 +1,82 @@
+"""The scripts under `scripts/` start, and `complexity.py` writes its tables
+in the shape the old per-experiment scripts wrote them."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+sys.path.insert(0, str(ROOT / "scripts"))
+
+import complexity  # noqa: E402  (scripts/complexity.py)
+
+
+def script(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
+def test_every_script_starts(path):
+    done = script(path, "--help")
+    assert done.returncode == 0, done.stderr
+
+
+def test_stabilization_writes_the_window_table(tmp_path):
+    out = tmp_path / "stab.json"
+    done = script(ROOT / "scripts" / "complexity.py", "stabilization", "--windows", "1,2", "--seeds", "1", "--out", out)
+    assert done.returncode == 0, done.stderr
+    table = json.loads(out.read_text())
+    assert list(table) == ["1", "2"]
+    for row in table.values():
+        assert set(row) == {"median_cycles", "max_cycles", "runs", "unstabilized"}
+    assert done.stdout.splitlines()[-1] == f"wrote {out}"
+
+
+def test_cost_writes_the_size_table(tmp_path):
+    out = tmp_path / "cost.json"
+    done = script(ROOT / "scripts" / "complexity.py", "cost", "--sizes", "2,3", "--seeds", "1", "--out", out)
+    assert done.returncode == 0, done.stderr
+    table = json.loads(out.read_text())
+    assert list(table) == ["2", "3"]
+    for row in table.values():
+        assert set(row) == {"max_msgs_per_broadcast", "ratio_over_n2", "max_latency_cycles"}
+    assert done.stdout.splitlines()[-1] == f"wrote {out}"
+
+
+class Report:
+    def __init__(self, cycles):
+        self.verdict = "PASS" if cycles is not None else "FAIL"
+        self.measured = {"cycles": cycles} if cycles is not None else None
+
+
+def runs(b, cycles):
+    return [{"config": {"buffer_unit_size": b}, "reports": {"stabilization-time": Report(c)}} for c in cycles]
+
+
+def test_a_window_where_no_run_stabilizes_fails_the_trend():
+    table = complexity.stabilization_table(
+        runs(1, [3, 3]) + runs(2, [3, 4, 5]) + runs(4, [None, None]) + runs(8, [3, None])
+    )
+    assert table == {
+        1: {"median_cycles": 3.0, "max_cycles": 3, "runs": 2, "unstabilized": 0},
+        2: {"median_cycles": 4, "max_cycles": 5, "runs": 3, "unstabilized": 0},
+        4: {"median_cycles": None, "max_cycles": None, "runs": 0, "unstabilized": 2},
+        8: {"median_cycles": 3, "max_cycles": 3, "runs": 1, "unstabilized": 1},
+    }
+    slope, intercept, checks = complexity.trend(table)
+    assert (slope, intercept) == (1.0, 2.0)
+    assert checks == [(4, None, 12.0, False), (8, 3, 20.0, True)]
+
+
+def test_a_fitted_window_without_a_median_fails_every_check():
+    table = {
+        1: {"median_cycles": None},
+        2: {"median_cycles": 3},
+        4: {"median_cycles": 3},
+    }
+    assert complexity.trend(table) == (None, None, [(4, 3, None, False)])
