@@ -124,13 +124,14 @@ def stabilization_table(runs: list[dict]) -> dict:
 
 
 def trend(table: dict) -> tuple:
-    """(a, b, checks): the fit a*B + b through the medians of the first two
-    windows, and per further window (B, median, bound, ok), ok when the
-    median is at most bound = 2*fit(B). A window without a median fails,
-    and so does every window when a fitted one has none."""
-    (_, first), (_, second), *rest = table.items()
+    """(a, b, checks): the line a*B + b through the first two windows'
+    (B, median) points, and per further window (B, median, bound, ok), ok
+    when the median is at most bound = 2*fit(B). A window without a median
+    fails, and so does every window when a fitted one has none."""
+    (b1, first), (b2, second), *rest = table.items()
     m1, m2 = first["median_cycles"], second["median_cycles"]
-    slope, intercept = (None, None) if None in (m1, m2) else (m2 - m1, 2 * m1 - m2)
+    slope = None if None in (m1, m2) else (m2 - m1) / (b2 - b1)
+    intercept = None if slope is None else m1 - slope * b1
     checks = []
     for b, row in rest:
         median = row["median_cycles"]

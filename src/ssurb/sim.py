@@ -23,9 +23,10 @@ pushes a node's whole batch and then moves each grown channel's path once.
 
 Cycle accounting is O(1) per step: two running counts, the live gossip
 pairs not yet seen and the live nodes whose round-trip clause is not yet
-satisfied, are kept by the GOSSIP and MSGACK deliveries and the iteration.
-Only while crashes are known are the unsatisfied nodes' pending
-round-trips rescanned, because the suspicion clause changes with the step.
+satisfied, are kept by the GOSSIP and MSGACK deliveries and the iteration,
+and the step loop reads both inline. Only while crashes are known does it
+call `_cycle_complete`, which rescans the unsatisfied nodes' pending
+round-trips, because the suspicion clause changes with the step.
 
 Packet records are appended in the trace's compact form (see `trace`),
 each line rendered from the `trace.PACKET_TEMPLATES` entries of its type
@@ -262,6 +263,11 @@ class Simulation:
         self.stop_reason: str | None = None
         self.marker_cycle: int | None = None  # see checker.drained_cycle
 
+        # sampled after each iteration of a node and each delivery to it, not
+        # after a broadcast request or a corruption: these grow a buffer that
+        # only the next sample sees, so the one after a HEARTBEAT, GOSSIP or
+        # MSGACK delivery stays (without it, digest battery run
+        # corrupt/RANDOMIZE-ALL/b1/n3 reads another peak)
         self.peak_buffer = {i: 0 for i in self.nodes}
         self.counts = {
             "sends": {"MSG": 0, "MSGACK": 0, "GOSSIP": 0, "HEARTBEAT": 0},
@@ -611,19 +617,18 @@ class Simulation:
     # ---- asynchronous-cycle accounting -------------------------------------------
 
     def _cycle_complete(self) -> bool:
-        """Called once every gossip pair is seen: whether every live node has
-        met the round-trip clause too. O(1) unless crashes are known; then
-        the unsatisfied nodes' pending round-trips are rescanned, because
-        the clause that counts suspected targets changes with the step."""
-        if self.unsatisfied and self.crashed_at:
-            suspected = self._delayed_crashed()
-            if suspected:
-                for i in self.live:
-                    if i not in self.ct_satisfied and any(
-                        all(dst in suspected for dst, _, _ in pending)
-                        for pending in self.ct_pending[i]
-                    ):
-                        self._satisfy(i)
+        """Whether every live node has met the round-trip clause, asked once
+        every gossip pair is seen while some node has not and crashes are
+        known: the unsatisfied nodes' pending round-trips are rescanned,
+        because the clause that counts suspected targets changes with the step."""
+        suspected = self._delayed_crashed()
+        if suspected:
+            for i in self.live:
+                if i not in self.ct_satisfied and any(
+                    all(dst in suspected for dst, _, _ in pending)
+                    for pending in self.ct_pending[i]
+                ):
+                    self._satisfy(i)
         return not self.unsatisfied
 
     # ---- stop predicate ---------------------------------------------------------
@@ -831,7 +836,8 @@ class Simulation:
                         peak[dst] = held
             if bounded and self.barrier_active and self._barrier_ready():
                 self._apply_global_reset()
-            stopping = not self.missing_gossip and self._cycle_complete()
+            stopping = not self.missing_gossip and (
+                not self.unsatisfied or self.crashed_at and self._cycle_complete())
             if stopping:
                 self._on_cycle_boundary()  # the only setter of a stop reason
                 stopping = self.stop_reason is not None

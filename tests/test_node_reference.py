@@ -7,9 +7,16 @@ and accepted lists and leave equal full states, buffer order included,
 after an iteration and after each handler: over hypothesis states of
 n 1-4 with FIFO on and off, and over every state of a small n=1, b=1
 scope.
+
+The idle memo is checked the same way: from every empty-buffer state of
+the scope and from hypothesis states with the buffer emptied, through
+passes that repeat the memo's pass, handler calls that change nothing or
+something, a keyed field moved and moved back, results mutated by the
+caller, and a copy taken with a memo stored.
 """
 
 import itertools
+from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +24,7 @@ from reference.node_a547dff import ReferenceNode
 from test_node_properties import arbitrary_node
 
 from ssurb.detectors import DetectorView
-from ssurb.node import BufferRecord, NodeState
+from ssurb.node import DISABLED, BufferRecord, NodeState
 
 
 def _full_state(node):
@@ -127,3 +134,120 @@ def test_small_scope_equals_the_reference():
         _iterate_both(node, ref, DetectorView(view.trusted, (0, 2)))
         count += 1
     assert count == 27 * 125 * 2 * (1 + 3)  # FIFO off with one cursor value, on with three
+
+
+def _idle_sequence(node, view):
+    """Iterate, iterate under other heartbeats, a gossip that changes nothing,
+    iterate, a gossip that raises seq, iterate: each step against the
+    reference. Returns how many of the iterations hit the memo."""
+    ref = ReferenceNode.of(node)
+    peer = node.n
+    hits = 0
+
+    def iterate(view):
+        nonlocal hits
+        memo = node.idle_memo
+        _iterate_both(node, ref, view)
+        hits += memo is not None and node.idle_memo is memo and node.observed is memo[6]
+
+    iterate(view)
+    iterate(DetectorView(view.trusted, tuple(u + 1 for u in view.hb)))
+    _handle_both(node, ref, "on_gossip", 0, 0, 0, peer)
+    iterate(view)
+    _handle_both(node, ref, "on_gossip", node.seq + 1, node.tx_obs[peer] + 1, node.rx_obs[peer] + 1, peer)
+    iterate(view)
+    return hits
+
+
+def _replayed(node, view):
+    """A pass, the counters put back as they were before it, and the pass
+    again, which may hit the memo the first stored: both equal the
+    reference's pass from that state."""
+    before = ReferenceNode.of(node)
+    for _ in range(2):
+        _iterate_both(node, ReferenceNode.of(before), view)
+        node.seq, node.rx_obs, node.tx_obs = before.seq, before.rx_obs[:], before.tx_obs[:]
+        node.next_deliver = before.next_deliver[:]
+
+
+def _idle_node(node):
+    node.buffer, node.pending = [], deque()
+    return node
+
+
+def test_idle_passes_equal_the_reference_over_the_scope():
+    """Every empty-buffer state of the scope; in nine in ten of them some
+    iteration of the sequence hits the memo."""
+    states = hitting = 0
+    for node, view in _scope():
+        if not node.buffer:
+            _replayed(node.copy(), view)
+            hitting += _idle_sequence(node, view) > 0
+            states += 1
+    assert states == 27 * 2 * 4 and hitting > states * 9 // 10
+
+
+@given(arbitrary_node())
+@settings(max_examples=200, deadline=None)
+def test_idle_passes_equal_the_reference(case):
+    node, view = case
+    _replayed(_idle_node(node).copy(), view)
+    _idle_sequence(node, view)
+
+
+@given(arbitrary_node(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_keyed_field_moved_and_moved_back(case, data):
+    """After a memo is stored, one field the idle pass reads is moved, a pass
+    runs, the field is put back, and a pass runs again: each one as the
+    reference's, `observed` included."""
+    node, view = case
+    ref = ReferenceNode.of(_idle_node(node))
+    _iterate_both(node, ref, view)
+    _iterate_both(node, ref, view)
+    field = data.draw(st.sampled_from(("seq", "rx_obs", "tx_obs", "next_deliver", "reset_phase", "trusted")))
+    k = data.draw(st.integers(1, node.n))
+    saved = [(twin.seq, twin.rx_obs[:], twin.tx_obs[:], twin.next_deliver[:], twin.reset_phase) for twin in (node, ref)]
+    for twin in (node, ref):
+        if field == "seq":
+            twin.seq += 1
+        elif field == "reset_phase":
+            twin.reset_phase = DISABLED
+        elif field != "trusted":
+            getattr(twin, field)[k] += 1
+    _iterate_both(node, ref, DetectorView(view.trusted ^ {k}, view.hb) if field == "trusted" else view)
+    for twin, (seq, rx, tx, cursors, phase) in zip((node, ref), saved):
+        twin.seq, twin.rx_obs, twin.tx_obs, twin.next_deliver, twin.reset_phase = seq, rx[:], tx[:], cursors[:], phase
+    _iterate_both(node, ref, view)
+    _iterate_both(node, ref, view)
+
+
+@given(arbitrary_node())
+@settings(max_examples=100, deadline=None)
+def test_mutating_a_result_leaves_the_next_unchanged(case):
+    node, view = case
+    ref = ReferenceNode.of(_idle_node(node))
+    for _ in range(4):  # the pass that stores the memo, then hits
+        got, expected = node.do_forever_iteration(view), ref.do_forever_iteration(view)
+        assert list(got) == [expected.outgoing, expected.delivered, expected.accepted]
+        for produced in got:
+            produced.append((0, None))
+        got.outgoing[:1] = []
+    _iterate_both(node, ref, view)
+
+
+@given(arbitrary_node())
+@settings(max_examples=100, deadline=None)
+def test_a_copy_with_a_memo_iterates_as_the_original(case):
+    node, view = case
+    ref = ReferenceNode.of(_idle_node(node))
+    _iterate_both(node, ref, view)
+    _iterate_both(node, ref, view)
+    twin = node.copy()
+    if node.idle_memo is not None:  # equal, and no list of it shared
+        assert twin.idle_memo == node.idle_memo
+        assert all(a is not b for a, b in zip(twin.idle_memo[3:7], node.idle_memo[3:7]))
+    for _ in range(2):
+        _iterate_both(twin, node, view)
+        ref.do_forever_iteration(view)
+        assert _full_state(twin) == _full_state(ref)

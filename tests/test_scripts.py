@@ -1,7 +1,9 @@
-"""The scripts under `scripts/` start, and `complexity.py` writes its tables
-in the shape the old per-experiment scripts wrote them."""
+"""The scripts under `scripts/` start, `complexity.py` writes its tables
+in the shape the old per-experiment scripts wrote them, and `sample.py`
+charges a run's samples to `ssurb` functions and lines."""
 
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 sys.path.insert(0, str(ROOT / "scripts"))
 
 import complexity  # noqa: E402  (scripts/complexity.py)
+import sample  # noqa: E402  (scripts/sample.py)
 
 
 def script(*args) -> subprocess.CompletedProcess:
@@ -80,3 +83,22 @@ def test_a_fitted_window_without_a_median_fails_every_check():
         4: {"median_cycles": 3},
     }
     assert complexity.trend(table) == (None, None, [(4, 3, None, False)])
+
+
+def test_the_trend_fits_the_first_two_windows_at_their_sizes():
+    """Through (2, 3) and (4, 5) the line is B + 1, so B=8 is bounded by 18;
+    a fit that took the windows for B=1 and B=2 would allow 34."""
+    table = {b: {"median_cycles": m} for b, m in {2: 3, 4: 5, 8: 20}.items()}
+    assert complexity.trend(table) == (1.0, 1.0, [(8, 20, 18.0, False)])
+
+
+def test_the_sampler_charges_one_scenario_to_ssurb():
+    cfgs = sample.ab.scenarios(sample.config, "acceptance", 0)[:1]
+    before = signal.getsignal(signal.SIGALRM)
+    samples, seconds = sample.sampled(lambda: sample.run_unit(cfgs * 3), 0.0005)
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    functions, lines = sample.tables(samples)
+    assert sum(functions.values()) == sum(lines.values()) == sum(samples.values()) > 0 and seconds > 0
+    assert "sim.py:Simulation._steps" in functions
+    assert all(key == sample.OUTSIDE or key.split(":")[1].split()[0].isdigit() for key in lines)
