@@ -5,7 +5,7 @@ Runs one unit of a workload shape, the scenarios `scripts/ab.py` builds
 from `perfbench/workloads.py` (`acceptance`: 6 scenarios, `scale`: one n=16
 scenario, `corrupt`: the 28-cell corruption grid run serially), each
 through `run_scenario` and then `check_all`. A `SIGALRM` timer
-(`signal.setitimer(ITIMER_REAL)`) fires every `--interval-ms` of wall time.
+(`signal.setitimer(ITIMER_REAL)`) fires every millisecond of wall time.
 Its handler runs on the main thread, in the frame it interrupted, walks
 out to the innermost frame whose code lies in the `ssurb` package and
 charges the sample to that function and line, or to `(outside ssurb)`
@@ -27,9 +27,10 @@ The unit first runs once to warm up. Then each of `--rounds` rounds runs
 it plain and sampled, in alternating order, and the overhead printed is
 the median over rounds of sampled / plain process time: paired runs a
 fraction of a second apart, since the speed of a shared host drifts
-within seconds. The tables count the samples of every sampled run.
+within seconds. The tables count the samples of every sampled run and
+show the top 15 rows of each.
 
-    python3 scripts/sample.py --shape scale --rounds 20 --top 15
+    python3 scripts/sample.py --shape scale --rounds 20
 """
 
 import argparse
@@ -49,6 +50,9 @@ import ssurb  # noqa: E402
 from ssurb import checker, config, sim  # noqa: E402
 
 SHAPES = ("acceptance", "scale", "corrupt")
+SEED = 0  # of the workload generators
+INTERVAL = 0.001  # seconds of wall time between samples
+TOP = 15  # rows per table
 PACKAGE = os.path.dirname(ssurb.__file__) + os.sep  # as the code objects name their files
 OUTSIDE = "(outside ssurb)"
 
@@ -120,14 +124,14 @@ def tables(samples: Counter) -> tuple[Counter, Counter]:
     return functions, lines
 
 
-def print_table(title: str, counts: Counter, top: int) -> None:
+def print_table(title: str, counts: Counter) -> None:
     total = sum(counts.values())
     print(f"{title:60} {'samples':>8} {'share':>7}")
-    for key, count in counts.most_common(top):
+    for key, count in counts.most_common(TOP):
         print(f"{key:60} {count:8d} {100 * count / total:6.1f}%")
 
 
-def profile(cfgs: list, rounds: int, interval: float) -> tuple[Counter, float]:
+def profile(cfgs: list, rounds: int) -> tuple[Counter, float]:
     """(samples of every sampled run, median sampled/plain process-time ratio)."""
     run_unit(cfgs)  # warm-up
     samples, ratios = Counter(), []
@@ -137,7 +141,7 @@ def profile(cfgs: list, rounds: int, interval: float) -> tuple[Counter, float]:
             if mode == "plain":
                 times[mode] = timed(lambda: run_unit(cfgs))
             else:
-                found, times[mode] = sampled(lambda: run_unit(cfgs), interval)
+                found, times[mode] = sampled(lambda: run_unit(cfgs), INTERVAL)
                 samples += found
         ratios.append(times["sampled"] / times["plain"])
     return samples, statistics.median(ratios)
@@ -146,19 +150,16 @@ def profile(cfgs: list, rounds: int, interval: float) -> tuple[Counter, float]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--shape", choices=SHAPES, default="acceptance")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--interval-ms", type=float, default=1.0)
-    parser.add_argument("--top", type=int, default=20)
     args = parser.parse_args()
-    cfgs = ab.scenarios(config, args.shape, args.seed)
-    samples, overhead = profile(cfgs, args.rounds, args.interval_ms / 1000)
+    cfgs = ab.scenarios(config, args.shape, SEED)
+    samples, overhead = profile(cfgs, args.rounds)
     functions, lines = tables(samples)
     print(f"{args.shape}: {sum(samples.values())} samples over {args.rounds} sampled units, "
           f"overhead {overhead:.3f} (median sampled/plain process time)")
-    print_table("function", functions, args.top)
+    print_table("function", functions)
     print()
-    print_table("line", lines, args.top)
+    print_table("line", lines)
     return 0
 
 
