@@ -17,23 +17,28 @@ from . import checker, config, trace as trace_mod
 from .sim import run_scenario, run_scenarios
 
 
+def _value(raw: str):
+    """An option's value: `raw` as JSON, else the raw string."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
 def _parse_set(values: list[str]) -> dict:
     overrides = {}
     for item in values:
         if "=" not in item:
             raise config.ConfigError(item, "override must look like key=value")
         key, raw = item.split("=", 1)
-        try:
-            overrides[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            overrides[key] = raw
+        overrides[key] = _value(raw)
     return overrides
 
 
 def _load_config(args) -> config.ScenarioConfig:
     cfg = config.load(args.scenario)
     overrides = _parse_set(args.set or [])
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # `sweep` takes its seeds from --seeds
         overrides["seed"] = args.seed
     if args.max_steps is not None:
         overrides["max_steps"] = args.max_steps
@@ -130,13 +135,7 @@ def _parse_grid(items: list[str]) -> dict[str, list]:
         if "=" not in item:
             raise config.ConfigError(item, "grid entry must look like key=v1,v2")
         key, raw = item.split("=", 1)
-        values = []
-        for piece in _split_values(raw):
-            try:
-                values.append(json.loads(piece))
-            except json.JSONDecodeError:
-                values.append(piece)
-        grid[key] = values
+        grid[key] = [_value(piece) for piece in _split_values(raw)]
     return grid
 
 
@@ -163,10 +162,13 @@ def sweep(base: config.ScenarioConfig, grid: dict[str, list], seeds: list[int], 
     `workers` has no effect; it is accepted so that existing callers keep
     working. The cells are CPU-bound pure Python, so threads gave no speedup,
     and a process pool's speedup came with one more interpreter's memory.
-    An empty `seeds` is a ValueError: it would run nothing and pass.
+    An empty `seeds` is a ValueError: it would run nothing and pass. A
+    `seed` dimension is a ConfigError: each run's seed comes from `seeds`.
     """
     if not seeds:
         raise ValueError("--seeds: an empty seed list runs nothing")
+    if "seed" in grid:
+        raise config.ConfigError("--vary seed", "a sweep takes its seeds from --seeds")
     cells: list[dict] = [{}]
     for key, values in grid.items():
         cells = [dict(cell, **{key: v}) for cell in cells for v in values]
@@ -199,6 +201,8 @@ def sweep(base: config.ScenarioConfig, grid: dict[str, list], seeds: list[int], 
 
 
 def cmd_sweep(args) -> int:
+    if "seed" in _parse_set(args.set or []):
+        raise config.ConfigError("--set seed", "a sweep takes its seeds from --seeds")
     cfg = _load_config(args)
     grid = _parse_grid(args.vary or [])
     seeds = _parse_seeds(args.seeds)
@@ -243,12 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.set_defaults(func=cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="run a seed sweep over a parameter grid")
+    # no abbreviations: `--seed` must not read as `--seeds`
+    sweep_p = sub.add_parser("sweep", help="run a seed sweep over a parameter grid", allow_abbrev=False)
     sweep_p.add_argument("--scenario", required=True)
     sweep_p.add_argument("--out", required=True)
     sweep_p.add_argument("--seeds", default="0:10", help="range lo:hi or comma list")
     sweep_p.add_argument("--vary", action="append", metavar="KEY=V1,V2", help="grid dimension")
-    sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.add_argument("--max-steps", type=int, default=None)
     sweep_p.add_argument("--profile", default=None)
     sweep_p.add_argument("--set", action="append", metavar="KEY=VALUE")

@@ -1,16 +1,16 @@
 """Scenario configuration: dataclasses, JSON loading, validation, overrides.
 
-One config plus its seed fully determines a run. Validation failures
-raise `ConfigError` carrying the offending field path so the CLI can
-report it and exit with the usage status.
+One config plus its seed fully determines a run. The dataclasses are the
+only place a field's name, type and default is written: tables built from
+them at import drive `to_dict` and `_read`, the one reader of every level.
+A failure raises `ConfigError` carrying the offending field path so the
+CLI can report it and exit with the usage status.
 """
-
-from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Any, Callable, Literal, NamedTuple, Union, get_args, get_origin
 
 CORRUPTION_KINDS = (
     "RANDOMIZE-ALL",
@@ -38,20 +38,31 @@ class ConfigError(ValueError):
         self.message = message
 
 
+class Crash(NamedTuple):
+    node: int
+    step: int
+
+
+class Corruption(NamedTuple):
+    node: int
+    step: int
+    kind: str
+
+
 @dataclass
 class FaultPlan:
     omission_prob: float = 0.0
     duplication_prob: float = 0.0
     reorder_prob: float = 0.0
-    crashes: list[tuple[int, int]] = field(default_factory=list)  # (node, step)
-    corruptions: list[tuple[int, int, str]] = field(default_factory=list)  # (node, step, kind)
+    crashes: list[Crash] = field(default_factory=list)
+    corruptions: list[Corruption] = field(default_factory=list)
     detection_latency: int = 0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class BroadcastEntry:
     node: int
-    step: int | str  # an int step, or ASAP
+    step: int | Literal[ASAP] = ASAP
     payload: str
 
 
@@ -72,166 +83,146 @@ class ScenarioConfig:
     quiescence_window_cycles: int = 5
     stop_mode: str = "complete-delivery"
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "buffer_unit_size": self.buffer_unit_size,
-            "channel_capacity": self.channel_capacity,
-            "fifo_enabled": self.fifo_enabled,
-            "bounded_mode": self.bounded_mode,
-            "maxint": self.maxint,
-            "seed": self.seed,
-            "max_steps": self.max_steps,
-            "broadcasts": [
-                {"node": e.node, "step": e.step, "payload": e.payload}
-                for e in self.broadcasts
-            ],
-            "fault_plan": {
-                "omission_prob": self.fault_plan.omission_prob,
-                "duplication_prob": self.fault_plan.duplication_prob,
-                "reorder_prob": self.fault_plan.reorder_prob,
-                "crashes": [{"node": c[0], "step": c[1]} for c in self.fault_plan.crashes],
-                "corruptions": [
-                    {"node": c[0], "step": c[1], "kind": c[2]}
-                    for c in self.fault_plan.corruptions
-                ],
-                "detection_latency": self.fault_plan.detection_latency,
-            },
-            "scheduler_profile": self.scheduler_profile,
-            "snapshot_interval": self.snapshot_interval,
-            "quiescence_window_cycles": self.quiescence_window_cycles,
-            "stop_mode": self.stop_mode,
-        }
+    # to_dict(): every field at every level, as `from_dict` reads it, in
+    # fresh containers; compiled from the field tables below.
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _require(raw: dict, key: str, typ, path: str, default=None, required=False):
-    if key not in raw:
-        if required:
-            raise ConfigError(f"{path}{key}", "missing required field")
-        return default
-    value = raw[key]
-    if typ is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise ConfigError(f"{path}{key}", f"expected integer, got {value!r}")
-    if typ is float and not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}{key}", f"expected number, got {value!r}")
-    if typ is bool and not isinstance(value, bool):
-        raise ConfigError(f"{path}{key}", f"expected boolean, got {value!r}")
-    if typ is str and not isinstance(value, str):
-        raise ConfigError(f"{path}{key}", f"expected string, got {value!r}")
-    if typ is list and not isinstance(value, list):
-        raise ConfigError(f"{path}{key}", f"expected list, got {value!r}")
-    if typ is dict and not isinstance(value, dict):
-        raise ConfigError(f"{path}{key}", f"expected object, got {value!r}")
-    return float(value) if typ is float else value
+_SCALARS = {int: "integer", float: "number", bool: "boolean", str: "string"}  # names in errors
+_CLASSES = (ScenarioConfig, FaultPlan, BroadcastEntry, Crash, Corruption)
+
+
+class _Field(NamedTuple):
+    hint: Any  # a class of _CLASSES, a list of one, or a scalar type, a Literal or a union of them
+    required: bool
+    read: Callable[[Any, str], Any]  # (JSON value, its path) -> the field's value
+    exact: tuple[type, ...] = ()  # `_read` holds a value of one of these types as it is,
+    literals: tuple = ()  # and one of these values
+
+
+def _field(hint, required: bool) -> _Field:
+    if hint in _CLASSES:
+        def read(value, path):
+            return _read(hint, value, path + ".", "expected object, got {!r}")
+        return _Field(hint, required, read)
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+
+        def read(value, path):
+            if not isinstance(value, list):
+                raise ConfigError(path, f"expected list, got {value!r}")
+            return [_read(item, entry, f"{path}[{idx}].") for idx, entry in enumerate(value)]
+        return _Field(hint, required, read)
+    alternatives = get_args(hint) if get_origin(hint) is Union else (hint,)
+    exact = tuple(h for h in alternatives if h in _SCALARS)
+    literals = tuple(v for h in alternatives if h not in _SCALARS for v in get_args(h))
+    name = " or ".join([_SCALARS[h] for h in exact] + [repr(v) for v in literals])
+
+    def read(value, path):
+        if type(value) in exact or value in literals:
+            return value
+        if hint is float and isinstance(value, (int, float)):  # a boolean too
+            return float(value)
+        if isinstance(value, exact) and not isinstance(value, bool):  # a subclass
+            return value
+        raise ConfigError(path, f"expected {name}, got {value!r}")
+    return _Field(hint, required, read, exact, literals)
+
+
+def _table(cls) -> dict[str, _Field]:
+    """`cls`'s fields, in declaration order."""
+    if not is_dataclass(cls):  # a NamedTuple: every field is required
+        return {name: _field(hint, True) for name, hint in cls.__annotations__.items()}
+    return {f.name: _field(f.type, f.default is MISSING is f.default_factory) for f in fields(cls)}
+
+
+def _read(cls, raw, prefix: str, not_object: str = "expected object"):
+    """A `cls` from the JSON value `raw`, whose fields' paths start with
+    `prefix`. A value that is not an object (`not_object`, formatted with
+    it), an unknown key or a value of the wrong type, the first in the
+    document's order, then a missing required field, is a ConfigError
+    naming its path."""
+    if not isinstance(raw, dict):
+        raise ConfigError(prefix[:-1], not_object.format(raw))
+    table = _TABLES[cls]
+    values = raw  # copied before the first value that is not held as it is
+    for key, value in raw.items():
+        f = table.get(key)
+        if f is None:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+        if type(value) not in f.exact and value not in f.literals:
+            if values is raw:
+                values = dict(raw)
+            values[key] = f.read(value, prefix + key)
+    if len(raw) < len(table):  # a field is absent: a required one?
+        for name in _REQUIRED[cls]:
+            if name not in raw:
+                raise ConfigError(prefix + name, "missing required field")
+    if cls in _TUPLES:  # every field is present: build it by position, as a tuple
+        return tuple.__new__(cls, map(values.__getitem__, cls._fields))
+    return cls(**values)
+
+
+def _display(cls, src: str) -> str:
+    """The source of a dict display writing the `cls` held in `src` as JSON.
+    A tuple's fields are read by position, so a plain tuple is written too."""
+    parts = []
+    for pos, (name, f) in enumerate(_TABLES[cls].items()):
+        value = f"{src}[{pos}]" if cls in _TUPLES else f"{src}.{name}"
+        if f.hint in _CLASSES:
+            value = _display(f.hint, value)
+        elif get_origin(f.hint) is list:  # `e` is the comprehension's own
+            value = f"[{_display(get_args(f.hint)[0], 'e')} for e in {value}]"
+        parts.append(f"{name!r}: {value}")
+    return "{" + ", ".join(parts) + "}"
+
+
+_TABLES = {cls: _table(cls) for cls in _CLASSES}
+_REQUIRED = {cls: [name for name, f in table.items() if f.required] for cls, table in _TABLES.items()}
+_TUPLES = frozenset(cls for cls in _CLASSES if issubclass(cls, tuple))
+# Compiled once from the tables, as `dataclasses` compiles an `__init__`: the
+# dict display a hand-written `to_dict` would hold, and as fast.
+ScenarioConfig.to_dict = eval(f"lambda self: {_display(ScenarioConfig, 'self')}")
 
 
 def from_dict(raw: dict) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("", "config root must be an object")
-    known = {
-        "n", "buffer_unit_size", "channel_capacity", "fifo_enabled", "bounded_mode",
-        "maxint", "seed", "max_steps", "broadcasts", "fault_plan",
-        "scheduler_profile", "snapshot_interval", "quiescence_window_cycles", "stop_mode",
-    }
-    for key in raw:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
-
-    n = _require(raw, "n", int, "", required=True)
-    cfg = ScenarioConfig(
-        n=n,
-        buffer_unit_size=_require(raw, "buffer_unit_size", int, "", default=4),
-        channel_capacity=_require(raw, "channel_capacity", int, "", default=16),
-        fifo_enabled=_require(raw, "fifo_enabled", bool, "", default=False),
-        bounded_mode=_require(raw, "bounded_mode", bool, "", default=False),
-        maxint=_require(raw, "maxint", int, "", default=DEFAULT_MAXINT),
-        seed=_require(raw, "seed", int, "", default=0),
-        max_steps=_require(raw, "max_steps", int, "", default=10_000),
-        scheduler_profile=_require(raw, "scheduler_profile", str, "", default="uniform"),
-        snapshot_interval=_require(raw, "snapshot_interval", int, "", default=0),
-        quiescence_window_cycles=_require(raw, "quiescence_window_cycles", int, "", default=5),
-        stop_mode=_require(raw, "stop_mode", str, "", default="complete-delivery"),
-    )
-
-    for idx, entry in enumerate(_require(raw, "broadcasts", list, "", default=[])):
-        path = f"broadcasts[{idx}]."
-        if not isinstance(entry, dict):
-            raise ConfigError(f"broadcasts[{idx}]", "expected object")
-        node = _require(entry, "node", int, path, required=True)
-        step = entry.get("step", ASAP)
-        if step != ASAP and (not isinstance(step, int) or isinstance(step, bool)):
-            raise ConfigError(f"{path}step", f"expected integer or {ASAP!r}, got {step!r}")
-        payload = _require(entry, "payload", str, path, required=True)
-        cfg.broadcasts.append(BroadcastEntry(node=node, step=step, payload=payload))
-
-    plan_raw = _require(raw, "fault_plan", dict, "", default={})
-    plan = FaultPlan(
-        omission_prob=_require(plan_raw, "omission_prob", float, "fault_plan.", default=0.0),
-        duplication_prob=_require(plan_raw, "duplication_prob", float, "fault_plan.", default=0.0),
-        reorder_prob=_require(plan_raw, "reorder_prob", float, "fault_plan.", default=0.0),
-        detection_latency=_require(plan_raw, "detection_latency", int, "fault_plan.", default=0),
-    )
-    for idx, entry in enumerate(plan_raw.get("crashes", [])):
-        path = f"fault_plan.crashes[{idx}]."
-        if not isinstance(entry, dict):
-            raise ConfigError(f"fault_plan.crashes[{idx}]", "expected object")
-        plan.crashes.append(
-            (
-                _require(entry, "node", int, path, required=True),
-                _require(entry, "step", int, path, required=True),
-            )
-        )
-    for idx, entry in enumerate(plan_raw.get("corruptions", [])):
-        path = f"fault_plan.corruptions[{idx}]."
-        if not isinstance(entry, dict):
-            raise ConfigError(f"fault_plan.corruptions[{idx}]", "expected object")
-        plan.corruptions.append(
-            (
-                _require(entry, "node", int, path, required=True),
-                _require(entry, "step", int, path, required=True),
-                _require(entry, "kind", str, path, required=True),
-            )
-        )
-    cfg.fault_plan = plan
+    cfg = _read(ScenarioConfig, raw, "", "config root must be an object")
     validate(cfg)
     return cfg
 
 
+def check_fields(raw: dict, names) -> None:
+    """Each of the `ScenarioConfig` fields `names` is in `raw` with a JSON
+    value of its type, or a ConfigError names the first that is not."""
+    for name in names:
+        if name not in raw:
+            raise ConfigError(name, "missing required field")
+        _TABLES[ScenarioConfig][name].read(raw[name], name)
+
+
 def validate(cfg: ScenarioConfig) -> None:
-    if cfg.n < 1:
-        raise ConfigError("n", "must be at least 1")
-    if cfg.buffer_unit_size < 1:
-        raise ConfigError("buffer_unit_size", "must be at least 1")
-    if cfg.channel_capacity < 1:
-        raise ConfigError("channel_capacity", "must be at least 1")
+    for name in ("n", "buffer_unit_size", "channel_capacity", "max_steps", "quiescence_window_cycles"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(name, "must be at least 1")
     if cfg.maxint <= cfg.buffer_unit_size:
         raise ConfigError("maxint", "must exceed buffer_unit_size")
-    if cfg.max_steps < 1:
-        raise ConfigError("max_steps", "must be at least 1")
     if not 0 <= cfg.seed < 2**64:
         raise ConfigError("seed", "must fit in 64 bits")
     if cfg.snapshot_interval < 0:
         raise ConfigError("snapshot_interval", "must be non-negative")
-    if cfg.quiescence_window_cycles < 1:
-        raise ConfigError("quiescence_window_cycles", "must be at least 1")
     if cfg.scheduler_profile not in SCHEDULER_PROFILES:
         raise ConfigError("scheduler_profile", f"must be one of {SCHEDULER_PROFILES}")
     if cfg.stop_mode not in STOP_MODES:
         raise ConfigError("stop_mode", f"must be one of {STOP_MODES}")
 
     plan = cfg.fault_plan
-    if not 0.0 <= plan.omission_prob < 1.0:
-        raise ConfigError(
-            "fault_plan.omission_prob", "must be in [0, 1): fair communication requires losses below certainty"
-        )
-    for name in ("duplication_prob", "reorder_prob"):
-        value = getattr(plan, name)
-        if not 0.0 <= value < 1.0:
-            raise ConfigError(f"fault_plan.{name}", "must be in [0, 1)")
+    for name, why in (("omission_prob", ": fair communication requires losses below certainty"),
+                      ("duplication_prob", ""), ("reorder_prob", "")):
+        if not 0.0 <= getattr(plan, name) < 1.0:
+            raise ConfigError(f"fault_plan.{name}", f"must be in [0, 1){why}")
     if plan.detection_latency < 0:
         raise ConfigError("fault_plan.detection_latency", "must be non-negative")
 
@@ -240,29 +231,24 @@ def validate(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"broadcasts[{idx}].node", f"must be in [1, {cfg.n}]")
         if isinstance(entry.step, int) and entry.step < 0:
             raise ConfigError(f"broadcasts[{idx}].step", "must be non-negative")
+    crashed = set()
     for idx, (node, step) in enumerate(plan.crashes):
         if not 1 <= node <= cfg.n:
             raise ConfigError(f"fault_plan.crashes[{idx}].node", f"must be in [1, {cfg.n}]")
         if step < 0:
             raise ConfigError(f"fault_plan.crashes[{idx}].step", "must be non-negative")
-    seen_crash = set()
-    for idx, (node, _) in enumerate(plan.crashes):
-        if node in seen_crash:
+        if node in crashed:
             raise ConfigError(f"fault_plan.crashes[{idx}].node", "node crashes twice")
-        seen_crash.add(node)
+        crashed.add(node)
     for idx, (node, step, kind) in enumerate(plan.corruptions):
         if not 1 <= node <= cfg.n:
             raise ConfigError(f"fault_plan.corruptions[{idx}].node", f"must be in [1, {cfg.n}]")
         if step < 0:
             raise ConfigError(f"fault_plan.corruptions[{idx}].step", "must be non-negative")
         if kind not in CORRUPTION_KINDS:
-            raise ConfigError(
-                f"fault_plan.corruptions[{idx}].kind", f"must be one of {CORRUPTION_KINDS}"
-            )
+            raise ConfigError(f"fault_plan.corruptions[{idx}].kind", f"must be one of {CORRUPTION_KINDS}")
         if kind == "NEXT-SKEW" and not cfg.fifo_enabled:
-            raise ConfigError(
-                f"fault_plan.corruptions[{idx}].kind", "NEXT-SKEW requires fifo_enabled"
-            )
+            raise ConfigError(f"fault_plan.corruptions[{idx}].kind", "NEXT-SKEW requires fifo_enabled")
 
 
 def load(path: str) -> ScenarioConfig:
@@ -280,13 +266,11 @@ def apply_overrides(cfg: ScenarioConfig, overrides: dict[str, Any]) -> ScenarioC
     containers, so no override reaches `cfg`."""
     raw = cfg.to_dict()
     for dotted, value in overrides.items():
-        parts = dotted.split(".")
+        *parents, last = dotted.split(".")
         target = raw
-        for part in parts[:-1]:
-            if not isinstance(target, dict) or part not in target:
-                raise ConfigError(dotted, "unknown override path")
-            target = target[part]
-        if not isinstance(target, dict) or parts[-1] not in target:
+        for part in parents:
+            target = target.get(part) if isinstance(target, dict) else None
+        if not isinstance(target, dict) or last not in target:
             raise ConfigError(dotted, "unknown override path")
-        target[parts[-1]] = value
+        target[last] = value
     return from_dict(raw)

@@ -43,6 +43,7 @@ from collections.abc import Sequence
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
+from .config import ConfigError, check_fields
 from .wire import decode
 
 TRACE_FORMAT = "ssurb-trace-v1"
@@ -161,22 +162,14 @@ def snapshot_line(
     )
 
 
+# the config fields a header carries; `read` checks each against its type
+HEADER_FIELDS = ("seed", "n", "buffer_unit_size", "channel_capacity", "maxint", "fifo_enabled",
+                 "bounded_mode", "quiescence_window_cycles", "scheduler_profile", "stop_mode")
+
+
 def make_header(cfg) -> dict:
-    return {
-        "type": "HEADER",
-        "format": TRACE_FORMAT,
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "n": cfg.n,
-        "buffer_unit_size": cfg.buffer_unit_size,
-        "channel_capacity": cfg.channel_capacity,
-        "maxint": cfg.maxint,
-        "fifo_enabled": cfg.fifo_enabled,
-        "bounded_mode": cfg.bounded_mode,
-        "quiescence_window_cycles": cfg.quiescence_window_cycles,
-        "scheduler_profile": cfg.scheduler_profile,
-        "stop_mode": cfg.stop_mode,
-    }
+    return {"type": "HEADER", "format": TRACE_FORMAT, "config_hash": cfg.config_hash(),
+            **{name: getattr(cfg, name) for name in HEADER_FIELDS}}
 
 
 class Snapshot(dict):
@@ -327,17 +320,23 @@ class TraceEvents(Sequence):
 def read(path: str) -> Trace:
     """The trace written at `path`: each record appended as decoded, its
     snapshots as `Snapshot`s, so its packet records are compact, as the
-    simulator appends them. A line json cannot decode, or a packet record
+    simulator appends them. A header config field that is missing or not of
+    its `ScenarioConfig` type, a line json cannot decode, or a packet record
     that `compact` refuses, is a `ValueError` naming the path and the line
     number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = ((number, line) for number, line in enumerate((ln.strip() for ln in fh), 1) if line)
-        _, first = next(lines, (0, None))
+        number, first = next(lines, (0, None))
         if first is None:
             raise ValueError(f"{path}: empty trace file")
         header = json.loads(first)
-        if header.get("type") != "HEADER" or header.get("format") != TRACE_FORMAT:
+        if not (isinstance(header, dict) and header.get("type") == "HEADER"
+                and header.get("format") == TRACE_FORMAT):
             raise ValueError(f"{path}: not a {TRACE_FORMAT} trace")
+        try:
+            check_fields(header, HEADER_FIELDS)
+        except ConfigError as exc:
+            raise ValueError(f"{path}:{number}: header field {exc}") from None
         trace = Trace(header)
         for number, line in lines:
             try:

@@ -280,3 +280,46 @@ def test_run_names_the_scheduled_faults_it_ended_before(tmp_path, capsys):
     )
     main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o3")])
     assert capsys.readouterr().err == ""
+
+
+def test_run_refuses_an_unknown_field_below_the_root(tmp_path, capsys):
+    # a misspelt fault field, a crash list that is a string and a misspelt
+    # broadcast step once ran fault-free with an as-soon-as-possible broadcast
+    scenario = write_scenario(
+        tmp_path,
+        fault_plan={"omision_prob": 0.2, "crashes": ""},
+        broadcasts=[{"node": 1, "payload": "x", "stp": 5}],
+    )
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: broadcasts[0].stp: unknown field\n"
+
+
+@pytest.mark.parametrize("doctor, error", [
+    (lambda header: header.pop("buffer_unit_size"), "header field buffer_unit_size: missing required field"),
+    (lambda header: header.update(n="3"), "header field n: expected integer, got '3'"),
+])
+def test_check_names_a_header_field_missing_or_of_the_wrong_type(tmp_path, capsys, doctor, error):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(write_scenario(tmp_path)), "--out", str(out)]) == 0
+    path = out / "trace.jsonl"
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    doctor(header)
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1: {error}\n"
+
+
+def test_sweep_takes_its_seeds_from_seeds_only(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    argv = ["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "sweep"), "--seeds", "0:2"]
+    with pytest.raises(SystemExit) as exit_:  # no `--seed` flag, nor `--seeds` abbreviated
+        main(argv + ["--seed", "3"])
+    assert exit_.value.code == 2 and "--seed 3" in capsys.readouterr().err
+    for extra, flag in ((["--vary", "seed=1,2"], "--vary seed"), (["--set", "seed=4"], "--set seed")):
+        assert main(argv + extra) == 2
+        assert capsys.readouterr().err == f"config error: {flag}: a sweep takes its seeds from --seeds\n"
+    with pytest.raises(config.ConfigError, match="^--vary seed: "):
+        cli.sweep(config.load(str(scenario)), {"seed": [1, 2]}, [0])
+    assert not (tmp_path / "sweep").exists()

@@ -77,7 +77,7 @@ non_packet_records = st.builds(
     st.text(max_size=8).filter(lambda t: t not in PACKET_TYPES),
     st.dictionaries(st.text(max_size=5), scalars, max_size=5),
 )
-HEADER = {"type": "HEADER", "format": trace.TRACE_FORMAT, "n": 2}
+HEADER = trace.make_header(from_dict({"n": 2}))  # every field `trace.read` checks
 
 
 def _stored(record):
@@ -136,7 +136,7 @@ def test_deliver_line_equals_canonical(step, node, sender, seq):
 
 
 def test_written_trace_reads_back_with_the_same_digest(tmp_path):
-    header = {"type": "HEADER", "format": trace.TRACE_FORMAT, "n": 2}
+    header = HEADER
     written = trace.Trace(header)
     for record in (
         {"type": "SEND", "step": 0, "src": 1, "dst": 2, "kind": "HEARTBEAT"},
