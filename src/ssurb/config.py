@@ -125,7 +125,10 @@ def _field(hint, required: bool) -> _Field:
         if type(value) in exact or value in literals:
             return value
         if hint is float and isinstance(value, (int, float)):  # a boolean too
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:  # an integer past the largest float
+                raise ConfigError(path, "integer too large for a float") from None
         if isinstance(value, exact) and not isinstance(value, bool):  # a subclass
             return value
         raise ConfigError(path, f"expected {name}, got {value!r}")

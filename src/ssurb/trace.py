@@ -329,7 +329,10 @@ def read(path: str) -> Trace:
         number, first = next(lines, (0, None))
         if first is None:
             raise ValueError(f"{path}: empty trace file")
-        header = json.loads(first)
+        try:
+            header = json.loads(first)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
         if not (isinstance(header, dict) and header.get("type") == "HEADER"
                 and header.get("format") == TRACE_FORMAT):
             raise ValueError(f"{path}: not a {TRACE_FORMAT} trace")

@@ -121,7 +121,7 @@ def _fresh(i, n, crashed=False):
     return dict(fresh_node(i, n), crashed=crashed)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_snapshots())
 # a self-channel GOSSIP that breaks both a destination clause and the echo
 @example((snapshot([_fresh(1, 1)], [gossip(1, 1, max_seq=1, tx_obs=1)]), header(n=1), None))

@@ -323,3 +323,17 @@ def test_sweep_takes_its_seeds_from_seeds_only(tmp_path, capsys):
     with pytest.raises(config.ConfigError, match="^--vary seed: "):
         cli.sweep(config.load(str(scenario)), {"seed": [1, 2]}, [0])
     assert not (tmp_path / "sweep").exists()
+
+
+def test_run_refuses_an_integer_too_large_for_a_float_field(tmp_path, capsys):
+    # float() of a 401-digit integer overflows: once a traceback and exit 1
+    scenario = write_scenario(tmp_path, fault_plan={"omission_prob": 10**400})
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: fault_plan.omission_prob: integer too large for a float\n"
+
+
+def test_check_names_the_file_when_the_first_line_is_not_json(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("not json\n")
+    assert main(["check", "--trace", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1: Expecting value: line 1 column 1 (char 0)\n"

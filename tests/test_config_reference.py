@@ -153,7 +153,7 @@ def _not_a_list(raw, error: str) -> bool:
 
 
 @given(mutants())
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=600)
 def test_reader_agrees_with_the_reference(case):
     raw, unknown = case
     mine, theirs = _outcome(from_dict, raw), _outcome(reference.from_dict, raw)

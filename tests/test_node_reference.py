@@ -4,40 +4,27 @@
 handlers as they were before the iteration path was rewritten to do each
 macro once. From equal states both must emit equal outgoing, delivered
 and accepted lists and leave equal full states, buffer order included,
-after an iteration and after each handler: over hypothesis states of
-n 1-4 with FIFO on and off, and over every state of a small n=1, b=1
-scope.
+after an iteration and after each handler: over every state of the
+n=1, b=1 scope of `node_states`, and over its hypothesis states of n 1-4
+with FIFO on and off, one draw serving every sequence below.
 
 The idle memo is checked the same way: from every empty-buffer state of
-the scope and from hypothesis states with the buffer emptied, through
+the scope and from the drawn states with the buffer emptied, through
 passes that repeat the memo's pass, handler calls that change nothing or
 something, a keyed field moved and moved back, results mutated by the
 caller, and a copy taken with a memo stored.
 """
 
-import itertools
+import functools
 from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from node_states import N1B1, arbitrary_node, full_state, scope
 from reference.node_a547dff import ReferenceNode
-from test_node_properties import arbitrary_node
 
 from ssurb.detectors import DetectorView
-from ssurb.node import DISABLED, BufferRecord, NodeState
-
-
-def _full_state(node):
-    return (
-        node.seq,
-        node.rx_obs,
-        node.tx_obs,
-        node.next_deliver,
-        node.reset_phase,
-        [(r.payload, r.sender, r.seq, r.delivered, sorted(r.rec_by), r.prev_hb) for r in node.buffer],
-        list(node.pending),
-        node.observed,
-    )
+from ssurb.node import DISABLED, BufferRecord
 
 
 def _iterate_both(node, ref, view):
@@ -46,50 +33,47 @@ def _iterate_both(node, ref, view):
     assert [type(m) for _, m in out.outgoing] == [type(m) for _, m in expected.outgoing]
     assert out.delivered == expected.delivered
     assert out.accepted == expected.accepted
-    assert _full_state(node) == _full_state(ref)
+    assert full_state(node) == full_state(ref)
 
 
 def _handle_both(node, ref, handler, *args):
     got, expected = getattr(node, handler)(*args), getattr(ref, handler)(*args)
     assert got == expected and type(got) is type(expected)
-    assert _full_state(node) == _full_state(ref)
+    assert full_state(node) == full_state(ref)
 
 
-@st.composite
-def _operations(draw, n):
+@functools.cache  # one strategy per n, as `node_states` builds its records
+def _operations(n):
     """Up to four iterations and handler calls. A handler's (j, s) is often
     an identity the buffer may hold, so duplicated records are reached."""
     ids = st.tuples(st.integers(1, n), st.integers(0, 13))
-    return draw(
-        st.lists(
-            st.one_of(
-                st.just(("iterate",)),
-                st.tuples(st.just("on_msg"), st.sampled_from(["p", "q"]), ids, st.integers(1, n)),
-                st.tuples(st.just("on_msg_ack"), ids, st.integers(1, n)),
-                st.tuples(
-                    st.just("on_gossip"),
-                    st.integers(0, 14),
-                    st.integers(0, 14),
-                    st.integers(0, 14),
-                    st.integers(1, n),
-                ),
+    return st.lists(
+        st.one_of(
+            st.just(("iterate",)),
+            st.tuples(st.just("on_msg"), st.sampled_from(["p", "q"]), ids, st.integers(1, n)),
+            st.tuples(st.just("on_msg_ack"), ids, st.integers(1, n)),
+            st.tuples(
+                st.just("on_gossip"),
+                st.integers(0, 14),
+                st.integers(0, 14),
+                st.integers(0, 14),
+                st.integers(1, n),
             ),
-            min_size=1,
-            max_size=4,
-        )
+        ),
+        min_size=1,
+        max_size=4,
     )
 
 
-@given(arbitrary_node(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_iteration_and_handlers_equal_the_reference(case, data):
-    node, view = case
-    if node.buffer:  # twins of held identities, as DUPLICATE-RECORD leaves them
+def _operations_equal(node, view, data):
+    """Twins of held identities, as DUPLICATE-RECORD leaves them, then up to
+    four iterations and handler calls, each against the reference."""
+    if node.buffer:
         for r in data.draw(st.lists(st.sampled_from(node.buffer), max_size=2)):
             rec_by = data.draw(st.sets(st.integers(1, node.n), max_size=node.n))
             node.buffer.append(BufferRecord("twin", r.sender, r.seq, r.delivered, rec_by, r.prev_hb[:]))
     ref = ReferenceNode.of(node)
-    assert _full_state(node) == _full_state(ref)
+    assert full_state(node) == full_state(ref)
     for name, *args in data.draw(_operations(node.n)):
         if name == "iterate":
             _iterate_both(node, ref, view)
@@ -103,29 +87,10 @@ def test_iteration_and_handlers_equal_the_reference(case, data):
         _handle_both(node, ref, name, *args)
 
 
-def _scope():
-    """Every n=1, b=1 state with seq, tx_obs[1] and rx_obs[1] in 0..2, the
-    FIFO cursor in 1..3 (1 alone without FIFO), and each own record seq
-    1..3 absent or present with delivered in {F, T} and rec_by in {{}, {1}};
-    under trusted {} and {1}. The payload and node id do not matter."""
-    variants = [None] + [(d, frozenset(a)) for d in (False, True) for a in ((), (1,))]
-    for fifo, trusted in itertools.product((False, True), (frozenset(), frozenset({1}))):
-        for seq, tx, rx, cursor in itertools.product(range(3), range(3), range(3), range(1, 4 if fifo else 2)):
-            for records in itertools.product(variants, repeat=3):
-                node = NodeState(1, 1, 1, fifo=fifo)
-                node.seq, node.tx_obs[1], node.rx_obs[1], node.next_deliver[1] = seq, tx, rx, cursor
-                node.buffer = [
-                    BufferRecord(f"m{s}", 1, s, flags[0], set(flags[1]), [-1, -1])
-                    for s, flags in enumerate(records, start=1)
-                    if flags is not None
-                ]
-                yield node, DetectorView(trusted, (0, 1))
-
-
 def test_small_scope_equals_the_reference():
-    """Each state of the scope: an iteration, each handler, a second iteration."""
+    """Each state of the n=1, b=1 scope: an iteration, each handler, a second iteration."""
     count = 0
-    for node, view in _scope():
+    for node, view in scope(N1B1):
         ref = ReferenceNode.of(node)
         _iterate_both(node, ref, view)
         _handle_both(node, ref, "on_msg", "x", 1, 2, 1)
@@ -133,7 +98,7 @@ def test_small_scope_equals_the_reference():
         _handle_both(node, ref, "on_gossip", 3, 1, 2, 1)
         _iterate_both(node, ref, DetectorView(view.trusted, (0, 2)))
         count += 1
-    assert count == 27 * 125 * 2 * (1 + 3)  # FIFO off with one cursor value, on with three
+    assert count == 27_000
 
 
 def _idle_sequence(node, view):
@@ -176,33 +141,22 @@ def _idle_node(node):
 
 
 def test_idle_passes_equal_the_reference_over_the_scope():
-    """Every empty-buffer state of the scope; in nine in ten of them some
+    """Every empty-buffer state of the n=1, b=1 scope; in 201 of its 216 some
     iteration of the sequence hits the memo."""
     states = hitting = 0
-    for node, view in _scope():
+    for node, view in scope(N1B1):
         if not node.buffer:
             _replayed(node.copy(), view)
             hitting += _idle_sequence(node, view) > 0
             states += 1
-    assert states == 27 * 2 * 4 and hitting > states * 9 // 10
+    assert (states, hitting) == (216, 201)
 
 
-@given(arbitrary_node())
-@settings(max_examples=200, deadline=None)
-def test_idle_passes_equal_the_reference(case):
-    node, view = case
-    _replayed(_idle_node(node).copy(), view)
-    _idle_sequence(node, view)
-
-
-@given(arbitrary_node(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_a_keyed_field_moved_and_moved_back(case, data):
+def _keyed_field_moved_and_moved_back(node, view, data):
     """After a memo is stored, one field the idle pass reads is moved, a pass
     runs, the field is put back, and a pass runs again: each one as the
     reference's, `observed` included."""
-    node, view = case
-    ref = ReferenceNode.of(_idle_node(node))
+    ref = ReferenceNode.of(node)
     _iterate_both(node, ref, view)
     _iterate_both(node, ref, view)
     field = data.draw(st.sampled_from(("seq", "rx_obs", "tx_obs", "next_deliver", "reset_phase", "trusted")))
@@ -222,11 +176,9 @@ def test_a_keyed_field_moved_and_moved_back(case, data):
     _iterate_both(node, ref, view)
 
 
-@given(arbitrary_node())
-@settings(max_examples=100, deadline=None)
-def test_mutating_a_result_leaves_the_next_unchanged(case):
-    node, view = case
-    ref = ReferenceNode.of(_idle_node(node))
+def _mutated_results(node, view):
+    """Results mutated by the caller leave the next pass unchanged."""
+    ref = ReferenceNode.of(node)
     for _ in range(4):  # the pass that stores the memo, then hits
         got, expected = node.do_forever_iteration(view), ref.do_forever_iteration(view)
         assert list(got) == [expected.outgoing, expected.delivered, expected.accepted]
@@ -236,11 +188,9 @@ def test_mutating_a_result_leaves_the_next_unchanged(case):
     _iterate_both(node, ref, view)
 
 
-@given(arbitrary_node())
-@settings(max_examples=100, deadline=None)
-def test_a_copy_with_a_memo_iterates_as_the_original(case):
-    node, view = case
-    ref = ReferenceNode.of(_idle_node(node))
+def _copy_with_a_memo(node, view):
+    """A copy taken with a memo stored iterates as the original."""
+    ref = ReferenceNode.of(node)
     _iterate_both(node, ref, view)
     _iterate_both(node, ref, view)
     twin = node.copy()
@@ -250,4 +200,20 @@ def test_a_copy_with_a_memo_iterates_as_the_original(case):
     for _ in range(2):
         _iterate_both(twin, node, view)
         ref.do_forever_iteration(view)
-        assert _full_state(twin) == _full_state(ref)
+        assert full_state(twin) == full_state(ref)
+
+
+@given(arbitrary_node(), st.data())
+@settings(max_examples=300)
+def test_iteration_and_handlers_equal_the_reference(case, data):
+    """Each drawn state serves every sequence, each on its own copy: the
+    operations above, and from the state with its buffer emptied the idle
+    sequence and its replayed pass, a keyed field moved and moved back,
+    results mutated by the caller, and a copy taken with a memo stored."""
+    node, view = case
+    _operations_equal(node.copy(), view, data)
+    _replayed(_idle_node(node.copy()), view)
+    _idle_sequence(_idle_node(node.copy()), view)
+    _keyed_field_moved_and_moved_back(_idle_node(node.copy()), view, data)
+    _mutated_results(_idle_node(node.copy()), view)
+    _copy_with_a_memo(_idle_node(node.copy()), view)

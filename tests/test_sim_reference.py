@@ -101,7 +101,7 @@ def _reference_metrics(cfg) -> dict:
 @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
 @given(data=st.data())
 @settings(
-    max_examples=6, deadline=None, phases=_UNSHRUNK, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=6, phases=_UNSHRUNK, suppress_health_check=[HealthCheck.too_slow]
 )
 def test_run_scenario_equals_the_reference(kind, data):
     raw = data.draw(scenarios(fifo=True if kind == "NEXT-SKEW" else None))
@@ -111,7 +111,7 @@ def test_run_scenario_equals_the_reference(kind, data):
 
 @given(st.data())
 @settings(
-    max_examples=30, deadline=None, phases=_UNSHRUNK, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=30, phases=_UNSHRUNK, suppress_health_check=[HealthCheck.too_slow]
 )
 def test_run_scenarios_members_equal_the_reference(data):
     # the members' faults fall on a few nearby steps early in the run, so

@@ -88,7 +88,7 @@ def _stored(record):
 
 
 @given(st.one_of(simulator_packets(), packet_records()))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_packet_template_equals_canonical(record):
     # a packet dict the rule accepts is stored compact; one of the
     # simulator's shape gets its line from its code's template, never from
@@ -110,7 +110,7 @@ def test_packet_template_equals_canonical(record):
 
 
 @given(record=st.one_of(non_packet_records, off_shape_packets()))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_other_records_go_through_canonical(record):
     # a record appended without a line is hashed and written as canonical
     # renders it, unless it is a packet dict of the simulator's shape: an
@@ -129,7 +129,7 @@ def test_other_records_go_through_canonical(record):
 
 
 @given(st.integers(0, 10**9), st.integers(1, 200), st.integers(1, 200), st.integers(-5, 10**9))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_deliver_line_equals_canonical(step, node, sender, seq):
     record = {"type": "DELIVER", "step": step, "node": node, "mid": [sender, seq]}
     assert trace.deliver_line(step, node, sender, seq) == canonical(record)

@@ -72,7 +72,7 @@ messages = st.one_of(
 @example(MsgAck(2, 7), 5)
 @example(Gossip(9, 4, 3), 5)
 @example(Heartbeat(12, 5), 5)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_in_flight_is_the_canonical_snapshot_packet(msg, birth):
     assert msg.in_flight(birth) == canonical(dict(encode(msg), birth_step=birth))
     # a snapshot read back from its line decodes the packet to the same message
