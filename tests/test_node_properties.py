@@ -1,7 +1,7 @@
 """Node properties, each written once as a function of a state, its view
-and one repair pass from it, and checked by two tests: over every state
-of the declared scopes of `node_states`, and on hypothesis draws, where
-one drawn state serves every property. The pass is total on arbitrary
+and one repair pass from it, and checked over every state of the
+declared scopes of `node_states` by one test, and on hypothesis draws by
+one test each. The pass is total on arbitrary
 states, its repairs hold after it, nothing it floors regresses, it is
 replay-deterministic, and three passes with a frozen view reach a
 fixpoint. The handlers grow ack sets and keep delivery flags, and a
@@ -145,14 +145,42 @@ def test_every_property_over_the_scope(declared, states, properties, over_bound)
         raise BoundExceeded(f"{over} of {count} states keep more than b·n + n records after one pass")
 
 
-@given(arbitrary_node(), st.integers(1, 4), st.integers(0, 12), st.integers(1, 4), st.text(min_size=1, max_size=3))
+@given(arbitrary_node())
 @settings(max_examples=300)
-def test_every_property_on_drawn_states(case, j, s, k, payload):
-    """Every property but the bound, each drawn state serving all of them."""
-    node, view = case
-    check(node, view, ONE_PASS + (settles_in_three_passes,))
-    ack_sets_grow(node.copy(), min(j, node.n), s, min(k, node.n))
-    broadcast_respects_window(node.copy(), view, payload)
+def test_single_iteration_repairs_any_state(case):
+    """The repairs of one pass hold after it; the bound is left to the scopes."""
+    check(*case, (no_null_payload, unique_identities, receive_window, fifo_cursor))
+
+
+@given(arbitrary_node())
+@settings(max_examples=300)
+def test_seq_and_watermarks_never_regress(case):
+    check(*case, (no_regression,))
+
+
+@given(arbitrary_node())
+@settings(max_examples=200)
+def test_repeated_iteration_reaches_fixpoint(case):
+    check(*case, (settles_in_three_passes,))
+
+
+@given(arbitrary_node())
+@settings(max_examples=200)
+def test_iteration_is_deterministic(case):
+    check(*case, (deterministic,))
+
+
+@given(arbitrary_node(), st.integers(1, 4), st.integers(0, 12), st.integers(1, 4))
+@settings(max_examples=200)
+def test_ack_set_growth_and_delivery_flag_sticky(case, j, s, k):
+    node, _ = case
+    ack_sets_grow(node, min(j, node.n), s, min(k, node.n))
+
+
+@given(arbitrary_node(), st.text(min_size=1, max_size=3))
+@settings(max_examples=200)
+def test_broadcast_respects_flow_window(case, payload):
+    broadcast_respects_window(*case, payload)
 
 
 @pytest.mark.xfail(

@@ -6,7 +6,7 @@ macro once. From equal states both must emit equal outgoing, delivered
 and accepted lists and leave equal full states, buffer order included,
 after an iteration and after each handler: over every state of the
 n=1, b=1 scope of `node_states`, and over its hypothesis states of n 1-4
-with FIFO on and off, one draw serving every sequence below.
+with FIFO on and off.
 
 The idle memo is checked the same way: from every empty-buffer state of
 the scope and from the drawn states with the buffer emptied, through
@@ -206,14 +206,34 @@ def _copy_with_a_memo(node, view):
 @given(arbitrary_node(), st.data())
 @settings(max_examples=300)
 def test_iteration_and_handlers_equal_the_reference(case, data):
-    """Each drawn state serves every sequence, each on its own copy: the
-    operations above, and from the state with its buffer emptied the idle
-    sequence and its replayed pass, a keyed field moved and moved back,
-    results mutated by the caller, and a copy taken with a memo stored."""
+    _operations_equal(*case, data)
+
+
+@given(arbitrary_node())
+@settings(max_examples=200)
+def test_idle_passes_equal_the_reference(case):
+    """The idle sequence and its replayed pass, from the state with its buffer emptied."""
     node, view = case
-    _operations_equal(node.copy(), view, data)
     _replayed(_idle_node(node.copy()), view)
-    _idle_sequence(_idle_node(node.copy()), view)
-    _keyed_field_moved_and_moved_back(_idle_node(node.copy()), view, data)
-    _mutated_results(_idle_node(node.copy()), view)
-    _copy_with_a_memo(_idle_node(node.copy()), view)
+    _idle_sequence(_idle_node(node), view)
+
+
+@given(arbitrary_node(), st.data())
+@settings(max_examples=300)
+def test_a_keyed_field_moved_and_moved_back(case, data):
+    node, view = case
+    _keyed_field_moved_and_moved_back(_idle_node(node), view, data)
+
+
+@given(arbitrary_node())
+@settings(max_examples=100)
+def test_mutating_a_result_leaves_the_next_unchanged(case):
+    node, view = case
+    _mutated_results(_idle_node(node), view)
+
+
+@given(arbitrary_node())
+@settings(max_examples=100)
+def test_a_copy_with_a_memo_iterates_as_the_original(case):
+    node, view = case
+    _copy_with_a_memo(_idle_node(node), view)
