@@ -23,6 +23,13 @@ backward jump, a function entry or a call, so the time of a straight run
 of bytecodes is charged to the next such point. Function totals are not
 skewed that way, except between a caller and its callee.
 
+A third table charges the samples to the north-star layers of `LAYERS`,
+one table of `module.py:qualname` patterns and, for the step loop
+`Simulation._steps`, of the source lines where each of its ranges starts;
+a range runs up to the next one's first line. A sample no layer claims,
+set-up and config code or one outside `ssurb`, counts as `other`, so the
+layer counts sum to the other tables' totals.
+
 The unit first runs once to warm up. Then each of `--rounds` rounds runs
 it plain and sampled, in alternating order, and the overhead printed is
 the median over rounds of sampled / plain process time: paired runs a
@@ -34,12 +41,14 @@ show the top 15 rows of each.
 """
 
 import argparse
+import inspect
 import os
 import signal
 import statistics
 import sys
 import time
 from collections import Counter
+from fnmatch import fnmatchcase
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
@@ -55,6 +64,41 @@ INTERVAL = 0.001  # seconds of wall time between samples
 TOP = 15  # rows per table
 PACKAGE = os.path.dirname(ssurb.__file__) + os.sep  # as the code objects name their files
 OUTSIDE = "(outside ssurb)"
+OTHER = "other"
+
+# (layer, the functions it is charged as `module.py:qualname` fnmatch
+# patterns, the first patterns that match winning, and the lines of
+# `Simulation._steps` from each anchor text on). Faults and broadcast
+# requests count with the handlers, the reset barrier with the stop rule;
+# `canonical` counts with the snapshots, whose nodes half is most of its
+# work, though it also renders the header and the CYCLE, BROADCAST and END
+# records.
+LAYERS = (
+    ("scheduler draw", ("sim.py:WeightTree.*", "sim.py:Simulation._prologue", "sim.py:Simulation._next_due",
+                        "sim.py:Simulation._reweigh"),
+     ("def _steps(", "total = wt.total")),
+    ("delivery and handlers", ("node.py:NodeState.on_*", "node.py:NodeState.update", "node.py:NodeState.urb_broadcast",
+                               "node.py:NodeState.check_overflow", "detectors.py:HeartbeatState.on_heartbeat",
+                               "sim.py:Simulation._request_broadcast", "sim.py:Simulation._crash",
+                               "sim.py:Simulation._corrupt", "corruption.py:*"),
+     ("channel = channel_slots[slot - n]",)),
+    ("iteration send", ("sim.py:Simulation._iterate_action*", "sim.py:Simulation._overflow",
+                        "sim.py:Simulation._satisfy", "sim.py:Simulation._delayed_crashed", "sim.py:payload_hash",
+                        "detectors.py:HeartbeatState.tick*", "detectors.py:ThetaState.*", "trace.py:deliver_line"),
+     ("if slot < n:",)),
+    ("node iteration", ("node.py:*",), ()),
+    ("snapshots", ("sim.py:Simulation._emit_snapshot*", "trace.py:snapshot_*", "trace.py:canonical",
+                   "wire.py:*.in_flight"),
+     ("if interval and step > 0",)),
+    ("stop rule and cycle accounting", ("sim.py:Simulation._on_cycle_boundary", "sim.py:Simulation._settled_*",
+                                        "sim.py:Simulation._cycle_complete*", "sim.py:Simulation._reset_cycle_tracker",
+                                        "sim.py:Simulation._count_missing_gossip*", "sim.py:Simulation._*barrier*",
+                                        "sim.py:Simulation._apply_global_reset", "wire.py:message_id",
+                                        "checker.py:drained_cycle", "checker.py:snapshot_all_consistent"),
+     ("if bounded and self.barrier_active", "step += 1")),
+    ("trace hashing", ("trace.py:*", "sim.py:Simulation._event"), ()),
+    ("checkers", ("checker.py:*",), ()),
+)
 
 
 def run_unit(cfgs: list) -> None:
@@ -124,10 +168,42 @@ def tables(samples: Counter) -> tuple[Counter, Counter]:
     return functions, lines
 
 
-def print_table(title: str, counts: Counter) -> None:
+def steps_layers() -> dict[int, str]:
+    """The layer of each source line of `Simulation._steps`: that of the last
+    anchor at or above it. An anchor found other than once is a ValueError."""
+    source, first = inspect.getsourcelines(sim.Simulation._steps)
+    starts = []
+    for layer, _, anchors in LAYERS:
+        for anchor in anchors:
+            hits = [first + k for k, text in enumerate(source) if anchor in text]
+            if len(hits) != 1:
+                raise ValueError(f"_steps anchor {anchor!r} found on {len(hits)} lines")
+            starts.append((hits[0], layer))
+    starts.sort()
+    return {line: max((s for s in starts if s[0] <= line), default=(0, OTHER))[1]
+            for line in range(first, first + len(source))}
+
+
+def layers(samples: Counter) -> Counter:
+    """The samples by layer of `LAYERS`, or OTHER."""
+    steps, counts = steps_layers(), Counter({layer: 0 for layer, _, _ in LAYERS} | {OTHER: 0})
+    for key, count in samples.items():
+        layer = OTHER
+        if key != OUTSIDE:
+            code, offset = key
+            name = f"{os.path.basename(code.co_filename)}:{getattr(code, 'co_qualname', code.co_name)}"
+            if name == "sim.py:Simulation._steps":
+                layer = steps.get(line_of(code, offset), OTHER)
+            else:
+                layer = next((lay for lay, patterns, _ in LAYERS if any(fnmatchcase(name, p) for p in patterns)), OTHER)
+        counts[layer] += count
+    return counts
+
+
+def print_table(title: str, counts: Counter, rows: int | None = TOP) -> None:
     total = sum(counts.values())
     print(f"{title:60} {'samples':>8} {'share':>7}")
-    for key, count in counts.most_common(TOP):
+    for key, count in counts.most_common(rows) if rows else counts.items():
         print(f"{key:60} {count:8d} {100 * count / total:6.1f}%")
 
 
@@ -160,6 +236,8 @@ def main() -> int:
     print_table("function", functions)
     print()
     print_table("line", lines)
+    print()
+    print_table("layer", layers(samples), rows=None)
     return 0
 
 

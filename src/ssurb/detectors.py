@@ -1,9 +1,10 @@
 """Failure detection: heartbeat counters and the trusted-set oracle.
 
-The broadcast state machine consumes both through an immutable
-`DetectorView` snapshot taken once per iteration, a named tuple, so taking
-it costs one tuple. Heartbeat counters self-repair through max-folds on
-received HEARTBEAT packets; `tick` walks the peer list fixed at set-up.
+The broadcast state machine consumes both through a `DetectorView` named
+tuple taken once per iteration: the trusted set and the live heartbeat
+list, which the node only reads, so taking it costs one tuple. Heartbeat
+counters self-repair through max-folds on received HEARTBEAT packets;
+`tick` walks the peer list fixed at set-up, its heartbeats in that order.
 The trusted set is backed by the simulator's delayed crash oracle and is
 overwritten wholesale on every `reconcile`, which removes corruption in
 either direction within one iteration.
@@ -11,16 +12,17 @@ either direction within one iteration.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .wire import Heartbeat
 
 
 class DetectorView(NamedTuple):
-    """Per-iteration snapshot of the detector outputs. Index 0 of `hb` is unused."""
+    """Per-iteration view of the detectors: `hb` is the live list, read only, index 0 unused."""
 
     trusted: frozenset[int]
-    hb: tuple[int, ...]
+    hb: Sequence[int]
 
 
 class HeartbeatState:
@@ -32,11 +34,11 @@ class HeartbeatState:
         self.hb = [0] * (n + 1)  # index 0 unused
         self.peers = [j for j in range(1, n + 1) if j != self_id]
 
-    def tick(self) -> list[tuple[int, Heartbeat]]:
-        """Increment own counter and emit a heartbeat to every peer."""
+    def tick(self) -> list[Heartbeat]:
+        """Increment own counter and return a heartbeat for each of `peers`, in order."""
         hb, new = self.hb, tuple.__new__  # builds the named tuple without a Python frame
         own = hb[self.self_id] = hb[self.self_id] + 1
-        return [(j, new(Heartbeat, (own, hb[j]))) for j in self.peers]
+        return [new(Heartbeat, (own, hb[j])) for j in self.peers]
 
     def on_heartbeat(self, sender_count: int, dst_count: int, from_id: int) -> None:
         """Max-fold the received counters; the echoed own entry repairs local regressions."""
@@ -50,8 +52,8 @@ class HeartbeatState:
         self.hb = [0] * (self.n + 1)
 
     def copy(self) -> HeartbeatState:
-        twin = HeartbeatState(self.self_id, self.n)
-        twin.hb = self.hb[:]
+        twin = object.__new__(HeartbeatState)  # sharing the peer list, never mutated
+        twin.self_id, twin.n, twin.peers, twin.hb = self.self_id, self.n, self.peers, self.hb[:]
         return twin
 
 
@@ -71,8 +73,9 @@ class ThetaState:
             self.suspected = set(oracle_crashed)
 
     def copy(self) -> ThetaState:
-        twin = ThetaState(self.self_id, self.n)  # the trusted view is rebuilt when read
-        twin.suspected = set(self.suspected)
+        twin = object.__new__(ThetaState)  # sharing the frozen trusted view and its key
+        twin.self_id, twin.n, twin.suspected = self.self_id, self.n, set(self.suspected)
+        twin._trusted, twin._trusted_of = self._trusted, self._trusted_of
         return twin
 
     def trusted_view(self) -> frozenset[int]:

@@ -14,27 +14,28 @@ does each macro once per call: `max_seqs` is built for the receive clamp
 for the gossip (g); the trim's `min_tx_obs` is step (b)'s, or `seq` after
 a window repair; the FIFO cursors are lifted once after the obsolete walk
 (d) and once more for the own entry after the local gossip fold; an empty
-buffer skips the per-record passes. It returns its three lists as an
-`IterationResult` named tuple, and its messages are built with
+buffer skips the per-record passes. It returns an `IterationResult` named
+tuple, its MSGs apart from its gossips, and its messages are built with
 `tuple.__new__`, without the named tuples' Python-level constructor.
 
 An idle pass, one with an empty buffer and nothing pending that leaves
 the state as it found it, is kept in `idle_memo` with its `observed` and
 gossips, keyed on all it reads (the heartbeats only (f) reads); a call with
-an equal key returns them again. Once the broadcasts are delivered, most
-passes repeat such a pass.
+an equal key returns them again, the gossips as the memo's own tuple.
+Once the broadcasts are delivered, most passes repeat such a pass.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from copy import deepcopy
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
 from .detectors import DetectorView
-from .wire import Gossip, Msg, MsgAck, WireMessage
+from .wire import Gossip, Msg, MsgAck
 
 NORMAL = "normal"
 DISABLED = "disabled"
@@ -54,9 +55,14 @@ class BufferRecord:
 
 
 class IterationResult(NamedTuple):
-    outgoing: list[tuple[int, WireMessage]]
+    """One pass's output: `outgoing` holds step (f)'s (dst, Msg) sends and
+    `gossips` step (g)'s Gossip for each peer in `HeartbeatState.peers` order,
+    a list, or the idle memo's tuple on a repeated idle pass."""
+
+    outgoing: list[tuple[int, Msg]]
     delivered: list[tuple[int, int]]
     accepted: list[tuple[tuple[int, int], str]]
+    gossips: Sequence[Gossip]
 
 
 _record_key = attrgetter("sender", "seq")
@@ -91,10 +97,13 @@ class NodeState:
         self.idle_memo: tuple | None = None
 
     def copy(self) -> NodeState:
-        """A fresh node with this one's state, `observed` shared: it is replaced, never
-        mutated. The memo is copied deep, so that the twin shares no list with it."""
-        twin = NodeState(self.self_id, self.n, self.buffer_unit_size, self.fifo, self.maxint)
-        twin.seq, twin.reset_phase, twin.observed = self.seq, self.reset_phase, self.observed
+        """A node with this one's state, built without `__init__` (and its
+        `_observe`), `observed` shared: it is replaced, never mutated. The
+        memo is copied deep, so that the twin shares no list with it."""
+        twin = object.__new__(NodeState)
+        twin.self_id, twin.n, twin.buffer_unit_size = self.self_id, self.n, self.buffer_unit_size
+        twin.fifo, twin.maxint, twin.seq = self.fifo, self.maxint, self.seq
+        twin.reset_phase, twin.observed = self.reset_phase, self.observed
         twin.idle_memo = deepcopy(self.idle_memo)
         twin.rx_obs, twin.tx_obs = self.rx_obs[:], self.tx_obs[:]
         twin.next_deliver, twin.pending = self.next_deliver[:], self.pending.copy()
@@ -167,7 +176,7 @@ class NodeState:
             memo = self.idle_memo
             if memo is not None and memo[:6] == (trusted, seq, self.reset_phase, rx_obs, tx_obs, cursors):
                 self.observed = memo[6]
-                return new(IterationResult, (list(memo[7]), [], []))
+                return new(IterationResult, ([], [], [], memo[7]))
             idle = (trusted, seq, self.reset_phase, rx_obs[:], tx_obs[:], cursors[:])
 
         # (a) purge: a null payload or a duplicated identity voids the whole buffer
@@ -225,7 +234,7 @@ class NodeState:
         # of one record is the same immutable Msg, built like the Gossips
         # below without the named tuple's Python frame
         u = view.hb
-        outgoing: list[tuple[int, WireMessage]] = []
+        outgoing: list[tuple[int, Msg]] = []
         delivered: list[tuple[int, int]] = []
         for r in buffer:
             sender, s, rec_by, prev_hb = r.sender, r.seq, r.rec_by, r.prev_hb
@@ -246,9 +255,7 @@ class NodeState:
         # trimmed buffer and the delivered cursors; fold the own triple
         # locally, as `on_gossip` would fold the self-addressed gossip
         max_map = self.max_seqs()
-        for k in everyone:
-            if k != me:
-                outgoing.append((k, new(Gossip, (max_map[k], rx_obs[k], tx_obs[k]))))
+        gossips = [new(Gossip, (max_map[k], rx_obs[k], tx_obs[k])) for k in everyone if k != me]
         if rx_obs[me] > tx_obs[me]:
             tx_obs[me] = rx_obs[me]
         else:
@@ -271,8 +278,8 @@ class NodeState:
         if fifo and rx_obs[me] >= cursors[me]:
             cursors[me] = rx_obs[me] + 1
         if idle and idle[1:6] == (self.seq, self.reset_phase, rx_obs, self.tx_obs, cursors):
-            self.idle_memo = idle + (self.observed, tuple(outgoing))
-        return new(IterationResult, (outgoing, delivered, accepted))
+            self.idle_memo = idle + (self.observed, tuple(gossips))
+        return new(IterationResult, (outgoing, delivered, accepted, gossips))
 
     # -- packet handlers ------------------------------------------------
 

@@ -18,8 +18,10 @@ schedule an explicit weighted list would give. A channel weighs 4 + 4*len
 while non-empty towards a live node and 0 otherwise. A delivery, inline in
 the loop, pops one packet, moves its channel's tree path unless a DUP puts
 it back, and, for a MSG, pushes the MSGACK that answers it and moves that
-channel's path, as `_send_all` would for a batch of one. `_send_all`
-pushes a node's whole batch and then moves each grown channel's path once.
+channel's path. An iteration sends three typed runs, heartbeats, MSGs and
+gossips, moving each grown channel's path once (`_iterate_action`). Pending
+trace lines are hashed only after iterations, and `peak_buffer` is sampled
+only where a buffer can have grown (see `__init__`).
 
 Cycle accounting is O(1) per step: two running counts, the live gossip
 pairs not yet seen and the live nodes whose round-trip clause is not yet
@@ -263,12 +265,13 @@ class Simulation:
         self.stop_reason: str | None = None
         self.marker_cycle: int | None = None  # see checker.drained_cycle
 
-        # sampled after each iteration of a node and each delivery to it, not
-        # after a broadcast request or a corruption: these grow a buffer that
-        # only the next sample sees, so the one after a HEARTBEAT, GOSSIP or
-        # MSGACK delivery stays (without it, digest battery run
-        # corrupt/RANDOMIZE-ALL/b1/n3 reads another peak)
+        # each node's largest buffer after its iterations and deliveries; only
+        # iterations, MSG deliveries, broadcast requests and corruptions change
+        # a buffer's length, so it is sampled after the first two, and the last
+        # two put the node in `grown`, sampled at its next delivery and not at
+        # once (digest battery run corrupt/RANDOMIZE-ALL/b1/n3 would differ)
         self.peak_buffer = {i: 0 for i in self.nodes}
+        self.grown: set[int] = set()
         self.counts = {
             "sends": {"MSG": 0, "MSGACK": 0, "GOSSIP": 0, "HEARTBEAT": 0},
             "omissions": 0,
@@ -310,6 +313,7 @@ class Simulation:
         twin.crashed_at, twin.epoch_mids = dict(self.crashed_at), self.epoch_mids[:]
         twin.delivered_sets = {i: set(mids) for i, mids in self.delivered_sets.items()}
         twin.ct_satisfied, twin.peak_buffer = set(self.ct_satisfied), dict(self.peak_buffer)
+        twin.grown = set(self.grown)
         twin.ct_pending = {i: [set(w) for w in waits] for i, waits in self.ct_pending.items()}
         twin.ct_gossip_seen = {i: set(seen) for i, seen in self.ct_gossip_seen.items()}
         twin.counts = dict(self.counts, sends=dict(self.counts["sends"]))
@@ -330,9 +334,6 @@ class Simulation:
             return _NOBODY
         latency = self.cfg.fault_plan.detection_latency
         return {i for i, at in self.crashed_at.items() if at + latency <= self.step}
-
-    def _view(self, node: SimNode) -> DetectorView:
-        return tuple.__new__(DetectorView, (node.theta.trusted_view(), tuple(node.hb.hb)))
 
     def _reset_cycle_tracker(self) -> None:
         # a node satisfies the round-trip clause once any iteration it started
@@ -421,73 +422,88 @@ class Simulation:
 
     # ---- packet plumbing ---------------------------------------------------
 
-    def _send_all(self, src: int, outgoing: list[tuple[int, WireMessage]]) -> None:
-        """Send each (dst, message) of `outgoing` from `src`, in order: a SEND
-        record, then the push, or an overflow OMIT right after the SEND. No
-        draw happens in between, so each channel that grew moves its Fenwick
-        path once, after the last push, to its final weight."""
-        step, row, trace, lines = self.step, self.rows[src], self.trace, self.send_lines
-        append_record, append_line = trace.records.append, trace.pending.append
-        sends, overflows = self.counts["sends"], self.overflow_lines
-        at = f'"src":{src},"step":{step}'
-        pushed: dict[Channel, None] = {}  # the channels that grew, in order
-        for dst, msg in outgoing:
-            cls = type(msg)
-            code, heads, tail = lines[cls]
-            sends[cls.kind] += 1
-            if cls is Msg or cls is MsgAck:
-                sender, seq = msg.sender, msg.seq
-                append_record((code, sender, seq, step))
-                append_line(f'{heads[dst]}"mid":[{sender},{seq}],{at}{tail}')
-            else:
-                append_record(code)
-                append_line(f"{heads[dst]}{at}{tail}")
-            channel = row[dst]
-            packets = channel.packets
-            if len(packets) >= channel.capacity:  # an overflow OMIT right after the SEND
-                self.counts["omissions"] += 1
-                code, heads, tail = overflows[cls]
-                if cls is Msg or cls is MsgAck:
-                    append_record((code, sender, seq, step))
-                    append_line(f'{heads[dst]}"mid":[{sender},{seq}],{at}{tail}')
-                else:
-                    append_record(code)
-                    append_line(f"{heads[dst]}{at}{tail}")
-                continue
-            packets.append((msg, step))
-            pushed[channel] = None
-        wt = self.weights
-        tree, weights, paths = wt.tree, wt.weights, wt.paths
-        moved = 0
-        for channel in pushed:
-            if channel.dst_live:  # a grown channel weighs 4 + 4*len, more than before
-                slot = channel.slot
-                delta = 4 + 4 * len(channel.packets) - weights[slot]
-                weights[slot] += delta
-                moved += delta
-                for i in paths[slot]:
-                    tree[i] += delta
-        wt.total += moved
+    def _overflow(self, msg: WireMessage, src: int, dst: int) -> None:
+        """The OMIT that follows the SEND of `msg` when its channel is full."""
+        code, heads, tail = self.overflow_lines[type(msg)]
+        self.counts["omissions"] += 1
+        mid = f'"mid":[{msg.sender},{msg.seq}],' if type(msg) in (Msg, MsgAck) else ""
+        self.trace.records.append((code, msg.sender, msg.seq, self.step) if mid else code)
+        self.trace.pending.append(f'{heads[dst]}{mid}"src":{src},"step":{self.step}{tail}')
 
     def _iterate_action(self, i: int) -> None:
+        """Node i's iteration and its three send runs: heartbeats and gossips to
+        `hb.peers` in order, MSGs between. No draw falls in between, so each
+        grown channel moves its Fenwick path once, to its final weight: a peer
+        channel after its gossip, the self channel after the MSG run."""
         node = self.nodes[i]
-        theta = node.theta
+        theta, hb = node.theta, node.hb
         if self.crashed_at or theta.suspected:  # otherwise nothing is suspected, nor to be
             theta.reconcile(self._delayed_crashed())
-        # the heartbeats and the iteration's packets go out as one batch
-        outgoing = node.hb.tick()
-        sent, delivered, accepted = node.state.do_forever_iteration(self._view(node))
-        outgoing += sent
-        self._send_all(i, outgoing)
-        if i not in self.ct_satisfied:
-            msg_sends = {(dst, msg.sender, msg.seq) for dst, msg in sent if type(msg) is Msg}
-            if msg_sends:
-                self.ct_pending[i].append(msg_sends)
+        beats = hb.tick()
+        view = tuple.__new__(DetectorView, (theta.trusted_view(), hb.hb))  # the live list, only read
+        sent, delivered, accepted, gossips = node.state.do_forever_iteration(view)
+        step, row, peers, capacity = self.step, self.rows[i], hb.peers, self.cfg.channel_capacity
+        append_record, append_line = self.trace.records.append, self.trace.pending.append
+        sends = self.counts["sends"]
+        at = f'"src":{i},"step":{step}'
+        code, heads, tail = self.send_lines[Heartbeat]
+        sends["HEARTBEAT"] += len(beats)
+        end = at + tail
+        for dst, beat in zip(peers, beats):
+            append_record(code)
+            append_line(heads[dst] + end)
+            packets = row[dst].packets
+            if len(packets) < capacity:
+                packets.append((beat, step))
             else:
-                self._satisfy(i)
+                self._overflow(beat, i, dst)
+        wt = self.weights
+        tree, weights, paths = wt.tree, wt.weights, wt.paths
+        if sent:
+            code, heads, tail = self.send_lines[Msg]
+            sends["MSG"] += len(sent)
+            for dst, msg in sent:
+                append_record((code, msg.sender, msg.seq, step))
+                append_line(f'{heads[dst]}"mid":[{msg.sender},{msg.seq}],{at}{tail}')
+                packets = row[dst].packets
+                if len(packets) < capacity:
+                    packets.append((msg, step))
+                else:
+                    self._overflow(msg, i, dst)
+            own = row[i]  # towards live node i: 4 + 4*len once it holds a packet
+            delta = 4 + 4 * len(own.packets) - weights[own.slot] if own.packets else 0
+            if delta:
+                weights[own.slot] += delta
+                wt.total += delta
+                for k in paths[own.slot]:
+                    tree[k] += delta
+            if i not in self.ct_satisfied:
+                self.ct_pending[i].append({(dst, msg.sender, msg.seq) for dst, msg in sent})
+        elif i not in self.ct_satisfied:
+            self._satisfy(i)
+        code, heads, tail = self.send_lines[Gossip]
+        sends["GOSSIP"] += len(gossips)
+        end, moved = at + tail, 0
+        for dst, gossip in zip(peers, gossips):
+            append_record(code)
+            append_line(heads[dst] + end)
+            channel = row[dst]
+            packets = channel.packets
+            if len(packets) < capacity:
+                packets.append((gossip, step))
+            else:
+                self._overflow(gossip, i, dst)
+            if channel.dst_live:  # never empty now, and never lighter than before
+                slot = channel.slot
+                delta = 4 + 4 * len(packets) - weights[slot]
+                if delta:
+                    weights[slot] += delta
+                    moved += delta
+                    for k in paths[slot]:
+                        tree[k] += delta
+        wt.total += moved
         if delivered:
-            step, trace, mine = self.step, self.trace, self.delivered_sets[i]
-            append_record, append_line = trace.records.append, trace.pending.append
+            mine = self.delivered_sets[i]
             for sender, seq in delivered:
                 append_record({"type": "DELIVER", "step": step, "node": i, "mid": [sender, seq]})
                 append_line(deliver_line(step, i, sender, seq))
@@ -531,6 +547,7 @@ class Simulation:
         state.observed = state._observe(sorted(self.nodes[i].theta.trusted_view()))
         self.last_corrupt_step = self.step
         self.marker_cycle = None
+        self.grown.add(i)
         self._event("CORRUPT", node=i, kind=kind)
         if self.bounded_mode and self.nodes[i].state.check_overflow():
             self._start_barrier()
@@ -539,8 +556,10 @@ class Simulation:
         node = self.nodes[i]
         if node.crashed:
             return
-        mid = node.state.urb_broadcast(self._view(node), payload)
+        view = tuple.__new__(DetectorView, (node.theta.trusted_view(), node.hb.hb))
+        mid = node.state.urb_broadcast(view, payload)
         if mid is not None:
+            self.grown.add(i)
             self._event("BROADCAST", node=i, mid=list(mid), payload_hash=payload_hash(payload))
             self.epoch_mids.append(mid)
 
@@ -643,8 +662,6 @@ class Simulation:
                 return False
         if not self.epoch_mids:
             return True
-        # the ids in flight towards live nodes (and None for the control kinds)
-        in_flight = {message_id(m) for c in self.channel_slots if c.dst_live for m, _ in c.packets}
         buffered: dict[tuple[int, int], bool] = {}  # mid -> all records delivered+fully acked
         for i in live:
             for r in self.nodes[i].state.buffer:
@@ -652,8 +669,6 @@ class Simulation:
                 ok = r.delivered and live_set.issubset(r.rec_by)
                 buffered[mid] = buffered.get(mid, True) and ok
         for mid in self.epoch_mids:
-            if mid in in_flight:
-                return False
             if mid in buffered and not buffered[mid]:
                 return False
             if all(mid in self.delivered_sets[i] for i in live):
@@ -665,7 +680,9 @@ class Simulation:
             )
             if not vanished:
                 return False
-        return True
+        # last, the costliest clause: no id in flight towards a live node
+        in_flight = {message_id(m) for c in self.channel_slots if c.dst_live for m, _ in c.packets}
+        return in_flight.isdisjoint(self.epoch_mids)
 
     def _on_cycle_boundary(self) -> None:
         self.cycle_count += 1
@@ -721,9 +738,9 @@ class Simulation:
         peak, bounded, interval = self.peak_buffer, self.bounded_mode, self.snapshot_interval
         lines, drops, dups, rows = self.recv_lines, self.drop_lines, self.dup_lines, self.rows
         gossip_code, hb_code, recv_tail = lines[Gossip][0], lines[Heartbeat][0], lines[Heartbeat][2]
-        send_ack, overflow_ack = self.send_lines[MsgAck], self.overflow_lines[MsgAck]
+        ack_code, ack_heads, ack_tail = self.send_lines[MsgAck]
         counts, sends = self.counts, self.counts["sends"]
-        step, next_due = self.step, self.next_due
+        step, next_due, grown = self.step, self.next_due, self.grown
         if not self.live:
             self.stop_reason = "all-crashed"
             return
@@ -746,6 +763,8 @@ class Simulation:
                     x -= weight
             if slot < n:
                 self._iterate_action(slot + 1)
+                if len(pending) >= CHUNK_LINES:  # a delivery adds at most four lines
+                    flush()
             else:
                 # a delivery; only non-empty channels towards live nodes weigh
                 channel = channel_slots[slot - n]
@@ -802,17 +821,16 @@ class Simulation:
                         sender, seq = msg.sender, msg.seq
                         append_record((code, sender, seq, step))
                         append_line(f'{heads[dst]}"mid":[{sender},{seq}],"src":{src},"step":{step}{tail}')
-                        if cls is Msg:  # its MSGACK goes back alone, as `_send_all` would send it
+                        if cls is Msg:  # its MSGACK goes back alone, as an iteration's MSG is sent
                             ack = state.on_msg(msg.payload, sender, seq, src)
                             sends["MSGACK"] += 1
                             back = rows[dst][src]
-                            full = len(back.packets) >= back.capacity  # then an overflow OMIT follows
-                            at = f'"mid":[{ack.sender},{ack.seq}],"src":{dst},"step":{step}'
-                            for code, heads, tail in (send_ack, overflow_ack) if full else (send_ack,):
-                                append_record((code, ack.sender, ack.seq, step))
-                                append_line(f"{heads[src]}{at}{tail}")
-                            counts["omissions"] += full
-                            if not full:
+                            append_record((ack_code, sender, seq, step))
+                            append_line(
+                                f'{ack_heads[src]}"mid":[{sender},{seq}],"src":{dst},"step":{step}{ack_tail}')
+                            if len(back.packets) >= back.capacity:
+                                self._overflow(ack, dst, src)
+                            else:
                                 back.packets.append((ack, step))
                                 if back.dst_live:  # it weighs 4 more, or 8 if it was empty
                                     delta = 4 if len(back.packets) > 1 else 8
@@ -831,9 +849,11 @@ class Simulation:
                                         break
                     if bounded and state.check_overflow():
                         self._start_barrier()
-                    held = len(state.buffer)
-                    if held > peak[dst]:
-                        peak[dst] = held
+                    if cls is Msg or grown and dst in grown:  # no other handler grows a buffer
+                        grown.discard(dst)
+                        held = len(state.buffer)
+                        if held > peak[dst]:
+                            peak[dst] = held
             if bounded and self.barrier_active and self._barrier_ready():
                 self._apply_global_reset()
             stopping = not self.missing_gossip and (
@@ -843,8 +863,6 @@ class Simulation:
                 stopping = self.stop_reason is not None
             if interval and step > 0 and step % interval == 0:
                 self._emit_snapshot(boundary=False)
-            if len(pending) >= CHUNK_LINES:
-                flush()
             step += 1
             self.step = step
             if stopping:

@@ -202,7 +202,7 @@ class Trace:
     compact packet record (see the module docstring). Every line is kept in
     one of the hashed chunks, or in `pending` until the next chunk is cut.
     The simulator appends to `records` and `pending` itself and calls
-    `flush` once a step when `CHUNK_LINES` lines are pending; a chunk may
+    `flush` after an iteration when `CHUNK_LINES` lines are pending; a chunk may
     run longer, which changes neither the digest nor the written bytes."""
 
     def __init__(self, header: dict):

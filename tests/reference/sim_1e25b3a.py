@@ -14,7 +14,11 @@ Adapted to HEAD, and otherwise copied verbatim:
 * the package-relative imports name `ssurb.*`, and `Trace`, `canonical`
   and `make_header` come from `reference.trace_1e25b3a`;
 * `_view` reads `tuple(node.hb.hb)` where it called `node.hb.snapshot()`,
-  which is gone.
+  which is gone;
+* `_iterate_action` sends the heartbeats, which `tick` now returns without
+  their destinations, to `node.hb.peers` in order, and the iteration's
+  `result.gossips`, which no longer sit in `result.outgoing`, after
+  `result.outgoing`, each to the peer at its position in `node.hb.peers`.
 
 Original docstring:
 
@@ -293,12 +297,12 @@ class Simulation:
     def _iterate_action(self, i: int) -> None:
         node = self.nodes[i]
         node.theta.reconcile(self._delayed_crashed())
-        for dst, beat in node.hb.tick():
+        for dst, beat in zip(node.hb.peers, node.hb.tick()):
             self._send(i, dst, beat)
         view = self._view(node)
         result = node.state.do_forever_iteration(view)
         msg_sends: set[tuple[int, int, int]] = set()
-        for dst, msg in result.outgoing:
+        for dst, msg in result.outgoing + list(zip(node.hb.peers, result.gossips)):
             if isinstance(msg, Msg):
                 msg_sends.add((dst, msg.sender, msg.seq))
             self._send(i, dst, msg)

@@ -6,7 +6,8 @@ def test_tick_increments_and_emits():
     hb = HeartbeatState(1, 2)
     out = hb.tick()
     assert hb.hb[1] == 1
-    assert out == [(2, Heartbeat(sender_count=1, dst_count=0))]
+    assert hb.peers == [2]
+    assert out == [Heartbeat(sender_count=1, dst_count=0)]
 
 
 def test_tick_from_corrupted_negative_counter():
@@ -62,3 +63,21 @@ def test_reconcile_adds_missed_crash():
     assert theta.suspected == {3}
     theta.reconcile({3})
     assert theta.suspected == {3}
+
+
+def test_copies_run_no_constructor(monkeypatch):
+    hb, theta = HeartbeatState(2, 3), ThetaState(2, 3)
+    hb.tick()
+    theta.reconcile({3})
+    theta.trusted_view()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("copy ran a constructor")
+
+    for cls in (HeartbeatState, ThetaState):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    hb_twin, theta_twin = hb.copy(), theta.copy()
+    assert vars(hb_twin) == vars(hb) and hb_twin.hb is not hb.hb
+    assert vars(theta_twin) == vars(theta) and theta_twin.suspected is not theta.suspected
+    theta_twin.reconcile(set())
+    assert theta_twin.trusted_view() == frozenset({1, 2, 3}) and theta.trusted_view() == frozenset({1, 2})

@@ -272,9 +272,24 @@ def test_send_loop_retries_own_record_at_tx_frontier():
 
 def test_gossip_emitted_to_peers_only():
     node = NodeState(2, 3, 4)
+    node.rx_obs[1], node.rx_obs[3] = 5, 7
     result = node.do_forever_iteration(view(3))
-    gossips = [(dst, m) for dst, m in result.outgoing if isinstance(m, Gossip)]
-    assert [dst for dst, _ in gossips] == [1, 3]
+    assert not result.outgoing  # nothing buffered, so no MSG
+    # one gossip per peer, in `HeartbeatState.peers` order: node 1, then node 3
+    assert [(type(m), m.rx_obs) for m in result.gossips] == [(Gossip, 5), (Gossip, 7)]
+
+
+def test_the_view_heartbeat_list_is_only_read():
+    # the simulator passes its live heartbeat list, uncopied
+    node = NodeState(1, 3, 4)
+    node.seq = 1
+    node.buffer = [record("m", 1, 1, 3, rec_by={1})]
+    counts = [0, 5, 6, 7]
+    result = node.do_forever_iteration(DetectorView(frozenset({1, 2, 3}), counts))
+    node.urb_broadcast(DetectorView(frozenset({1, 2, 3}), counts), "n")
+    assert [dst for dst, _ in result.outgoing] == [1, 2, 3]  # step (f) read the counts
+    assert node.buffer[0].prev_hb == [-1, 5, 6, 7]
+    assert counts == [0, 5, 6, 7]
 
 
 @pytest.mark.parametrize("trusted", [set(), {1}], ids=["nobody-trusted", "self-trusted"])
@@ -422,3 +437,22 @@ def test_fifo_delivery_waits_for_cursor():
     result = node.do_forever_iteration(view(3))
     assert result.delivered == [(2, 1), (2, 2)]
     assert node.next_deliver[2] == 3
+
+
+# -- copy -------------------------------------------------------------------------
+
+
+def test_copy_never_calls_observe(monkeypatch):
+    node = NodeState(2, 3, 4, fifo=True)
+    node.do_forever_iteration(view(3))  # stores an idle memo
+    node.buffer = [record("m", 2, 1, 3, rec_by={1, 2})]
+    node.pending.append("queued")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("copy ran _observe")
+
+    monkeypatch.setattr(NodeState, "_observe", refuse)
+    twin = node.copy()
+    assert vars(twin) == vars(node)
+    assert twin.buffer[0] is not node.buffer[0] and twin.buffer[0].rec_by is not node.buffer[0].rec_by
+    assert twin.observed is node.observed  # replaced, never mutated, so shared

@@ -1,6 +1,6 @@
 """The scripts under `scripts/` start, `complexity.py` writes its tables
 in the shape the old per-experiment scripts wrote them, and `sample.py`
-charges a run's samples to `ssurb` functions and lines."""
+charges a run's samples to `ssurb` functions, lines and layers."""
 
 import json
 import signal
@@ -101,4 +101,7 @@ def test_the_sampler_charges_one_scenario_to_ssurb():
     functions, lines = sample.tables(samples)
     assert sum(functions.values()) == sum(lines.values()) == sum(samples.values()) > 0 and seconds > 0
     assert "sim.py:Simulation._steps" in functions
+    by_layer = sample.layers(samples)  # every _steps anchor found once, or a ValueError
+    assert list(by_layer) == [layer for layer, _, _ in sample.LAYERS] + [sample.OTHER]
+    assert sum(by_layer.values()) == sum(functions.values())
     assert all(key == sample.OUTSIDE or key.split(":")[1].split()[0].isdigit() for key in lines)

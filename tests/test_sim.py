@@ -5,6 +5,8 @@ import hashlib
 import json
 import random
 
+import pytest
+
 from ssurb import checker, corruption
 from ssurb import trace as trace_mod
 from ssurb.config import CORRUPTION_KINDS, from_dict
@@ -303,6 +305,57 @@ def test_interval_snapshots_emitted():
         if e["type"] == "SNAPSHOT" and not e["boundary"]
     ]
     assert len(interval_snaps) >= 5
+
+
+def _actions_at(sim, node):
+    """Step `sim` to its stop. For each step that touches `node`: (step,
+    what, the node's buffer length after the step), what being GROW for its
+    BROADCAST or CORRUPT record, ITERATE for its iteration, or the kind of a
+    packet delivered to it."""
+    seen, events = [], sim.trace.events
+    while sim.stop_reason is None and sim.step < sim.cfg.max_steps:
+        step, start = sim.step, len(sim.trace.records)
+        sim.step_once()
+        held = len(sim.nodes[node].state.buffer)
+        for e in (events[k] for k in range(start, len(sim.trace.records))):
+            if e["type"] in ("BROADCAST", "CORRUPT") and e["node"] == node:
+                seen.append((step, "GROW", held))
+            elif e["type"] == "RECV" and e["dst"] == node:
+                seen.append((step, e["kind"], held))
+            elif e["type"] == "SEND" and e["src"] == node and e["kind"] == "HEARTBEAT":
+                seen.append((step, "ITERATE", held))
+                break
+    return seen
+
+
+@pytest.mark.parametrize(
+    "raw, node, growth, peak",
+    [
+        pytest.param(
+            {"n": 2, "buffer_unit_size": 1, "seed": 14, "max_steps": 300,
+             "broadcasts": [{"node": 1, "payload": "a"}, {"node": 1, "step": 40, "payload": "b"}]},
+            1, 40, {"1": 2, "2": 1}, id="broadcast-request",
+        ),
+        pytest.param(
+            {"n": 2, "buffer_unit_size": 2, "seed": 4, "max_steps": 400,
+             "broadcasts": [{"node": 1, "payload": "a"}],
+             "fault_plan": {"corruptions": [{"node": 2, "step": 60, "kind": "RANDOMIZE-ALL"}]}},
+            2, 60, {"1": 1, "2": 3}, id="corruption",
+        ),
+    ],
+)
+def test_peak_buffer_sees_a_grown_buffer_at_the_next_delivery(raw, node, growth, peak):
+    """A broadcast request or a corruption grows the node's buffer; its next
+    event is a HEARTBEAT delivery, whose sample alone sees the grown length,
+    and then an iteration trims it. `peak_buffer` is pinned at the value
+    of a simulator that samples after every iteration and delivery."""
+    sim = Simulation(from_dict(raw))
+    seen = _actions_at(sim, node)
+    at = next(k for k, (step, what, _) in enumerate(seen) if what == "GROW" and step == growth)
+    (_, _, grown), (_, first, _), (_, second, trimmed) = seen[at:at + 3]
+    assert (first, second) == ("HEARTBEAT", "ITERATE") and trimmed < grown
+    assert all(held < grown for _, what, held in seen[:at] + seen[at + 2:] if what != "GROW")
+    assert sim.run().metrics["peak_buffer"] == peak and peak[str(node)] == grown
 
 
 def report_digest(result):
