@@ -76,7 +76,7 @@ OTHER = "other"
 LAYERS = (
     ("scheduler draw", ("sim.py:WeightTree.*", "sim.py:Simulation._prologue", "sim.py:Simulation._next_due",
                         "sim.py:Simulation._reweigh"),
-     ("def _steps(", "total = wt.total")),
+     ("def _steps(", "total = tree[root]")),
     ("delivery and handlers", ("node.py:NodeState.on_*", "node.py:NodeState.update", "node.py:NodeState.urb_broadcast",
                                "node.py:NodeState.check_overflow", "detectors.py:HeartbeatState.on_heartbeat",
                                "sim.py:Simulation._request_broadcast", "sim.py:Simulation._crash",

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from copy import deepcopy
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
@@ -98,13 +97,14 @@ class NodeState:
 
     def copy(self) -> NodeState:
         """A node with this one's state, built without `__init__` (and its
-        `_observe`), `observed` shared: it is replaced, never mutated. The
-        memo is copied deep, so that the twin shares no list with it."""
+        `_observe`), `observed` shared: it is replaced, never mutated. Of the
+        memo only the three lists are copied; the rest is never mutated."""
         twin = object.__new__(NodeState)
         twin.self_id, twin.n, twin.buffer_unit_size = self.self_id, self.n, self.buffer_unit_size
         twin.fifo, twin.maxint, twin.seq = self.fifo, self.maxint, self.seq
         twin.reset_phase, twin.observed = self.reset_phase, self.observed
-        twin.idle_memo = deepcopy(self.idle_memo)
+        memo = self.idle_memo  # (trusted, seq, phase, rx_obs, tx_obs, cursors, observed, gossips)
+        twin.idle_memo = memo and memo[:3] + (memo[3][:], memo[4][:], memo[5][:]) + memo[6:]
         twin.rx_obs, twin.tx_obs = self.rx_obs[:], self.tx_obs[:]
         twin.next_deliver, twin.pending = self.next_deliver[:], self.pending.copy()
         twin.buffer = [

@@ -12,16 +12,17 @@ global reset barrier, and appends everything to the trace.
 
 One step loop, `_steps`, drives both `run` and `step_once` and binds what
 every step reads once per call. Every action has a fixed slot, the n node
-iterations and then the n^2 channels in (src, dst) order, weighted in a
-Fenwick tree (`WeightTree`) that a step descends in O(log n^2), drawing the
-schedule an explicit weighted list would give. A channel weighs 4 + 4*len
-while non-empty towards a live node and 0 otherwise. A delivery, inline in
-the loop, pops one packet, moves its channel's tree path unless a DUP puts
-it back, and, for a MSG, pushes the MSGACK that answers it and moves that
-channel's path. An iteration sends three typed runs, heartbeats, MSGs and
-gossips, moving each grown channel's path once (`_iterate_action`). Pending
-trace lines are hashed only after iterations, and `peak_buffer` is sampled
-only where a buffer can have grown (see `__init__`).
+iterations and then the n^2 channels in (src, dst) order, with a ticket per
+unit of its weight in a sorted list (`WeightTree`): one list up to n = 16,
+so a step draws one index, the schedule an explicit weighted list would
+give. A channel weighs 4 + 4*len while non-empty towards a live node and 0
+otherwise. A delivery, inline in the loop, pops one packet and deletes its
+drawn ticket unless a DUP puts it back, and, for a MSG, pushes the MSGACK
+that answers it and inserts that channel's tickets. An iteration sends
+three typed runs, heartbeats, MSGs and gossips, inserting each grown
+channel's tickets once (`_iterate_action`). Pending trace lines are hashed
+only after iterations, and `peak_buffer` is sampled only where a buffer can
+have grown (see `__init__`).
 
 Cycle accounting is O(1) per step: two running counts, the live gossip
 pairs not yet seen and the live nodes whose round-trip clause is not yet
@@ -56,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 from . import corruption
@@ -80,6 +82,7 @@ from .wire import Gossip, Heartbeat, Msg, MsgAck, WireMessage, encode, message_i
 
 
 _NOBODY: frozenset[int] = frozenset()
+GROUP_SLOTS = 272  # n + n^2 at n = 16: one ticket list up to there (see `WeightTree`)
 
 
 def _line_table(etype: str, n: int, cause: str | None = None) -> dict[type, tuple[int, list[str], str]]:
@@ -98,54 +101,52 @@ def payload_hash(payload: str) -> str:
 
 
 class WeightTree:
-    """Integer weights over fixed slots, kept in a Fenwick tree (Fenwick 1994).
+    """Integer weights over `rows` rows of `row` slots, each weight a multiple
+    of `unit`, kept as sorted ticket lists (lottery scheduling, Waldspurger &
+    Weihl 1994): slot s appears weights[s] // unit times in the list of its
+    group, the `per` slots of whole rows (GROUP_SLOTS at most, or one row).
+    `tree` is a Fenwick tree (Fenwick 1994) over the group totals, its last
+    node the total; `paths[g]` lists the nodes whose ranges hold group g.
 
     The step loop draws from it inline, exactly as `random.choices(slots,
     weights)` would over the slots of non-zero weight, in slot order: one
     `random()` scaled by the total and truncated to an integer x, clamped
-    to total - 1 when rounding puts the draw at the total, and a descent
-    along `descent` to the first slot whose prefix sum exceeds x.
+    to total - 1 when rounding puts the draw at the total; a descent along
+    `descent`, empty with one group, to the first group whose prefix sum
+    exceeds x, less the groups before it; and ticket x // unit of its list.
     `random.choices` bisects for the first prefix sum above the unrounded
-    draw; prefix sums are integers, so a prefix sum exceeds the draw exactly
-    when it exceeds x, and the clamp lands on the last slot of non-zero
-    weight, where `choices` lands such a draw. Zero-weight slots can never
-    be drawn.
-
-    The tree spans the smallest power of two above `size`, the slots past
-    `size` weighing 0, so a descent needs no bounds check: x < total, so it
-    ends below `size`. `paths[slot]` lists the tree nodes whose ranges hold
-    the slot: moving its weight by d adds d to `weights[slot]`, to `total`
-    and to each of those nodes.
+    draw; prefix sums are integers, so one exceeds the draw exactly when it
+    exceeds x, and multiples of `unit`, so slot s holds x exactly when its
+    tickets hold index x // unit. The clamp takes the last ticket, of the
+    last slot of non-zero weight, where `choices` lands such a draw. The
+    tree spans a power of two of groups, those past the last weighing 0, so
+    a descent needs no bounds check: x < total, so it ends at a group.
     """
 
-    def __init__(self, size: int):
-        self.size = size
-        self.weights = [0] * size
-        self.total = 0
-        span = 1 << size.bit_length()
+    def __init__(self, rows: int, row: int, unit: int):
+        self.unit, self.per = unit, row * max(1, GROUP_SLOTS // row)
+        groups = -(-rows * row // self.per)
+        self.weights, self.tickets = [0] * (rows * row), [[] for _ in range(groups)]
+        span = 1 << (groups - 1).bit_length()
         self.tree = [0] * (span + 1)
         self.descent = tuple(span >> k for k in range(1, span.bit_length()))  # span/2, ..., 1
-        index = list(range(span + 1))  # one int object per node, shared by the paths
-        self.paths: list[tuple[int, ...]] = []
-        for slot in range(size):
-            path, i = [], slot + 1
-            while i <= span:
-                path.append(index[i])
-                i += i & -i
-            self.paths.append(tuple(path))
+        # paths[g - 1]: the nodes i whose ranges (i - lowbit(i), i] hold the g-th group
+        self.paths = [tuple(i for i in range(g, span + 1) if i - (i & -i) < g) for g in range(1, groups + 1)]
 
     def set(self, slot: int, weight: int) -> None:
-        delta = weight - self.weights[slot]
-        if delta:
+        old, group = self.weights[slot], slot // self.per
+        if weight != old:
+            tickets = self.tickets[group]
+            at = bisect_left(tickets, slot)  # where its block of old // unit tickets starts
+            tickets[at:at + old // self.unit] = [slot] * (weight // self.unit)
             self.weights[slot] = weight
-            self.total += delta
-            for i in self.paths[slot]:
-                self.tree[i] += delta
+            for i in self.paths[group]:
+                self.tree[i] += weight - old
 
     def copy(self) -> WeightTree:
         twin = object.__new__(WeightTree)  # reading vars(self) would slow self's attribute reads
-        twin.size, twin.total, twin.descent, twin.paths = self.size, self.total, self.descent, self.paths
-        twin.weights, twin.tree = self.weights[:], self.tree[:]
+        twin.unit, twin.per, twin.descent, twin.paths = self.unit, self.per, self.descent, self.paths
+        twin.weights, twin.tree, twin.tickets = self.weights[:], self.tree[:], [t[:] for t in self.tickets]
         return twin
 
 
@@ -221,12 +222,13 @@ class Simulation:
         n = cfg.n
         self.nodes = {i: SimNode(i, cfg) for i in range(1, n + 1)}
         self.live = list(self.nodes)  # rebound, never mutated: events hold it
-        # scheduler slots: iterate node i at i-1, channel (a, b) at
-        # n + (a-1)*n + (b-1), i.e. nodes ascending, then channels sorted
-        self.weights = WeightTree(n + n * n)
+        # scheduler slots, a row of n each: iterate node i at i-1 (row 0),
+        # channel (a, b) at n + (a-1)*n + (b-1) (row a); every weight is a
+        # multiple of 4 but the starved node's 1
+        starving = cfg.scheduler_profile == "starve-one-node"
+        self.weights = WeightTree(n + 1, n, 1 if starving else 4)
         for i in self.nodes:
-            starved = i == 1 and cfg.scheduler_profile == "starve-one-node"
-            self.weights.set(i - 1, 1 if starved else 8)
+            self.weights.set(i - 1, 1 if starving and i == 1 else 8)
         self.send_lines, self.recv_lines, self.dup_lines = (
             _line_table(etype, n) for etype in ("SEND", "RECV", "DUP"))
         self.drop_lines, self.overflow_lines = (_line_table("OMIT", n, c) for c in ("drop", "overflow"))
@@ -433,8 +435,9 @@ class Simulation:
     def _iterate_action(self, i: int) -> None:
         """Node i's iteration and its three send runs: heartbeats and gossips to
         `hb.peers` in order, MSGs between. No draw falls in between, so each
-        grown channel moves its Fenwick path once, to its final weight: a peer
-        channel after its gossip, the self channel after the MSG run."""
+        grown channel inserts its tickets once, for its final weight: a peer
+        channel after its gossip, the self channel after the MSG run; row i's
+        group moves its tree path once."""
         node = self.nodes[i]
         theta, hb = node.theta, node.hb
         if self.crashed_at or theta.suspected:  # otherwise nothing is suspected, nor to be
@@ -457,8 +460,9 @@ class Simulation:
                 packets.append((beat, step))
             else:
                 self._overflow(beat, i, dst)
-        wt = self.weights
-        tree, weights, paths = wt.tree, wt.weights, wt.paths
+        wt, moved = self.weights, 0
+        weights, unit, group = wt.weights, wt.unit, row[i].slot // wt.per
+        tickets = wt.tickets[group]
         if sent:
             code, heads, tail = self.send_lines[Msg]
             sends["MSG"] += len(sent)
@@ -474,16 +478,16 @@ class Simulation:
             delta = 4 + 4 * len(own.packets) - weights[own.slot] if own.packets else 0
             if delta:
                 weights[own.slot] += delta
-                wt.total += delta
-                for k in paths[own.slot]:
-                    tree[k] += delta
+                moved += delta
+                pos = bisect_right(tickets, own.slot)
+                tickets[pos:pos] = [own.slot] * (delta // unit)
             if i not in self.ct_satisfied:
                 self.ct_pending[i].append({(dst, msg.sender, msg.seq) for dst, msg in sent})
         elif i not in self.ct_satisfied:
             self._satisfy(i)
         code, heads, tail = self.send_lines[Gossip]
         sends["GOSSIP"] += len(gossips)
-        end, moved = at + tail, 0
+        end = at + tail
         for dst, gossip in zip(peers, gossips):
             append_record(code)
             append_line(heads[dst] + end)
@@ -499,9 +503,10 @@ class Simulation:
                 if delta:
                     weights[slot] += delta
                     moved += delta
-                    for k in paths[slot]:
-                        tree[k] += delta
-        wt.total += moved
+                    pos = bisect_right(tickets, slot)
+                    tickets[pos:pos] = [slot] * (delta // unit)
+        for k in wt.paths[group]:
+            wt.tree[k] += moved
         if delivered:
             mine = self.delivered_sets[i]
             for sender, seq in delivered:
@@ -721,15 +726,16 @@ class Simulation:
     def _steps(self, count: int) -> None:
         """Take `count` steps, fewer if one sets a stop reason. A step runs
         the scheduled faults and broadcasts when due, draws an integer below
-        the total weight and descends the weight tree to its slot (inline,
-        as `WeightTree` describes), runs that node's iteration or delivers
-        one packet of that channel, and then drives the reset barrier, cycle
-        accounting and interval snapshots. What a delivery reads is bound
-        here once per call."""
+        the total weight and takes its ticket's slot (inline, as `WeightTree`
+        describes), runs that node's iteration or delivers one packet of that
+        channel, deleting the tickets of the weight it loses from the drawn
+        one's block, and then drives the reset barrier, cycle accounting and
+        interval snapshots. What a delivery reads is bound here once per call."""
         n, channel_slots = self.cfg.n, self.channel_slots
         nodes = [None] + [self.nodes[i] for i in range(1, n + 1)]  # nodes[i] is node i
         wt = self.weights
-        tree, weights, paths, descent = wt.tree, wt.weights, wt.paths, wt.descent
+        tree, weights, paths, descent, lists = wt.tree, wt.weights, wt.paths, wt.descent, wt.tickets
+        root, unit, per, shrink, empty = len(tree) - 1, wt.unit, wt.per, 4 // wt.unit, 8 // wt.unit
         rand, getrandbits = self.rng.random, self.rng.getrandbits
         reorder, omission, duplication = self.reorder_prob, self.omission_prob, self.duplication_prob
         trace = self.trace
@@ -751,16 +757,18 @@ class Simulation:
                 if not self.live:  # a crash, due only here, emptied it
                     self.stop_reason = "all-crashed"
                     return
-            total = wt.total
+            total = tree[root]
             x = int(rand() * total)
             if x >= total:  # the draw rounded to the total
                 x = total - 1
-            slot = 0
-            for d in descent:
-                weight = tree[slot + d]
+            group = 0
+            for d in descent:  # empty while one group holds every slot
+                weight = tree[group + d]
                 if weight <= x:
-                    slot += d
+                    group += d
                     x -= weight
+            tickets, at = lists[group], x // unit
+            slot = tickets[at]
             if slot < n:
                 self._iterate_action(slot + 1)
                 if len(pending) >= CHUNK_LINES:  # a delivery adds at most four lines
@@ -783,11 +791,15 @@ class Simulation:
                     counts["duplications"] += 1
                     table = dups
                 else:
-                    delta = -4 if held > 1 else -8
-                    weights[slot] += delta
-                    wt.total = total + delta
-                    for i in paths[slot]:
-                        tree[i] += delta
+                    cut = shrink if held > 1 else empty  # the tickets of weight 4, or of 8 for the last
+                    weights[slot] -= cut * unit
+                    if cut == 1:
+                        del tickets[at]
+                    else:  # the first `cut` of its block, which may start before the drawn ticket
+                        at = bisect_left(tickets, slot, at + 1 - cut if at >= cut else 0, at)
+                        del tickets[at:at + cut]
+                    for i in paths[group]:
+                        tree[i] -= cut * unit
                     table = drops if dropped else None
                 if table is not None:  # the OMIT or DUP line
                     code, heads, tail = table[cls]
@@ -833,11 +845,13 @@ class Simulation:
                             else:
                                 back.packets.append((ack, step))
                                 if back.dst_live:  # it weighs 4 more, or 8 if it was empty
-                                    delta = 4 if len(back.packets) > 1 else 8
-                                    weights[back.slot] += delta
-                                    wt.total += delta
-                                    for i in paths[back.slot]:
-                                        tree[i] += delta
+                                    cut, slot = shrink if len(back.packets) > 1 else empty, back.slot
+                                    weights[slot] += cut * unit
+                                    back_tickets = lists[slot // per]
+                                    at = bisect_right(back_tickets, slot)
+                                    back_tickets[at:at] = [slot] * cut
+                                    for i in paths[slot // per]:
+                                        tree[i] += cut * unit
                         else:
                             state.on_msg_ack(sender, seq, src)
                             if dst not in self.ct_satisfied:

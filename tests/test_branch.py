@@ -155,9 +155,11 @@ def test_branch_rejects_other_configs_and_past_faults():
 
 
 # values never mutated after construction, which a branch shares, by name;
-# `records[]` are the trace's events as appended
+# `records[]` are the trace's events as appended, `paths` the weight tree's
+# table of group paths, and `idle_memo[6]` the idle memo's `observed`, which
+# like the node's own is replaced, never mutated
 SHARED = {"cfg", "live", "schedule", "send_lines", "recv_lines", "dup_lines", "drop_lines",
-          "overflow_lines", "paths", "descent", "observed", "peers", "records[]"}
+          "overflow_lines", "paths", "observed", "idle_memo[6]", "peers", "records[]"}
 WALKED = (Simulation, SimNode, NodeState, BufferRecord, HeartbeatState, ThetaState, Channel,
           WeightTree, Trace, TraceEvents)
 IMMUTABLE = (int, float, str, bytes, bool, type(None), frozenset)
@@ -177,7 +179,11 @@ def assert_equal_unshared(a, b, name="sim"):
         assert a.keys() == b.keys(), name
         for key in a:
             assert_equal_unshared(a[key], b[key], f"{name}[]")
-    elif isinstance(a, (list, tuple, deque)):
+    elif isinstance(a, tuple):  # its items by position
+        assert len(a) == len(b), name
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_equal_unshared(x, y, f"{name}[{k}]")
+    elif isinstance(a, (list, deque)):
         assert len(a) == len(b), name
         for x, y in zip(a, b):
             assert_equal_unshared(x, y, f"{name}[]")

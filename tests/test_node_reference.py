@@ -207,9 +207,9 @@ def _copy_with_a_memo(node, view):
     _iterate_both(node, ref, view)
     _iterate_both(node, ref, view)
     twin = node.copy()
-    if node.idle_memo is not None:  # equal, and no list of it shared
+    if node.idle_memo is not None:  # equal, and none of its three lists shared
         assert twin.idle_memo == node.idle_memo
-        assert all(a is not b for a, b in zip(twin.idle_memo[3:7], node.idle_memo[3:7]))
+        assert all(a is not b for a, b in zip(twin.idle_memo[3:6], node.idle_memo[3:6]))
     for _ in range(2):
         _iterate_both(twin, node, view)
         ref.do_forever_iteration(view)

@@ -1,11 +1,14 @@
 """The incremental scheduler and cycle accounting: the step loop's
-Fenwick-tree draw picks what `random.choices` over the explicit weighted
-action list picks, and the weights, the missing-gossip count and the
-unsatisfied-node count kept up to date step by step equal the rule
-recomputed from scratch."""
+ticket-list draw picks what `random.choices` over the explicit weighted
+action list picks, and the weights, their ticket lists, the missing-gossip
+count and the unsatisfied-node count kept up to date step by step equal the
+rule recomputed from scratch."""
 
 import random
 from collections import Counter
+
+import pytest
+from reference import sim_1e25b3a
 
 from ssurb.config import from_dict
 from ssurb.sim import Simulation
@@ -34,20 +37,30 @@ def _expected_weights(sim):
     return weights
 
 
-def _fenwick_consistent(tree):
-    inner = tree.tree
-    return all(
-        inner[i] == sum(tree.weights[i - (i & -i):i]) for i in range(1, tree.size + 1)
-    )
+def _tickets_consistent(wt, row):
+    """Each group of whole rows of `row` slots has a sorted ticket list that
+    holds each of its slots s weights[s] // unit times, and the tree over the
+    group totals holds their Fenwick range sums, its last node their sum."""
+    weights, unit, per = wt.weights, wt.unit, wt.per
+    assert per % row == 0 and len(wt.tickets) == -(-len(weights) // per)
+    totals = []
+    for group, tickets in enumerate(wt.tickets):
+        slots = range(group * per, min(group * per + per, len(weights)))
+        assert all(weights[s] % unit == 0 for s in slots)
+        assert tickets == [s for s in slots for _ in range(weights[s] // unit)]
+        totals.append(sum(weights[s] for s in slots))
+    span = len(wt.tree) - 1
+    totals += [0] * (span - len(totals))
+    assert all(wt.tree[i] == sum(totals[i - (i & -i):i]) for i in range(1, span + 1))
+    assert wt.tree[span] == sum(weights)
 
 
 def _check_the_rule(sim):
-    """The incrementally kept weights, Fenwick tree and cycle counters equal
-    their from-scratch values; returns the weights."""
+    """The incrementally kept weights, ticket lists, group tree and cycle
+    counters equal their from-scratch values; returns the weights."""
     weights = _expected_weights(sim)
     assert sim.weights.weights == weights
-    assert sim.weights.total == sum(weights)
-    assert _fenwick_consistent(sim.weights)
+    _tickets_consistent(sim.weights, sim.cfg.n)
     live = [i for i in sim.nodes if not sim.nodes[i].crashed]
     assert sim.live == live
     recount = sum(
@@ -77,9 +90,10 @@ def _step_checking_the_rule(sim):
     and a step with no scheduled fault or broadcast due draws the slot
     `random.choices` draws over the weights from a copy of the rng. Returns
     the number of deliveries that popped a packet from behind the head of
-    its queue."""
+    its queue, and the set of slots drawn."""
     assert sim.cfg.n >= 2
     middle_pops = draws = 0
+    drawn = set()
     while sim.step < sim.cfg.max_steps and sim.stop_reason is None:
         weights = _check_the_rule(sim)
         expected = None
@@ -95,6 +109,7 @@ def _step_checking_the_rule(sim):
         slot = _drawn_slot(sim, sim.trace.events[before])
         assert slot == expected
         draws += 1
+        drawn.add(slot)
         if slot >= sim.cfg.n:
             # the head stays the head only when a packet behind it was popped
             head = heads[slot - sim.cfg.n]
@@ -103,7 +118,7 @@ def _step_checking_the_rule(sim):
                 middle_pops += 1
     _check_the_rule(sim)
     assert draws > sim.step // 2
-    return middle_pops
+    return middle_pops, drawn
 
 
 def test_pick_matches_random_choices_in_lockstep():
@@ -195,7 +210,7 @@ def test_fused_send_and_deliver_paths_keep_the_rule_every_step():
         }
     )
     sim = Simulation(cfg)
-    middle_pops = _step_checking_the_rule(sim)
+    middle_pops, _ = _step_checking_the_rule(sim)
     events = sim.trace.events
     assert any(e["type"] == "DUP" for e in events)
     assert {e["cause"] for e in events if e["type"] == "OMIT"} == {"drop", "overflow"}
@@ -204,34 +219,87 @@ def test_fused_send_and_deliver_paths_keep_the_rule_every_step():
 
 
 class _CountedWrites(list):
-    """A Fenwick tree's node list that counts the writes to each node."""
+    """A list that counts its item writes by index and its slice writes, the
+    ticket inserts, by the slot they insert."""
 
-    def __init__(self, nodes):
-        super().__init__(nodes)
+    def __init__(self, items):
+        super().__init__(items)
         self.writes = Counter()
 
     def __setitem__(self, i, value):
-        self.writes[i] += 1
+        self.writes[value[0] if isinstance(i, slice) else i] += 1
         super().__setitem__(i, value)
 
 
 def test_an_iteration_moves_each_channel_weight_once():
     # an iteration's heartbeats, MSGs and gossip form one batch: each
-    # destination channel's Fenwick path is written once, not once per packet
-    cfg = from_dict({"n": 4, "seed": 0})
+    # destination channel inserts its tickets once, not once per packet, and
+    # its row's group path is written once; at n = 20 row 20 is in the second group
+    for n, i, group in ((4, 1, 0), (20, 20, 1)):
+        sim = Simulation(from_dict({"n": n, "seed": 0}))
+        sim._request_broadcast(i, "p")
+        wt = sim.weights
+        assert sim.channels[(i, i)].slot // wt.per == group
+        tickets = wt.tickets[group] = _CountedWrites(wt.tickets[group])
+        tree = wt.tree = _CountedWrites(wt.tree)
+        before = len(sim.trace.records)
+        sim._iterate_action(i)
+        sends = [e for e in sim.trace.events[before:] if e["type"] == "SEND"]
+        channels = {(e["src"], e["dst"]) for e in sends}
+        assert {e["kind"] for e in sends} == {"MSG", "GOSSIP", "HEARTBEAT"}
+        assert len(sends) > len(channels)
+        assert tickets.writes == Counter(sim.channels[key].slot for key in channels)
+        assert tree.writes == Counter(wt.paths[group])
+        assert wt.weights == _expected_weights(sim)
+        _tickets_consistent(wt, n)
+
+
+@pytest.mark.parametrize("n, profile", [(17, "starve-one-node"), (20, "uniform"), (33, "reorder-heavy")])
+def test_pick_matches_random_choices_over_several_groups(n, profile):
+    # n + n^2 slots past one group's 272: 2, 2 and 5 ticket lists; the
+    # starved node's weight 1 makes the ticket unit 1, and a crash zeroes
+    # the node's slot and its channels' in every group
+    cfg = from_dict(
+        {
+            "n": n,
+            "seed": n,
+            "stop_mode": "max-steps",
+            "max_steps": 150,
+            "scheduler_profile": profile,
+            "broadcasts": [{"node": 1 + 7 * k % n, "payload": f"m{k}"} for k in range(3)],
+            "fault_plan": {"omission_prob": 0.1, "crashes": [{"node": n - 1, "step": 60}], "detection_latency": 5},
+        }
+    )
     sim = Simulation(cfg)
-    sim._request_broadcast(1, "p")
-    tree = sim.weights.tree = _CountedWrites(sim.weights.tree)
-    before = len(sim.trace.records)
-    sim._iterate_action(1)
-    sends = [e for e in sim.trace.events[before:] if e["type"] == "SEND"]
-    channels = {(e["src"], e["dst"]) for e in sends}
-    assert {e["kind"] for e in sends} == {"MSG", "GOSSIP", "HEARTBEAT"}
-    assert len(sends) > len(channels)
-    paths = sim.weights.paths
-    assert tree.writes == Counter(i for key in channels for i in paths[sim.channels[key].slot])
-    assert sim.weights.weights == _expected_weights(sim)
-    assert _fenwick_consistent(sim.weights)
+    assert (len(sim.weights.tickets), sim.weights.unit) == (
+        {17: 2, 20: 2, 33: 5}[n], 1 if profile == "starve-one-node" else 4)
+    _, drawn = _step_checking_the_rule(sim)
+    assert len({slot // sim.weights.per for slot in drawn}) > 1
+    assert any(e["type"] == "CRASH" for e in sim.trace.events)
+
+
+def test_a_run_over_two_groups_equals_the_reference():
+    # the vendored simulator draws with random.choices over an explicit list
+    cfg = from_dict(
+        {
+            "n": 20,
+            "seed": 5,
+            "max_steps": 3000,
+            "scheduler_profile": "reorder-heavy",
+            "broadcasts": [{"node": 1 + 3 * k, "payload": f"m{k}"} for k in range(4)],
+            "fault_plan": {
+                "omission_prob": 0.05,
+                "duplication_prob": 0.05,
+                "crashes": [{"node": 19, "step": 200}],
+                "detection_latency": 10,
+            },
+        }
+    )
+    sim = Simulation(cfg)
+    assert len(sim.weights.tickets) == 2
+    metrics = sim.run().metrics
+    assert metrics == sim_1e25b3a.run_scenario(cfg).metrics
+    assert metrics["steps"] > 1000
 
 
 def test_overflow_omits_follow_their_send_at_capacity_one():
