@@ -18,7 +18,10 @@ reports; otherwise the script names the first difference and exits 1.
 For each shape and timer it prints, for other/this and for this/this (the
 A/A, which shows what noise alone reads), the ratio of the summed times,
 the median of the per-scenario ratios with its quartiles and min-max, and
-the wins: the pairs in which the first tree took less time.
+the wins: the pairs in which the first tree took less time. `sizes` prints
+these lines for each n apart (`sizes/n16`, `sizes/n32`, `sizes/n64`), each
+beside its own A/A, since a per-step cost that changes with n would hide in
+one pooled ratio.
 
     python3 scripts/ab.py ../parent --shape scale --rounds 9
 """
@@ -114,11 +117,27 @@ def compare(shape: str, trees: dict, seed: int, rounds: int) -> bool:
                     if mine != theirs:
                         print(f"{shape} scenario {index}: {side} {what} differ from this tree's")
                         return False
-    for timer in TIMERS:
-        for side in ("other", "this2"):
-            label = "other/this" if side == "other" else "this/this "
-            print(f"{shape:10} {timer:12} {label}  {summary(times[side, timer], times['this', timer])}")
+    print("\n".join(report(shape, cfgs["this"], times)))
     return True
+
+
+def report(shape: str, cfgs: list, times: dict) -> list[str]:
+    """One line per timer and pair, over every scenario of the shape; for
+    `sizes` one per n, timer and pair, so that each n reads beside its own
+    A/A. `times[side, timer]` holds one time per scenario per round, in
+    scenario order within a round."""
+    if shape == "sizes":
+        groups = [(f"sizes/n{cfg.n}", slice(k, None, len(cfgs))) for k, cfg in enumerate(cfgs)]
+    else:
+        groups = [(shape, slice(None))]
+    lines = []
+    for name, part in groups:
+        for timer in TIMERS:
+            for side in ("other", "this2"):
+                label = "other/this" if side == "other" else "this/this "
+                ratio = summary(times[side, timer][part], times["this", timer][part])
+                lines.append(f"{name:10} {timer:12} {label}  {ratio}")
+    return lines
 
 
 def main() -> int:

@@ -15,16 +15,20 @@ evaluates, and the SHA-256 of `canonical(e)` over the run's
 `trace.events`, which shows that the events read back as the same dicts.
 A last line holds the SHA-256 of one `cli.sweep` summary over a small grid.
 
-Run it on two checkouts and compare; a change that must keep behaviour
-prints the same lines:
+A change that must keep behaviour prints the same lines. The committed
+golden file `tests/golden/battery.jsonl` holds them, so one checkout is
+enough:
+
+    python3 scripts/digest_battery.py --compare
+
+With `--compare` the lines are checked against a file as they are
+produced instead of printed, the golden file unless a path is given: the
+script prints `identical, N lines` and exits 0, or names the first
+scenario and top-level field that differ and exits 1. Another checkout's
+lines serve as well:
 
     (cd ../parent && python3 scripts/digest_battery.py) > before.jsonl
     python3 scripts/digest_battery.py --compare before.jsonl
-
-With `--compare` the lines are checked against the file as they are
-produced instead of printed: the script prints `identical, N lines` and
-exits 0, or names the first scenario and top-level field that differ and
-exits 1.
 
 With `--reference` each scenario also runs through the simulator of commit
 1e25b3a (`tests/reference/sim_1e25b3a.py`, a second implementation without
@@ -33,7 +37,7 @@ run. The script names the first scenario whose metrics, trace digest
 included, differ from the reference's on stderr and exits 1; otherwise it
 ends with `reference: identical on every line` on stderr:
 
-    python3 scripts/digest_battery.py --reference --compare before.jsonl
+    python3 scripts/digest_battery.py --reference --compare
 
 The scenarios come from this script alone (a seeded generator picks the
 mixed cells), so both sides run the same list.
@@ -47,7 +51,9 @@ import random
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+GOLDEN = os.path.join(ROOT, "tests", "golden", "battery.jsonl")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from ssurb import checker, cli, config  # noqa: E402
 from ssurb.config import CORRUPTION_KINDS, STOP_MODES, from_dict  # noqa: E402
@@ -312,7 +318,11 @@ def compare(path: str, lines) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--compare", metavar="BEFORE.jsonl", help="check the lines against this file"
+        "--compare",
+        nargs="?",
+        const=GOLDEN,
+        metavar="BEFORE.jsonl",
+        help="check the lines against this file (default: tests/golden/battery.jsonl)",
     )
     parser.add_argument(
         "--reference", action="store_true", help="check every run against the 1e25b3a simulator"
@@ -320,7 +330,7 @@ def main() -> int:
     args = parser.parse_args()
     reference = None
     if args.reference:
-        sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+        sys.path.insert(0, os.path.join(ROOT, "tests"))
         from reference.sim_1e25b3a import run_scenario as reference
 
     lines = battery_lines(reference)

@@ -87,8 +87,7 @@ LAYERS = (
                         "detectors.py:HeartbeatState.tick*", "detectors.py:ThetaState.*", "trace.py:deliver_line"),
      ("if slot < n:",)),
     ("node iteration", ("node.py:*",), ()),
-    ("snapshots", ("sim.py:Simulation._emit_snapshot*", "trace.py:snapshot_*", "trace.py:canonical",
-                   "wire.py:*.in_flight"),
+    ("snapshots", ("sim.py:Simulation._emit_snapshot*", "trace.py:snapshot_*", "trace.py:canonical"),
      ("if interval and step > 0",)),
     ("stop rule and cycle accounting", ("sim.py:Simulation._on_cycle_boundary", "sim.py:Simulation._settled_*",
                                         "sim.py:Simulation._cycle_complete*", "sim.py:Simulation._reset_cycle_tracker",

@@ -30,7 +30,9 @@ Cost. The consistency predicate has one implementation,
 `evaluate_snapshot`: it derives the facts that relate nodes once per
 snapshot, among them the first packet clause each node breaks, in one
 ordered walk over the packets in flight, and then checks each node against
-them, so a snapshot costs O(its size) rather than O(n * its size).
+them, so a snapshot costs O(its size) rather than O(n * its size). Its
+stale flag comes from `stale_packets_in_flight`, the one rule for
+corruption-era packets, which `drained_cycle` applies too.
 `snapshot_all_consistent` (the simulator's `stabilized` stop rule) and the
 FAIL witnesses are views of it. The walk reads the (message, birth step)
 pairs a `trace.Snapshot` keeps, as the simulator and `trace.read` build it;
@@ -58,11 +60,15 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .trace import PACKET_CODES, Snapshot, TraceEvents, as_snapshot, compact
+from .trace import PACKET_CODE, PACKET_CODES, Snapshot, TraceEvents, as_snapshot, compact
 from .wire import Gossip, Heartbeat, Msg, MsgAck, message_id
 
-# the codes of compact SEND records
+# the codes of compact SEND records, of SEND and RECV records, and of the
+# GOSSIP and of the HEARTBEAT SENDs and RECVs
 _SEND_CODES = frozenset(code for code, triple in enumerate(PACKET_CODES) if triple[0] == "SEND")
+_TRAFFIC_CODES = frozenset(code for code, triple in enumerate(PACKET_CODES) if triple[0] in ("SEND", "RECV"))
+_GOSSIP_CODES = [PACKET_CODE[etype, "GOSSIP", None] for etype in ("SEND", "RECV")]
+_HEARTBEAT_CODES = [PACKET_CODE[etype, "HEARTBEAT", None] for etype in ("SEND", "RECV")]
 
 
 @dataclass
@@ -122,13 +128,14 @@ def evaluate_snapshot(
     packet order, the first packet clause each node breaks. Each node's
     clauses then run in a fixed order and the first that fails is
     reported; the packet clauses take their place in that order as the
-    walk's entry for the node."""
+    walk's entry for the node. The walk skips the corruption-era packets;
+    whether any is still in flight, the verdict's `stale`, is
+    `stale_packets_in_flight`'s answer, asked only after a corruption."""
     n = header["n"]
     b = header["buffer_unit_size"]
     fifo = header["fifo_enabled"]
     nodes = {entry["id"]: entry for entry in snapshot["nodes"]}
-    crashed = {k for k, entry in nodes.items() if entry["crashed"]}
-    live = [k for k in sorted(nodes) if k not in crashed]
+    live = [k for k in sorted(nodes) if not nodes[k]["crashed"]]
     live_set = set(live)
     # live counters: the cross-node dominance clauses compare against these
     live_seq, live_rx, live_tx, live_next = {}, {}, {}, {}
@@ -153,22 +160,16 @@ def evaluate_snapshot(
 
     # the first packet clause each node breaks, against the live counters: a
     # MSG/MSGACK charges its sender, a GOSSIP its destination, then its source;
-    # and, as `stale_packets_in_flight` says, whether a non-HEARTBEAT packet
-    # born by the last corruption is in flight to a node not crashed
+    # packets born by the last corruption are `stale_packets_in_flight`'s
     packet_breach: dict[int, str] = {}
-    stale = False
     born_after = _NONE if last_corrupt_step is None else last_corrupt_step
     for src, dst, packets in as_snapshot(snapshot)["channels"]:
         if dst not in live_set:
-            if dst not in crashed and not stale:  # a destination the snapshot does not hold
-                stale = any(type(msg) is not Heartbeat and birth <= born_after for msg, birth in packets)
             continue
         for msg, birth in packets:
-            cls = type(msg)
             if birth <= born_after:
-                if cls is not Heartbeat:
-                    stale = True
                 continue
+            cls = type(msg)
             if cls is Msg or cls is MsgAck:
                 sender = msg.sender
                 if sender not in packet_breach and msg.seq > live_seq[sender]:
@@ -265,6 +266,7 @@ def evaluate_snapshot(
                 return "peer-buffer-bound"
         return None
 
+    stale = last_corrupt_step is not None and stale_packets_in_flight(snapshot, last_corrupt_step)
     if node_id is not None:
         clause = clause_of(node_id)
         return SnapshotVerdict(stale, None if clause is None else node_id, clause)
@@ -278,7 +280,10 @@ def evaluate_snapshot(
 
 def stale_packets_in_flight(snapshot: dict, last_corrupt_step: int | None) -> bool:
     """True while corruption-era protocol packets are still in transit toward
-    live nodes; their consumption can re-poison node state."""
+    live nodes; their consumption can re-poison node state. Such a packet is
+    not a HEARTBEAT and was born by `last_corrupt_step`; a live node is any
+    destination that has not crashed, one the snapshot holds no node for
+    included. `SnapshotVerdict.stale` is this answer."""
     if last_corrupt_step is None:
         return False
     crashed = {e["id"] for e in snapshot["nodes"] if e["crashed"]}
@@ -579,7 +584,9 @@ def termination_check(ti: TraceIndex) -> CheckReport:
 
 def quiescence_check(ti: TraceIndex) -> CheckReport:
     """Zero MSG/MSGACK traffic for delivered broadcasts inside the final
-    quiescence window; control gossip and heartbeats keep flowing."""
+    quiescence window; control gossip and heartbeats keep flowing. The
+    window's MSG/MSGACK SENDs and RECVs are read from the index, and its
+    GOSSIP and HEARTBEAT SENDs and RECVs counted by their codes."""
     if ti.end_reason != "complete-delivery":
         return CheckReport(
             "quiescence",
@@ -595,39 +602,22 @@ def quiescence_check(ti: TraceIndex) -> CheckReport:
         )
     records = ti.records
     tracked = {_mid(records[pos]) for pos in ti.within(ti.broadcasts, epoch)}
-    msg_events = 0
-    gossip_events = 0
-    heartbeat_events = 0
-    witness = None
-    for pos in range(cycles[-w], epoch.stop):
-        record = records[pos]
-        cls = type(record)
-        if cls is int:
-            etype, kind, _ = PACKET_CODES[record]
-            mid = step = None
-        elif cls is tuple:
-            etype, kind, _ = PACKET_CODES[record[0]]
-            mid, step = (record[1], record[2]), record[3]
-        else:
-            continue
-        if etype != "SEND" and etype != "RECV":
-            continue
-        if kind in ("MSG", "MSGACK"):
-            if mid in tracked:
-                msg_events += 1
-                if witness is None:
-                    witness = {"step": step, "kind": kind, "mid": list(mid)}
-        elif kind == "GOSSIP":
-            gossip_events += 1
-        elif kind == "HEARTBEAT":
-            heartbeat_events += 1
+    window = range(cycles[-w], epoch.stop)
+    hits = [
+        pos
+        for pos in ti.within(ti.mid_sends, window) + ti.within(ti.mid_others, window)
+        if records[pos][0] in _TRAFFIC_CODES and records[pos][1:3] in tracked
+    ]
+    codes = records[window.start:window.stop]
     measured = {
-        "msg_events_in_window": msg_events,
-        "gossip_events_in_window": gossip_events,
-        "heartbeat_events_in_window": heartbeat_events,
+        "msg_events_in_window": len(hits),
+        "gossip_events_in_window": sum(map(codes.count, _GOSSIP_CODES)),
+        "heartbeat_events_in_window": sum(map(codes.count, _HEARTBEAT_CODES)),
         "window_cycles": w,
     }
-    if msg_events:
+    if hits:
+        code, sender, seq, step = records[min(hits)]  # the window's first tracked event
+        witness = {"step": step, "kind": PACKET_CODES[code][1], "mid": [sender, seq]}
         return CheckReport("quiescence", "FAIL", witness=witness, measured=measured)
     return CheckReport("quiescence", "PASS", measured=measured)
 

@@ -81,7 +81,10 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     tr = trace_mod.read(args.trace)
-    reports = checker.check_all(tr.header, tr.events)
+    try:
+        reports = checker.check_all(tr.header, tr.events)
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:  # a field `read` does not check
+        raise ValueError(f"{args.trace}: a record the checks cannot read: {exc!r}") from None
     for report in reports:
         print(report.line())
     if args.out:
@@ -273,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a path that cannot be read or written, or bad data
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

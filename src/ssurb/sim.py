@@ -37,9 +37,9 @@ and cause, with every dst rendered in once per simulation, or for a GOSSIP
 or HEARTBEAT RECV from its channel's prefix. A SNAPSHOT is a
 `trace.Snapshot`: its `channels` hold a list copy of each non-empty
 channel's (message, birth step) pairs, which are immutable and shared, so
-no packet dict is built. It encodes its `nodes` once, renders each
-packet's JSON with `in_flight`, and assembles its digest input and line
-from the two strings.
+no packet dict is built. It encodes its `nodes` once with `canonical`,
+has `trace.snapshot_channels` render its channels, and assembles its
+digest input and line from the two strings.
 
 The `stabilized` stop rule judges the snapshot it has just emitted with
 `snapshot_all_consistent`, which leaves the verdict on that record with
@@ -74,6 +74,7 @@ from .trace import (
     canonical,
     deliver_line,
     make_header,
+    snapshot_channels,
     snapshot_line,
     snapshot_state,
 )
@@ -393,19 +394,11 @@ class Simulation:
                 live_own_seqs=sorted(r.seq for r in state.buffer if r.sender == i),
             ))
         # the in-flight packets, nearly all of a snapshot, are kept as the
-        # channels' own immutable pairs and rendered from their fields
-        channels_ser, channel_lines = [], []
-        for channel in self.channel_slots:  # in sorted (src, dst) order
-            packets = channel.packets
-            if not packets:
-                continue
-            src, dst = channel.src, channel.dst
-            channels_ser.append((src, dst, packets[:]))
-            texts = ",".join([m.in_flight(birth) for m, birth in packets])
-            channel_lines.append(f'{{"dst":{dst},"packets":[{texts}],"src":{src}}}')
+        # channels' own immutable pairs, in sorted (src, dst) order
+        channels_ser = [(c.src, c.dst, c.packets[:]) for c in self.channel_slots if c.packets]
         # each half is encoded once; the digest input and the trace line are
         # both assembled from the two strings
-        nodes_json, channels_json = canonical(nodes_ser), f'[{",".join(channel_lines)}]'
+        nodes_json, channels_json = canonical(nodes_ser), snapshot_channels(channels_ser)
         digest = hashlib.sha256(snapshot_state(nodes_json, channels_json).encode()).hexdigest()
         step, cycle = self.step, self.cycle_count
         record = Snapshot(

@@ -19,7 +19,9 @@ inline from that table and DELIVER lines from the fixed template
 `deliver_line`. It appends a SNAPSHOT as a `Snapshot`, whose channels hold
 the (message, birth step) pairs in flight rather than their dicts, with
 its line, `snapshot_line`, assembled from the `canonical` strings of its
-two halves. Any record appended without its line is rendered by
+two halves: `canonical` of its nodes, and `snapshot_channels`, which
+renders each packet in flight from its message's fields. So every line
+format lives here. Any record appended without its line is rendered by
 `canonical`, or from its code's template if it is a packet dict of the
 simulator's exact shape.
 
@@ -142,6 +144,33 @@ def _packet_dict_line(record: dict, stored) -> str:
 def deliver_line(step: int, node: int, sender: int, seq: int) -> str:
     """`canonical` of the DELIVER record of message (sender, seq) at `node`."""
     return f'{{"mid":[{sender},{seq}],"node":{node},"step":{step},"type":"DELIVER"}}'
+
+
+def snapshot_channels(channels) -> str:
+    """`canonical` of a SNAPSHOT's `channels` list, from the (src, dst,
+    packets) entries of a `Snapshot`: each (message, birth step) pair in
+    flight is rendered from the message's fields as `canonical` renders
+    `dict(wire.encode(message), birth_step=birth)`, with no dict built."""
+    entries = []
+    for src, dst, packets in channels:
+        texts = []
+        for msg, birth in packets:
+            kind = msg.kind
+            if kind == "GOSSIP":
+                top, rx, tx = msg
+                texts.append(f'{{"birth_step":{birth},"kind":"GOSSIP","max_seq":{top},"rx_obs":{rx},"tx_obs":{tx}}}')
+            elif kind == "HEARTBEAT":
+                sent, seen = msg
+                texts.append(f'{{"birth_step":{birth},"dst_count":{seen},"kind":"HEARTBEAT","sender_count":{sent}}}')
+            elif kind == "MSG":
+                payload, sender, seq = msg
+                text = "null" if payload is None else encode_basestring_ascii(payload)
+                texts.append(f'{{"birth_step":{birth},"kind":"MSG","payload":{text},"sender":{sender},"seq":{seq}}}')
+            else:  # MSGACK
+                sender, seq = msg
+                texts.append(f'{{"birth_step":{birth},"kind":"MSGACK","sender":{sender},"seq":{seq}}}')
+        entries.append(f'{{"dst":{dst},"packets":[{",".join(texts)}],"src":{src}}}')
+    return f'[{",".join(entries)}]'
 
 
 def snapshot_state(nodes_json: str, channels_json: str) -> str:
@@ -321,7 +350,8 @@ def read(path: str) -> Trace:
     """The trace written at `path`: each record appended as decoded, its
     snapshots as `Snapshot`s, so its packet records are compact, as the
     simulator appends them. A header config field that is missing or not of
-    its `ScenarioConfig` type, a line json cannot decode, or a packet record
+    its `ScenarioConfig` type, a line json cannot decode or that is not an
+    object, a snapshot whose channels cannot be decoded, or a packet record
     that `compact` refuses, is a `ValueError` naming the path and the line
     number."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -350,5 +380,7 @@ def read(path: str) -> Trace:
                     trace.append(record)
             except ValueError as exc:  # a line json cannot decode, or a packet `compact` refuses
                 raise ValueError(f"{path}:{number}: {exc}") from None
+            except (AttributeError, IndexError, KeyError, TypeError) as exc:  # not an object, or a bad snapshot
+                raise ValueError(f"{path}:{number}: a record that cannot be read: {exc!r}") from None
     return trace
 

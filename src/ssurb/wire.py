@@ -6,16 +6,14 @@ carries the per-peer flow-control triple, and HEARTBEAT carries liveness
 counters. Messages are immutable named tuples, cheap to build, with the
 kind as a class attribute; two messages are equal when they have the same
 kind and fields. `encode` gives a message's one JSON-dict form and
-`decode` the message of such a dict. `in_flight` gives the text a snapshot
-records for a message in flight: the canonical JSON of that dict with the
-birth step added, rendered from the fields without building the dict, since
-a snapshot keeps the message itself. The bounded-counter reset barrier is
-driven by the simulator and sends no packets.
+`decode` the message of such a dict; a snapshot keeps the messages in
+flight themselves, and `trace.snapshot_channels` renders their text. The
+bounded-counter reset barrier is driven by the simulator and sends no
+packets.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple, Union
 
@@ -26,22 +24,11 @@ class Msg(NamedTuple):
     seq: int
     kind = "MSG"
 
-    def in_flight(self, birth: int) -> str:
-        """The canonical JSON of `encode(self)` with "birth_step" added, as a
-        snapshot records the message in flight since step `birth`."""
-        payload, sender, seq = self
-        text = "null" if payload is None else encode_basestring_ascii(payload)
-        return f'{{"birth_step":{birth},"kind":"MSG","payload":{text},"sender":{sender},"seq":{seq}}}'
-
 
 class MsgAck(NamedTuple):
     sender: int
     seq: int
     kind = "MSGACK"
-
-    def in_flight(self, birth: int) -> str:
-        sender, seq = self
-        return f'{{"birth_step":{birth},"kind":"MSGACK","sender":{sender},"seq":{seq}}}'
 
 
 class Gossip(NamedTuple):
@@ -57,19 +44,11 @@ class Gossip(NamedTuple):
     tx_obs: int
     kind = "GOSSIP"
 
-    def in_flight(self, birth: int) -> str:
-        top, rx, tx = self
-        return f'{{"birth_step":{birth},"kind":"GOSSIP","max_seq":{top},"rx_obs":{rx},"tx_obs":{tx}}}'
-
 
 class Heartbeat(NamedTuple):
     sender_count: int
     dst_count: int
     kind = "HEARTBEAT"
-
-    def in_flight(self, birth: int) -> str:
-        sent, seen = self
-        return f'{{"birth_step":{birth},"dst_count":{seen},"kind":"HEARTBEAT","sender_count":{sent}}}'
 
 
 def _same_kind_eq(self, other) -> bool:

@@ -253,10 +253,10 @@ def test_stale_packet_blocks_all_consistent_after_corruption():
 
 
 def test_stale_flag_is_stale_packets_in_flight():
-    """`evaluate_snapshot` finds the stale flag in its packet walk by the rule
-    of `stale_packets_in_flight`: a non-HEARTBEAT packet born by the last
-    corruption, to a destination that has not crashed, even one the
-    snapshot holds no node for."""
+    """After a corruption at step 4 a snapshot is stale while a non-HEARTBEAT
+    packet born by then is in flight to a destination that has not crashed,
+    even one the snapshot holds no node for; never without a corruption.
+    `evaluate_snapshot` takes the flag from `stale_packets_in_flight`."""
     h = header()
     nodes = [fresh_node(i, 3) for i in (1, 2, 3)]
     nodes[2] = dict(nodes[2], crashed=True)
@@ -269,20 +269,22 @@ def test_stale_flag_is_stale_packets_in_flight():
             packet.update(max_seq=0, rx_obs=0, tx_obs=0)
         return {"src": 1, "dst": dst, "packets": [packet]}
 
-    for channels in (
-        [channel(3, "GOSSIP", 2)],  # to the crashed node
-        [channel(2, "HEARTBEAT", 2)],
-        [channel(2, "GOSSIP", 2)],
-        [channel(2, "GOSSIP", 6)],  # born after the corruption
-        [channel(4, "GOSSIP", 2)],  # to a node the snapshot does not hold
-        [channel(4, "HEARTBEAT", 2), channel(2, "GOSSIP", 6)],
+    for channels, stale in (
+        ([channel(3, "GOSSIP", 2)], False),  # to the crashed node
+        ([channel(2, "HEARTBEAT", 2)], False),
+        ([channel(2, "GOSSIP", 2)], True),
+        ([channel(2, "GOSSIP", 4)], True),  # born at the corruption step
+        ([channel(2, "GOSSIP", 6)], False),  # born after the corruption
+        ([channel(4, "GOSSIP", 2)], True),  # to a node the snapshot does not hold
+        ([channel(4, "HEARTBEAT", 2), channel(2, "GOSSIP", 6)], False),
+        ([channel(3, "GOSSIP", 2), channel(1, "GOSSIP", 3)], True),
     ):
         snap = snapshot(nodes, channels)
-        for last_corrupt_step in (None, 4):
-            expected = checker.stale_packets_in_flight(snap, last_corrupt_step)
-            assert checker.evaluate_snapshot(snap, h, last_corrupt_step).stale == expected
-            assert checker.evaluate_snapshot(snap, h, last_corrupt_step, 1).stale == expected
-    assert checker.evaluate_snapshot(snapshot(nodes, [channel(4, "GOSSIP", 2)]), h, 4).stale
+        assert checker.stale_packets_in_flight(snap, 4) == stale, channels
+        assert checker.evaluate_snapshot(snap, h, 4).stale == stale
+        assert checker.evaluate_snapshot(snap, h, 4, 1).stale == stale
+        assert not checker.stale_packets_in_flight(snap, None)
+        assert not checker.evaluate_snapshot(snap, h, None).stale
 
 
 # -- event-level checks -------------------------------------------------------------
@@ -427,6 +429,52 @@ def test_quiescence_counts_window_traffic():
     report = checker.quiescence_check(checker.index_trace(h, events))
     assert report.verdict == "FAIL"
     assert report.measured["msg_events_in_window"] == 1
+    assert report.measured["gossip_events_in_window"] == 1
+
+
+def test_quiescence_witness_is_the_first_tracked_event_of_the_window():
+    """The window's RECV of (1,1) comes before its first SEND, and the
+    untracked (3,3) comes before both; OMIT and DUP of (1,1), and traffic
+    before the window, are not counted."""
+    h = header(w=2)
+    events = base_events() + [
+        ev("BROADCAST", node=1, mid=[1, 1], payload_hash="h"),
+        ev("SEND", src=1, dst=2, kind="MSG", mid=[1, 1], step=1),
+        ev("CYCLE", k=1, step=2),
+        ev("CYCLE", k=2, step=3),
+        ev("SEND", src=3, dst=2, kind="MSG", mid=[3, 3], step=4),
+        ev("OMIT", src=1, dst=2, kind="MSG", mid=[1, 1], cause="drop", step=5),
+        ev("DUP", src=1, dst=2, kind="MSGACK", mid=[1, 1], step=6),
+        ev("RECV", src=2, dst=1, kind="MSGACK", mid=[1, 1], step=7),
+        ev("RECV", src=1, dst=2, kind="HEARTBEAT", step=8),
+        ev("SEND", src=1, dst=3, kind="MSG", mid=[1, 1], step=9),
+        ev("OMIT", src=1, dst=3, kind="GOSSIP", cause="overflow", step=10),
+        ev("END", reason="complete-delivery", step=11),
+    ]
+    report = checker.quiescence_check(checker.index_trace(h, events))
+    assert report.verdict == "FAIL"
+    assert report.witness == {"step": 7, "kind": "MSGACK", "mid": [1, 1]}
+    assert report.measured == {
+        "msg_events_in_window": 2,
+        "gossip_events_in_window": 0,
+        "heartbeat_events_in_window": 1,
+        "window_cycles": 2,
+    }
+
+
+def test_quiescence_passes_when_only_omits_and_dups_of_a_tracked_mid_remain():
+    h = header(w=1)
+    events = base_events() + [
+        ev("BROADCAST", node=1, mid=[1, 1], payload_hash="h"),
+        ev("CYCLE", k=1, step=2),
+        ev("OMIT", src=1, dst=2, kind="MSG", mid=[1, 1], cause="overflow", step=3),
+        ev("DUP", src=1, dst=2, kind="MSG", mid=[1, 1], step=4),
+        ev("SEND", src=2, dst=1, kind="GOSSIP", step=5),
+        ev("END", reason="complete-delivery", step=6),
+    ]
+    report = checker.quiescence_check(checker.index_trace(h, events))
+    assert report.verdict == "PASS"
+    assert report.measured["msg_events_in_window"] == 0
     assert report.measured["gossip_events_in_window"] == 1
 
 

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssurb import cli, config, sim
 from ssurb.cli import main
@@ -337,3 +344,182 @@ def test_check_names_the_file_when_the_first_line_is_not_json(tmp_path, capsys):
     path.write_text("not json\n")
     assert main(["check", "--trace", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}:1: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_an_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    # once a FileExistsError traceback and exit 1
+    scenario = write_scenario(tmp_path)
+    assert main(["run", "--scenario", str(scenario), "--out", str(scenario)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists:")
+
+
+@pytest.mark.parametrize("doctor, error", [
+    (lambda line: "[1, 2]" if '"CYCLE"' in line else line, "a record that cannot be read: AttributeError"),
+    (lambda line: line.replace('"channels"', '"chan"'), "a record that cannot be read: KeyError('channels')"),
+    (lambda line: line.replace('"mid"', '"mud"') if '"DELIVER"' in line else line,
+     "a record the checks cannot read: KeyError('mid')"),
+], ids=["not-an-object", "snapshot-without-channels", "deliver-without-mid"])
+def test_check_names_the_file_for_a_record_it_cannot_read(tmp_path, capsys, doctor, error):
+    # once a traceback and exit 1
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(write_scenario(tmp_path)), "--out", str(out)]) == 0
+    path = out / "trace.jsonl"
+    path.write_text("".join(doctor(line) + "\n" for line in path.read_text().splitlines()))
+    capsys.readouterr()
+    assert main(["check", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and error in err, err
+
+
+# -- the exit-status contract as a property --------------------------------------
+
+# small JSON values of every type; the ints an override of n or max_steps may
+# take are drawn apart, so that no draw asks for a large run
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 300), st.just(10**400), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+json_values = st.recursive(json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=2), st.dictionaries(st.text(max_size=4), inner, max_size=2)), max_leaves=4)
+not_ints = json_values.filter(lambda v: type(v) is not int)
+BOUNDED = {"n": st.one_of(st.integers(-2, 4), not_ints), "max_steps": st.one_of(st.integers(-2, 300), not_ints)}
+KEYS = ("n", "max_steps", "buffer_unit_size", "channel_capacity", "maxint", "seed", "fifo_enabled",
+        "bounded_mode", "snapshot_interval", "quiescence_window_cycles", "scheduler_profile",
+        "stop_mode", "broadcasts", "fault_plan", "fault_plan.omission_prob", "fault_plan.crashes",
+        "fault_plan.corruptions", "fault_plan.detection_latency", "bogus")
+
+
+def value_for(key):
+    return BOUNDED.get(key, json_values)
+
+
+overrides = st.lists(st.sampled_from(KEYS).flatmap(lambda k: st.tuples(st.just(k), value_for(k))), max_size=2)
+
+
+@st.composite
+def scenario_texts(draw):
+    """A small valid scenario with a few fields overridden or deleted, or
+    its JSON text cut short."""
+    n = draw(st.integers(1, 4))
+    raw = {
+        "n": n,
+        "seed": draw(st.integers(0, 50)),
+        "max_steps": draw(st.integers(1, 300)),
+        "broadcasts": [{"node": draw(st.integers(1, n)), "payload": "a"}],
+        "fault_plan": {},
+    }
+    for key, value in draw(overrides):
+        *parent, last = key.split(".")
+        target = raw.get("fault_plan") if parent else raw
+        if not isinstance(target, dict):
+            continue
+        if draw(st.booleans()):
+            target[last] = value
+        else:
+            target.pop(last, None)
+    text = json.dumps(raw)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.integers(0, 3)) == 0 else text
+
+
+def flags(command):
+    max_steps = st.one_of(st.integers(-2, 300).map(str), st.sampled_from(["x", "1.5", ""]))
+    pieces = [
+        st.tuples(st.just("--max-steps"), max_steps),
+        st.tuples(st.just("--profile"), st.sampled_from(["uniform", "starve-one-node", "fast", ""])),
+        st.sampled_from(KEYS).flatmap(
+            lambda k: value_for(k).map(lambda v: ("--set", f"{k}={json.dumps(v)}"))),
+        st.sampled_from([("--bogus",), ("--set",), ("--set", "novalue"), ("--scenario",)]),
+    ]
+    if command == "run":
+        pieces += [st.tuples(st.just("--seed"), st.sampled_from(["3", "-1", "x", str(2**64)])),
+                   st.just(("--verify-replay",))]
+    else:
+        pieces += [
+            st.tuples(st.just("--seeds"), st.sampled_from(["0:2", "1", "2,2", "3:1", "a", "", "0:2:3"])),
+            st.sampled_from(KEYS).flatmap(lambda k: st.lists(value_for(k), min_size=1, max_size=2).map(
+                lambda vs: ("--vary", f"{k}={','.join(json.dumps(v) for v in vs)}"))),
+        ]
+    return st.lists(st.one_of(pieces), max_size=3).map(lambda ps: [a for p in ps for a in p])
+
+
+@st.composite
+def doctored_traces(draw, lines):
+    """The lines of a small run's trace, cut short, with a line dropped or
+    repeated, or with one field of a line replaced or deleted."""
+    lines = list(lines)
+    others = [k for k, line in enumerate(lines) if '"SEND"' not in line and '"RECV"' not in line]
+    pos = draw(st.one_of(st.integers(0, len(lines) - 1), st.sampled_from(others)))  # packets are most lines
+    how = draw(st.sampled_from(["cut", "drop", "repeat", "field"]))
+    if how == "cut":
+        text = "\n".join(lines)
+        return text[: draw(st.integers(0, len(text)))]
+    if how == "drop":
+        del lines[pos]
+    elif how == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), lines[pos])
+    else:
+        record = json.loads(lines[pos])
+        key = draw(st.sampled_from(sorted(record)))
+        if draw(st.booleans()):
+            record[key] = draw(value_for(key))  # a header's n stays small
+        else:
+            del record[key]
+        lines[pos] = json.dumps(record)
+    return "\n".join(lines) + "\n"
+
+
+TRACE_RAW = {"n": 3, "seed": 2, "max_steps": 300, "snapshot_interval": 40,
+             "broadcasts": [{"node": 1, "payload": "a"}, {"node": 3, "payload": "b", "step": 20}],
+             "fault_plan": {"corruptions": [{"node": 2, "step": 60, "kind": "CHANNEL-GARBAGE"}]}}
+
+def trace_text(raw) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        sim.run_scenario(config.from_dict(raw)).trace.write(str(path))
+        return path.read_text()
+
+
+TRACE_TEXT = trace_text(TRACE_RAW)
+
+
+def call(argv):
+    """(status, stdout, stderr) of `main(argv)`; an exception that escapes
+    `main` would reach the user as a traceback, so it fails the property."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse's usage errors, and --help
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+def assert_contract(status, out, err):
+    assert status in (0, 1, 2), status
+    if status == 1:
+        assert re.search(r"^\S+: FAIL|failures=[1-9]", out, re.M), out
+    assert "Traceback" not in err, err
+
+
+@given(command=st.sampled_from(["run", "sweep"]), data=st.data())
+@settings(max_examples=150)
+def test_run_and_sweep_keep_the_exit_status_contract(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(data.draw(scenario_texts()))
+        out = Path(tmp) / data.draw(st.sampled_from(["out", "scenario.json", "scenario.json/out"]))
+        argv = [command, "--scenario", str(scenario), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--seeds", "0:2"]
+        assert_contract(*call(argv + data.draw(flags(command))))
+
+
+@given(data=st.data())
+@settings(max_examples=150)
+def test_check_keeps_the_exit_status_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        path.write_text(data.draw(doctored_traces(TRACE_TEXT.splitlines())))
+        argv = ["check", "--trace", str(path)]
+        argv += data.draw(st.sampled_from([[], ["--out", tmp + "/out"], ["--out", str(path)], ["--bogus"]]))
+        assert_contract(*call(argv))

@@ -87,3 +87,52 @@ def test_bounded_mode_termination_after_a_corruption(seed):
     )
     assert result.metrics["status"] == "complete-delivery"
     assert by_name["termination"].verdict == "PASS", by_name["termination"].witness
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_1 + "; the run stops while node 2 still owes a retransmission")
+def test_fault_free_quiescence_under_starve_one_node():
+    # today the run ends complete-delivery at step 1029 and quiescence FAILs
+    # on MSG (2,2) at step 557: node 2's tx_obs[1] is still 1, so step (f)
+    # resends (2,2) to the starved node 1 after the stop rule held
+    result, by_name = reports(
+        {
+            "n": 3,
+            "buffer_unit_size": 4,
+            "channel_capacity": 7,
+            "fifo_enabled": True,
+            "scheduler_profile": "starve-one-node",
+            "seed": 35213,
+            "max_steps": 20_000,
+            "broadcasts": [
+                {"node": 2, "payload": "m0", "step": 237},
+                {"node": 2, "payload": "m1", "step": 104},
+                {"node": 1, "payload": "m2", "step": 146},
+            ],
+        }
+    )
+    assert result.metrics["status"] == "complete-delivery"
+    assert by_name["quiescence"].verdict == "PASS", by_name["quiescence"].witness
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_1 + "; a corruption inside the stop countdown does not restart it")
+def test_corruption_inside_the_stop_countdown():
+    # today the run ends complete-delivery at step 369, 18 steps after the
+    # corruption, and stabilization-time FAILs watermark-dominance at node 1,
+    # step 368
+    _, by_name = reports(
+        {
+            "n": 2,
+            "buffer_unit_size": 3,
+            "channel_capacity": 6,
+            "fifo_enabled": True,
+            "scheduler_profile": "reorder-heavy",
+            "seed": 939759,
+            "max_steps": 20_000,
+            "broadcasts": [{"node": 2, "payload": "m0", "step": 171}],
+            "fault_plan": {
+                "omission_prob": 0.3,
+                "corruptions": [{"node": 1, "step": 351, "kind": "RANDOMIZE-ALL"}],
+            },
+        }
+    )
+    assert by_name["stabilization-time"].verdict == "PASS", by_name["stabilization-time"].witness

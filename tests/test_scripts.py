@@ -16,6 +16,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 sys.path.insert(0, str(ROOT / "scripts"))
 
 import complexity  # noqa: E402  (scripts/complexity.py)
+import digest_battery  # noqa: E402  (scripts/digest_battery.py)
 import sample  # noqa: E402  (scripts/sample.py)
 
 
@@ -27,6 +28,17 @@ def script(*args) -> subprocess.CompletedProcess:
 def test_every_script_starts(path):
     done = script(path, "--help")
     assert done.returncode == 0, done.stderr
+
+
+def test_the_golden_battery_holds_a_line_per_scenario_and_the_first_runs_reproduce():
+    golden = Path(digest_battery.GOLDEN).read_text().splitlines()
+    names = [name for name, _ in digest_battery.scenarios()]
+    assert [json.loads(line).get("scenario") for line in golden] == names + [None]  # the sweep's last
+    # the whole battery is CI's step; the six smallest runs are a fast tripwire here
+    lines = digest_battery.battery_lines()
+    first = [next(lines) for _ in range(6)]
+    lines.close()  # removes its temporary directory
+    assert first == golden[:6]
 
 
 def test_stabilization_writes_the_window_table(tmp_path):

@@ -14,13 +14,14 @@ import weakref
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssurb import checker, cli, trace
 from ssurb.config import from_dict
 from ssurb.sim import Simulation, run_scenario
 from ssurb.trace import canonical
+from ssurb.wire import Gossip, Heartbeat, Msg, MsgAck, decode, encode
 
 PACKET_TYPES = ("SEND", "RECV", "OMIT", "DUP")
 KINDS = ("MSG", "MSGACK", "GOSSIP", "HEARTBEAT")
@@ -133,6 +134,40 @@ def test_other_records_go_through_canonical(record):
 def test_deliver_line_equals_canonical(step, node, sender, seq):
     record = {"type": "DELIVER", "step": step, "node": node, "mid": [sender, seq]}
     assert trace.deliver_line(step, node, sender, seq) == canonical(record)
+
+
+messages = st.one_of(
+    st.builds(Msg, st.one_of(st.text(max_size=8), st.none()), ints, ints),
+    st.builds(MsgAck, ints, ints),
+    st.builds(Gossip, ints, ints, ints),
+    st.builds(Heartbeat, ints, ints),
+)
+channel_lists = st.lists(
+    st.tuples(ints, ints, st.lists(st.tuples(messages, ints), min_size=1, max_size=4)), max_size=3
+)
+EVERY_KIND_IN_FLIGHT = [
+    (1, 2, [(Msg(None, 1, 2), 0), (Msg('caf\u00e9 \u2192 \U0001f600 "q" \\ \n', 3, 4), 17)]),
+    (2, 1, [(MsgAck(2, 7), 5), (Gossip(9, 4, 3), 5), (Heartbeat(12, 5), 5)]),
+]
+
+
+@given(channel_lists)
+@example(EVERY_KIND_IN_FLIGHT)  # a null and an escaped non-ASCII, quoted payload
+@example([])
+@settings(max_examples=300)
+def test_snapshot_channels_is_the_canonical_channel_list(channels):
+    text = trace.snapshot_channels(channels)
+    assert text == canonical(
+        [
+            {"src": src, "dst": dst, "packets": [dict(encode(m), birth_step=b) for m, b in packets]}
+            for src, dst, packets in channels
+        ]
+    )
+    # a snapshot read back from its line decodes each packet to the same message
+    assert [
+        (entry["src"], entry["dst"], [(decode(p), p["birth_step"]) for p in entry["packets"]])
+        for entry in json.loads(text)
+    ] == channels
 
 
 def test_written_trace_reads_back_with_the_same_digest(tmp_path):

@@ -1,10 +1,5 @@
-import json
-
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from ssurb.trace import canonical
 from ssurb.wire import Gossip, Heartbeat, Msg, MsgAck, decode, encode, message_id
 
 EVERY_KIND = pytest.mark.parametrize(
@@ -23,6 +18,8 @@ EVERY_KIND = pytest.mark.parametrize(
 def test_encode(msg, expected):
     assert encode(msg) == expected
     assert msg.kind == expected["kind"]
+    # a snapshot's packet dict adds the birth step, which decode ignores
+    assert decode(dict(expected, birth_step=3)) == msg
 
 
 @EVERY_KIND
@@ -55,25 +52,3 @@ def test_message_identity():
     assert message_id(MsgAck(3, 9)) == (3, 9)
     assert message_id(Gossip(1, 2, 3)) is None
     assert message_id(Heartbeat(0, 0)) is None
-
-
-ints = st.integers(-(2**40), 2**40)
-messages = st.one_of(
-    st.builds(Msg, st.one_of(st.text(max_size=8), st.none()), ints, ints),
-    st.builds(MsgAck, ints, ints),
-    st.builds(Gossip, ints, ints, ints),
-    st.builds(Heartbeat, ints, ints),
-)
-
-
-@given(messages, ints)
-@example(Msg(None, 1, 2), 0)
-@example(Msg("caf\u00e9 \u2192 \U0001f600 \"q\" \\ \n", 3, 4), 17)  # escaped to ASCII
-@example(MsgAck(2, 7), 5)
-@example(Gossip(9, 4, 3), 5)
-@example(Heartbeat(12, 5), 5)
-@settings(max_examples=300)
-def test_in_flight_is_the_canonical_snapshot_packet(msg, birth):
-    assert msg.in_flight(birth) == canonical(dict(encode(msg), birth_step=birth))
-    # a snapshot read back from its line decodes the packet to the same message
-    assert decode(json.loads(msg.in_flight(birth))) == msg
