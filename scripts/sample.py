@@ -28,7 +28,9 @@ one table of `module.py:qualname` patterns and, for the step loop
 `Simulation._steps`, of the source lines where each of its ranges starts;
 a range runs up to the next one's first line. A sample no layer claims,
 set-up and config code or one outside `ssurb`, counts as `other`, so the
-layer counts sum to the other tables' totals.
+layer counts sum to the other tables' totals. A pattern that matches no
+function of the package, or an anchor found on other than one line, is a
+ValueError: a stale one would quietly move its samples to `other`.
 
 The unit first runs once to warm up. Then each of `--rounds` rounds runs
 it plain and sampled, in alternating order, and the overhead printed is
@@ -47,6 +49,7 @@ import signal
 import statistics
 import sys
 import time
+import types
 from collections import Counter
 from fnmatch import fnmatchcase
 
@@ -74,8 +77,7 @@ OTHER = "other"
 # work, though it also renders the header and the CYCLE, BROADCAST and END
 # records.
 LAYERS = (
-    ("scheduler draw", ("sim.py:WeightTree.*", "sim.py:Simulation._prologue", "sim.py:Simulation._next_due",
-                        "sim.py:Simulation._reweigh"),
+    ("scheduler draw", ("sim.py:WeightTree.*", "sim.py:Simulation._prologue", "sim.py:Simulation._reweigh"),
      ("def _steps(", "total = tree[root]")),
     ("delivery and handlers", ("node.py:NodeState.on_*", "node.py:NodeState.update", "node.py:NodeState.urb_broadcast",
                                "node.py:NodeState.check_overflow", "detectors.py:HeartbeatState.on_heartbeat",
@@ -183,8 +185,33 @@ def steps_layers() -> dict[int, str]:
             for line in range(first, first + len(source))}
 
 
+def package_functions() -> set[str]:
+    """Every function of the package, nested ones and the module bodies included,
+    as `module.py:qualname`, read off the code objects its sources compile to."""
+    names, codes = set(), []
+    for module in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        with open(PACKAGE + module, encoding="utf-8") as source:
+            codes.append((module, compile(source.read(), PACKAGE + module, "exec")))
+    while codes:
+        module, code = codes.pop()
+        names.add(f"{module}:{getattr(code, 'co_qualname', code.co_name)}")
+        codes += [(module, const) for const in code.co_consts if isinstance(const, types.CodeType)]
+    return names
+
+
+def check_patterns() -> None:
+    """A `LAYERS` pattern that matches no function of the package, which would
+    quietly send its samples to OTHER, is a ValueError."""
+    functions = package_functions()
+    for layer, patterns, _ in LAYERS:
+        for pattern in patterns:
+            if not any(fnmatchcase(name, pattern) for name in functions):
+                raise ValueError(f"{layer} pattern {pattern!r} matches no function")
+
+
 def layers(samples: Counter) -> Counter:
-    """The samples by layer of `LAYERS`, or OTHER."""
+    """The samples by layer of `LAYERS`, or OTHER; a stale pattern or anchor is a ValueError."""
+    check_patterns()
     steps, counts = steps_layers(), Counter({layer: 0 for layer, _, _ in LAYERS} | {OTHER: 0})
     for key, count in samples.items():
         layer = OTHER

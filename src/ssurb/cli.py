@@ -85,12 +85,12 @@ def cmd_check(args) -> int:
         reports = checker.check_all(tr.header, tr.events)
     except (AttributeError, IndexError, KeyError, TypeError) as exc:  # a field `read` does not check
         raise ValueError(f"{args.trace}: a record the checks cannot read: {exc!r}") from None
-    for report in reports:
-        print(report.line())
-    if args.out:
+    if args.out:  # first, as in `run`: a path that cannot be made prints no verdict
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "report.json", [r.to_dict() for r in reports])
+    for report in reports:
+        print(report.line())
     return checker.gate(reports)
 
 

@@ -8,7 +8,9 @@ fault model already covers as an omission. The simulator also accounts
 asynchronous cycles (every live node completed an iteration, its
 request-reply messages round-tripped or their targets became suspected,
 and a gossip from it reached every live peer), drives the bounded-mode
-global reset barrier, and appends everything to the trace.
+global reset barrier, and appends everything to the trace. Crashes, corruptions
+and broadcast requests fire from one sorted plan: within a step crashes, then
+corruptions, then broadcasts, each in config order, none for a crashed node.
 
 One step loop, `_steps`, drives both `run` and `step_once` and binds what
 every step reads once per call. Every action has a fixed slot, the n node
@@ -95,6 +97,19 @@ def _line_table(etype: str, n: int, cause: str | None = None) -> dict[type, tupl
         head, middle, tail = PACKET_TEMPLATES[code]
         table[cls] = (code, [f"{head}{dst}{middle}" for dst in range(n + 1)], tail)
     return table
+
+
+CRASH, CORRUPT, BROADCAST = range(3)  # the firing order of timed events within one step
+
+
+def _plan(cfg: ScenarioConfig) -> list[tuple]:
+    """`cfg`'s timed events as (step, kind, config position, node, the handler's further
+    arguments), in firing order."""
+    faults = cfg.fault_plan
+    return sorted([(at, CRASH, k, i, ()) for k, (i, at) in enumerate(faults.crashes)]
+                  + [(at, CORRUPT, k, i, (kind,)) for k, (i, at, kind) in enumerate(faults.corruptions)]
+                  + [(0 if e.step == ASAP else e.step, BROADCAST, k, e.node, (e.payload,))
+                     for k, e in enumerate(cfg.broadcasts)])
 
 
 def payload_hash(payload: str) -> str:
@@ -244,15 +259,10 @@ class Simulation:
         self.last_corrupt_step: int | None = None
         self.epoch = 0
 
-        # pending schedule pointers, ordered by (due step, config position)
-        self.schedule = sorted(
-            (
-                (0 if e.step == ASAP else e.step, idx, e.node, e.payload)
-                for idx, e in enumerate(cfg.broadcasts)
-            ),
-        )
-        self.sched_ptr = 0
-        self._plan_faults()
+        self.plan, self.fired = _plan(cfg), 0  # the timed events, and how many have fired
+        self.next_due = self.plan[0][0] if self.plan else math.inf
+        # a stop rule runs after its step's prologue, so a broadcast is still due while step < this
+        self.last_broadcast = max((at for at, kind, *_ in self.plan if kind == BROADCAST), default=0)
 
         # current-epoch broadcast bookkeeping for the stop predicate
         self.epoch_mids: list[tuple[int, int]] = []
@@ -284,19 +294,13 @@ class Simulation:
 
         self._emit_snapshot()  # step-0 snapshot anchors the stabilization marker
 
-    def _plan_faults(self) -> None:
-        plan = self.cfg.fault_plan
-        self.crash_plan = sorted((step, idx, node) for idx, (node, step) in enumerate(plan.crashes))
-        self.corrupt_plan = sorted(
-            (step, idx, node, kind) for idx, (node, step, kind) in enumerate(plan.corruptions))
-        self.crash_ptr = self.corrupt_ptr = 0
-        self.next_due = self._next_due()
-
     def branch(self, cfg: ScenarioConfig) -> Simulation:
         """This run continued under `cfg` as a standalone run of `cfg` goes on (see
         `run_scenarios`). The configs may differ only in their crashes and corruptions,
-        none due before the current step, or a ValueError names the field. The mutable
-        state is copied; paths, line tables, schedule, messages and lines are shared."""
+        none due before the current step, or a ValueError names the field. The plan is made
+        again from `cfg`: its fired prefix and its broadcasts are this run's, its faults
+        are `cfg`'s. The mutable state is copied; paths, line tables, messages and lines
+        are shared."""
         mine, theirs = self.cfg.to_dict(), cfg.to_dict()
         for flat in (mine, theirs):  # the fault plan's fields as fault_plan.<name>
             flat.update({f"fault_plan.{k}": v for k, v in flat.pop("fault_plan").items()})
@@ -320,7 +324,8 @@ class Simulation:
         twin.ct_pending = {i: [set(w) for w in waits] for i, waits in self.ct_pending.items()}
         twin.ct_gossip_seen = {i: set(seen) for i, seen in self.ct_gossip_seen.items()}
         twin.counts = dict(self.counts, sends=dict(self.counts["sends"]))
-        twin._plan_faults()
+        twin.plan = _plan(cfg)
+        twin.next_due = twin.plan[twin.fired][0] if twin.fired < len(twin.plan) else math.inf
         return twin
 
     def _link_channels(self, channels: dict[tuple[int, int], Channel]) -> None:
@@ -518,8 +523,6 @@ class Simulation:
     # ---- scheduled faults and broadcasts --------------------------------------
 
     def _crash(self, i: int) -> None:
-        if self.nodes[i].crashed:
-            return
         self.nodes[i].crashed = True
         self.live = [k for k in self.live if k != i]
         self.weights.set(i - 1, 0)
@@ -534,8 +537,6 @@ class Simulation:
         self._event("CRASH", node=i)
 
     def _corrupt(self, i: int, kind: str) -> None:
-        if self.nodes[i].crashed:
-            return
         in_channels = [self.channels[(src, i)] for src in sorted(self.nodes)]
         state = self.nodes[i].state
         corruption.inject(kind, state, in_channels, self.rng, self.step)
@@ -552,8 +553,6 @@ class Simulation:
 
     def _request_broadcast(self, i: int, payload: str) -> None:
         node = self.nodes[i]
-        if node.crashed:
-            return
         view = tuple.__new__(DetectorView, (node.theta.trusted_view(), node.hb.hb))
         mid = node.state.urb_broadcast(view, payload)
         if mid is not None:
@@ -561,34 +560,15 @@ class Simulation:
             self._event("BROADCAST", node=i, mid=list(mid), payload_hash=payload_hash(payload))
             self.epoch_mids.append(mid)
 
-    def _next_due(self) -> float:
-        """The step of the earliest crash, corruption or broadcast still to come."""
-        return min(
-            plan[ptr][0] if ptr < len(plan) else math.inf
-            for plan, ptr in (
-                (self.crash_plan, self.crash_ptr),
-                (self.corrupt_plan, self.corrupt_ptr),
-                (self.schedule, self.sched_ptr),
-            )
-        )
-
     def _prologue(self) -> None:
-        while self.crash_ptr < len(self.crash_plan) and self.crash_plan[self.crash_ptr][0] <= self.step:
-            _, _, node = self.crash_plan[self.crash_ptr]
-            self.crash_ptr += 1
-            self._crash(node)
-        while (
-            self.corrupt_ptr < len(self.corrupt_plan)
-            and self.corrupt_plan[self.corrupt_ptr][0] <= self.step
-        ):
-            _, _, node, kind = self.corrupt_plan[self.corrupt_ptr]
-            self.corrupt_ptr += 1
-            self._corrupt(node, kind)
-        while self.sched_ptr < len(self.schedule) and self.schedule[self.sched_ptr][0] <= self.step:
-            _, _, node, payload = self.schedule[self.sched_ptr]
-            self.sched_ptr += 1
-            self._request_broadcast(node, payload)
-        self.next_due = self._next_due()
+        """Fire the timed events due by this step in plan order, none for a crashed node."""
+        plan, fire = self.plan, (self._crash, self._corrupt, self._request_broadcast)  # by kind
+        while self.fired < len(plan) and plan[self.fired][0] <= self.step:
+            _, kind, _, i, args = plan[self.fired]
+            self.fired += 1
+            if not self.nodes[i].crashed:
+                fire[kind](i, *args)
+        self.next_due = plan[self.fired][0] if self.fired < len(plan) else math.inf
 
     # ---- bounded-counter reset barrier -------------------------------------------
 
@@ -651,7 +631,7 @@ class Simulation:
     # ---- stop predicate ---------------------------------------------------------
 
     def _settled_complete_delivery(self) -> bool:
-        if self.sched_ptr < len(self.schedule):
+        if self.step < self.last_broadcast:
             return False
         live = self.live
         live_set = set(live)
@@ -701,7 +681,7 @@ class Simulation:
             settled = (
                 self.marker_cycle is not None
                 and self.cycle_count >= self.marker_cycle
-                and self.sched_ptr >= len(self.schedule)
+                and self.step >= self.last_broadcast
                 and snapshot_all_consistent(snapshot, self.trace.header, self.last_corrupt_step)
             )
         if not settled:
@@ -883,12 +863,9 @@ class Simulation:
             self._steps(self.cfg.max_steps - self.step)
         reason = self.stop_reason or "max-steps"
         self._event("END", reason=reason)
-        unfired = [(at, f"crash of node {i}") for at, _, i in self.crash_plan[self.crash_ptr:]]
-        unfired += [(at, f"{kind} of node {i}") for at, _, i, kind in self.corrupt_plan[self.corrupt_ptr:]]
-        unfired.sort(key=lambda fault: fault[0])
-        return RunResult(
-            self.trace, self._metrics(reason), [f"{what} at step {at}" for at, what in unfired]
-        )
+        unfired = [f"{'crash' if kind == CRASH else args[0]} of node {i} at step {at}"
+                   for at, kind, _, i, args in self.plan[self.fired:] if kind != BROADCAST]
+        return RunResult(self.trace, self._metrics(reason), unfired)
 
     # ---- metrics -----------------------------------------------------------------
 
@@ -921,7 +898,7 @@ def run_scenarios(cfgs: list[ScenarioConfig]):
 
     This rests on one invariant: before a run's first crash or corruption,
     its trace does not depend on its fault plan. It holds because the stop
-    rule ignores the faults still due. Should the stop rule ever read them,
+    rules ask the plan only whether a broadcast is still due. Should they read a fault,
     the trunk must act as if a fault were due until its last member branched."""
     first, groups = [], {}  # each config's first fault step; the groups
     for index, cfg in enumerate(cfgs):

@@ -158,7 +158,7 @@ def test_branch_rejects_other_configs_and_past_faults():
 # `records[]` are the trace's events as appended, `paths` the weight tree's
 # table of group paths, and `idle_memo[6]` the idle memo's `observed`, which
 # like the node's own is replaced, never mutated
-SHARED = {"cfg", "live", "schedule", "send_lines", "recv_lines", "dup_lines", "drop_lines",
+SHARED = {"cfg", "live", "send_lines", "recv_lines", "dup_lines", "drop_lines",
           "overflow_lines", "paths", "observed", "idle_memo[6]", "peers", "records[]"}
 WALKED = (Simulation, SimNode, NodeState, BufferRecord, HeartbeatState, ThetaState, Channel,
           WeightTree, Trace, TraceEvents)

@@ -65,6 +65,19 @@ def test_check_reproduces_run_report(tmp_path, capsys):
     assert check_report == run_report
 
 
+def test_check_prints_no_report_when_its_out_path_cannot_be_made(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    main(["run", "--scenario", str(scenario), "--out", str(out)])
+    capsys.readouterr()
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main(["check", "--trace", str(out / "trace.jsonl"), "--out", str(taken)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert str(taken) in printed.err
+
+
 def test_consecutive_main_calls_share_no_arguments(tmp_path, capsys):
     # the parser is built once per process; no call may see an earlier one's values
     scenario = write_scenario(tmp_path)

@@ -6,6 +6,7 @@ import json
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -113,7 +114,16 @@ def test_the_sampler_charges_one_scenario_to_ssurb():
     functions, lines = sample.tables(samples)
     assert sum(functions.values()) == sum(lines.values()) == sum(samples.values()) > 0 and seconds > 0
     assert "sim.py:Simulation._steps" in functions
-    by_layer = sample.layers(samples)  # every _steps anchor found once, or a ValueError
+    by_layer = sample.layers(samples)  # every pattern matched and _steps anchor found once, or a ValueError
     assert list(by_layer) == [layer for layer, _, _ in sample.LAYERS] + [sample.OTHER]
     assert sum(by_layer.values()) == sum(functions.values())
     assert all(key == sample.OUTSIDE or key.split(":")[1].split()[0].isdigit() for key in lines)
+
+
+def test_a_layer_pattern_that_matches_no_function_is_an_error(monkeypatch):
+    assert "sim.py:Simulation._steps" in sample.package_functions()
+    sample.check_patterns()  # every current pattern matches
+    stale = (("scheduler draw", ("sim.py:WeightTree.*", "sim.py:Simulation._gone"), ()),)
+    monkeypatch.setattr(sample, "LAYERS", sample.LAYERS + stale)
+    with pytest.raises(ValueError, match="'sim.py:Simulation._gone' matches no function"):
+        sample.layers(Counter())

@@ -80,6 +80,36 @@ def test_all_crashed_halts_run():
     assert result.metrics["status"] == "all-crashed"
 
 
+def test_timed_events_fire_crash_corruption_broadcast_in_config_order():
+    # all due at step 50: node 3 crashes first, so its corruption and broadcast never fire
+    raw = {
+        "n": 3,
+        "buffer_unit_size": 4,
+        "seed": 5,
+        "broadcasts": [{"node": 3, "step": 50, "payload": "x"}, {"node": 1, "step": 50, "payload": "y"}],
+        "fault_plan": {
+            "crashes": [{"node": 3, "step": 50}],
+            "corruptions": [{"node": 3, "step": 50, "kind": "DUPLICATE-RECORD"},
+                            {"node": 2, "step": 50, "kind": "DUPLICATE-RECORD"}],
+        },
+    }
+    result = run_scenario(from_dict(raw))
+    fired = [(e["type"], e["node"]) for e in result.trace.events
+             if e["step"] == 50 and e["type"] in ("CRASH", "CORRUPT", "BROADCAST")]
+    assert fired == [("CRASH", 3), ("CORRUPT", 2), ("BROADCAST", 1)]
+    assert result.metrics["trace_digest"][:12] == "07c1a85ee177"
+    # after the stop, the faults still due by step, a crash before a corruption at the same step
+    raw["fault_plan"] = {
+        "crashes": [{"node": 3, "step": 5000}],
+        "corruptions": [{"node": 2, "step": 5000, "kind": "SEQ-REGRESSION"},
+                        {"node": 1, "step": 4000, "kind": "WINDOW-SKEW"}],
+    }
+    result = run_scenario(from_dict(raw))
+    assert result.metrics["status"] == "complete-delivery" and result.metrics["steps"] < 4000
+    assert result.unfired == ["WINDOW-SKEW of node 1 at step 4000", "crash of node 3 at step 5000",
+                              "SEQ-REGRESSION of node 2 at step 5000"]
+
+
 def test_omission_and_duplication_draws_show_in_trace():
     cfg = scenario(
         fault_plan={"omission_prob": 0.3, "duplication_prob": 0.2},
