@@ -77,7 +77,7 @@ OTHER = "other"
 # work, though it also renders the header and the CYCLE, BROADCAST and END
 # records.
 LAYERS = (
-    ("scheduler draw", ("sim.py:WeightTree.*", "sim.py:Simulation._prologue", "sim.py:Simulation._reweigh"),
+    ("scheduler draw", ("sim.py:WeightTree.*", "sim.py:Simulation._prologue", "sim.py:Simulation._retick_row"),
      ("def _steps(", "total = tree[root]")),
     ("delivery and handlers", ("node.py:NodeState.on_*", "node.py:NodeState.update", "node.py:NodeState.urb_broadcast",
                                "node.py:NodeState.check_overflow", "detectors.py:HeartbeatState.on_heartbeat",

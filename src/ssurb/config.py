@@ -29,6 +29,7 @@ STOP_MODES = ("complete-delivery", "stabilized", "max-steps")
 ASAP = "asap"  # broadcast as soon as flow control allows
 
 DEFAULT_MAXINT = 2**62
+MAX_N = 256  # a run builds n^2 channels up front; the largest n the scaling experiments plan
 
 
 class ConfigError(ValueError):
@@ -210,6 +211,8 @@ def validate(cfg: ScenarioConfig) -> None:
     for name in ("n", "buffer_unit_size", "channel_capacity", "max_steps", "quiescence_window_cycles"):
         if getattr(cfg, name) < 1:
             raise ConfigError(name, "must be at least 1")
+    if cfg.n > MAX_N:
+        raise ConfigError("n", f"must be at most {MAX_N}")
     if cfg.maxint <= cfg.buffer_unit_size:
         raise ConfigError("maxint", "must exceed buffer_unit_size")
     if not 0 <= cfg.seed < 2**64:

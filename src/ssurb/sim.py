@@ -17,14 +17,14 @@ every step reads once per call. Every action has a fixed slot, the n node
 iterations and then the n^2 channels in (src, dst) order, with a ticket per
 unit of its weight in a sorted list (`WeightTree`): one list up to n = 16,
 so a step draws one index, the schedule an explicit weighted list would
-give. A channel weighs 4 + 4*len while non-empty towards a live node and 0
-otherwise. A delivery, inline in the loop, pops one packet and deletes its
-drawn ticket unless a DUP puts it back, and, for a MSG, pushes the MSGACK
-that answers it and inserts that channel's tickets. An iteration sends
-three typed runs, heartbeats, MSGs and gossips, inserting each grown
-channel's tickets once (`_iterate_action`). Pending trace lines are hashed
-only after iterations, and `peak_buffer` is sampled only where a buffer can
-have grown (see `__init__`).
+give. A channel's tickets, its only weight, follow its length: 4 + 4*len
+while non-empty towards a live node, else none. A delivery, inline in the
+loop, pops one packet and deletes its drawn ticket unless a DUP puts it
+back, and, for a MSG, pushes the MSGACK that answers it and inserts that
+channel's tickets. An iteration's three typed send runs end in one rewrite
+of its row's tickets (`_retick_row`), as crashes, corruptions and resets
+do for theirs. Pending trace lines are hashed only after iterations, and
+`peak_buffer` is sampled only where a buffer can grow (see `__init__`).
 
 Cycle accounting is O(1) per step: two running counts, the live gossip
 pairs not yet seen and the live nodes whose round-trip clause is not yet
@@ -112,17 +112,22 @@ def _plan(cfg: ScenarioConfig) -> list[tuple]:
                      for k, e in enumerate(cfg.broadcasts)])
 
 
+def _fault_free(cfg: ScenarioConfig) -> ScenarioConfig:
+    """`cfg` without its crashes and corruptions: the config a branch's trunk runs."""
+    return replace(cfg, fault_plan=replace(cfg.fault_plan, crashes=[], corruptions=[]))
+
+
 def payload_hash(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 class WeightTree:
-    """Integer weights over `rows` rows of `row` slots, each weight a multiple
-    of `unit`, kept as sorted ticket lists (lottery scheduling, Waldspurger &
-    Weihl 1994): slot s appears weights[s] // unit times in the list of its
-    group, the `per` slots of whole rows (GROUP_SLOTS at most, or one row).
-    `tree` is a Fenwick tree (Fenwick 1994) over the group totals, its last
-    node the total; `paths[g]` lists the nodes whose ranges hold group g.
+    """Integer weights over `rows` rows of `row` slots, multiples of `unit`, kept
+    only as sorted ticket lists (lottery scheduling, Waldspurger & Weihl
+    1994): slot s weighs `unit` per appearance in the list of its group, the
+    `per` slots of whole rows (GROUP_SLOTS at most, or one row). `tree` is a
+    Fenwick tree (Fenwick 1994) over the group totals, its last node the
+    total; `paths[g]` lists the nodes whose ranges hold group g.
 
     The step loop draws from it inline, exactly as `random.choices(slots,
     weights)` would over the slots of non-zero weight, in slot order: one
@@ -142,7 +147,7 @@ class WeightTree:
     def __init__(self, rows: int, row: int, unit: int):
         self.unit, self.per = unit, row * max(1, GROUP_SLOTS // row)
         groups = -(-rows * row // self.per)
-        self.weights, self.tickets = [0] * (rows * row), [[] for _ in range(groups)]
+        self.tickets = [[] for _ in range(groups)]
         span = 1 << (groups - 1).bit_length()
         self.tree = [0] * (span + 1)
         self.descent = tuple(span >> k for k in range(1, span.bit_length()))  # span/2, ..., 1
@@ -150,19 +155,24 @@ class WeightTree:
         self.paths = [tuple(i for i in range(g, span + 1) if i - (i & -i) < g) for g in range(1, groups + 1)]
 
     def set(self, slot: int, weight: int) -> None:
-        old, group = self.weights[slot], slot // self.per
-        if weight != old:
-            tickets = self.tickets[group]
-            at = bisect_left(tickets, slot)  # where its block of old // unit tickets starts
-            tickets[at:at + old // self.unit] = [slot] * (weight // self.unit)
-            self.weights[slot] = weight
-            for i in self.paths[group]:
-                self.tree[i] += weight - old
+        self.rewrite(slot, slot, [slot] * (weight // self.unit))
+
+    def rewrite(self, first: int, last: int, block: list[int]) -> None:
+        """Replace the tickets of slots `first` to `last`, all of one group,
+        with `block`, sorted, and move the group's path once by the change."""
+        group = first // self.per
+        tickets = self.tickets[group]
+        at = bisect_left(tickets, first)
+        end = bisect_right(tickets, last, at)
+        moved = (len(block) - (end - at)) * self.unit
+        tickets[at:end] = block
+        for i in self.paths[group]:
+            self.tree[i] += moved
 
     def copy(self) -> WeightTree:
         twin = object.__new__(WeightTree)  # reading vars(self) would slow self's attribute reads
         twin.unit, twin.per, twin.descent, twin.paths = self.unit, self.per, self.descent, self.paths
-        twin.weights, twin.tree, twin.tickets = self.weights[:], self.tree[:], [t[:] for t in self.tickets]
+        twin.tree, twin.tickets = self.tree[:], [t[:] for t in self.tickets]
         return twin
 
 
@@ -172,9 +182,9 @@ class Channel:
     A full iteration floods up to ~2(n-1) packets while one delivery drains
     a single packet, so a channel's scheduler weight grows with its
     occupancy: 4 + 4*len, and 0 while the channel is empty or its
-    destination has crashed. The channel only holds the packets; the
-    simulation pushes, pops and re-weighs it at `slot`. It holds the RECV
-    line of a GOSSIP and of a HEARTBEAT delivered here up to `"step":`.
+    destination has crashed. The channel holds only the packets, and the
+    RECV line of a GOSSIP and of a HEARTBEAT delivered here up to
+    `"step":`; its tickets at `slot` follow them (`_retick_row`).
     """
 
     __slots__ = ("src", "dst", "capacity", "packets", "dst_live", "slot", "recv_gossip", "recv_heartbeat")
@@ -301,18 +311,19 @@ class Simulation:
         again from `cfg`: its fired prefix and its broadcasts are this run's, its faults
         are `cfg`'s. The mutable state is copied; paths, line tables, messages and lines
         are shared."""
-        mine, theirs = self.cfg.to_dict(), cfg.to_dict()
-        for flat in (mine, theirs):  # the fault plan's fields as fault_plan.<name>
-            flat.update({f"fault_plan.{k}": v for k, v in flat.pop("fault_plan").items()})
-        for key, value in mine.items():
-            if key in ("fault_plan.crashes", "fault_plan.corruptions"):
-                early = [f["step"] for f in value + theirs[key] if f["step"] < self.step]
-                if early:
-                    raise ValueError(f"{key}: a fault due at step {early[0]}, before step {self.step}")
-            elif theirs[key] != value:
-                raise ValueError(f"{key}: a branch may differ only in its crashes and corruptions")
+        trunk, member = _fault_free(self.cfg), _fault_free(cfg)
+        if member != trunk:  # the dicts are walked only to name the field
+            mine, theirs = trunk.to_dict(), member.to_dict()
+            key = next(key for key in mine if mine[key] != theirs[key])
+            if key == "fault_plan":
+                key += "." + next(k for k in mine[key] if mine[key][k] != theirs[key][k])
+            raise ValueError(f"{key}: a branch may differ only in its crashes and corruptions")
+        for name in ("crashes", "corruptions"):  # each entry's step is its second field
+            early = [f[1] for c in (self.cfg, cfg) for f in getattr(c.fault_plan, name) if f[1] < self.step]
+            if early:
+                raise ValueError(f"fault_plan.{name}: a fault due at step {early[0]}, before step {self.step}")
         twin = object.__new__(Simulation)
-        vars(twin).update(vars(self), cfg=cfg, rng=random.Random())
+        vars(twin).update(vars(self), cfg=cfg, rng=random.Random.__new__(random.Random))  # no OS seeding
         twin.rng.setstate(self.rng.getstate())
         twin.trace = self.trace.branch(make_header(cfg))
         twin.nodes, twin.weights = {i: node.copy() for i, node in self.nodes.items()}, self.weights.copy()
@@ -355,9 +366,15 @@ class Simulation:
         self.ct_gossip_seen: dict[int, set[int]] = {i: set() for i in self.nodes}
         self.missing_gossip = self._count_missing_gossip()
 
-    def _reweigh(self, channel: Channel) -> None:
-        held = len(channel.packets)
-        self.weights.set(channel.slot, 4 + 4 * held if held and channel.dst_live else 0)
+    def _retick_row(self, i: int) -> None:
+        """Rewrite the tickets of the channels from node i, one block of one list,
+        from their lengths: 4 + 4*len while non-empty towards a live node."""
+        row, share = self.rows[i], 4 // self.weights.unit  # tickets per 4 of weight
+        block = []
+        for channel in row[1:]:
+            if channel.packets and channel.dst_live:
+                block += [channel.slot] * (share + share * len(channel.packets))
+        self.weights.rewrite(row[1].slot, row[-1].slot, block)
 
     def _satisfy(self, i: int) -> None:
         self.ct_satisfied.add(i)
@@ -432,10 +449,9 @@ class Simulation:
 
     def _iterate_action(self, i: int) -> None:
         """Node i's iteration and its three send runs: heartbeats and gossips to
-        `hb.peers` in order, MSGs between. No draw falls in between, so each
-        grown channel inserts its tickets once, for its final weight: a peer
-        channel after its gossip, the self channel after the MSG run; row i's
-        group moves its tree path once."""
+        `hb.peers` in order, MSGs between. No draw falls in between, so row i's
+        channel tickets are rewritten once, after the runs, however many
+        packets each channel received, and its group path moves once."""
         node = self.nodes[i]
         theta, hb = node.theta, node.hb
         if self.crashed_at or theta.suspected:  # otherwise nothing is suspected, nor to be
@@ -458,9 +474,6 @@ class Simulation:
                 packets.append((beat, step))
             else:
                 self._overflow(beat, i, dst)
-        wt, moved = self.weights, 0
-        weights, unit, group = wt.weights, wt.unit, row[i].slot // wt.per
-        tickets = wt.tickets[group]
         if sent:
             code, heads, tail = self.send_lines[Msg]
             sends["MSG"] += len(sent)
@@ -472,13 +485,6 @@ class Simulation:
                     packets.append((msg, step))
                 else:
                     self._overflow(msg, i, dst)
-            own = row[i]  # towards live node i: 4 + 4*len once it holds a packet
-            delta = 4 + 4 * len(own.packets) - weights[own.slot] if own.packets else 0
-            if delta:
-                weights[own.slot] += delta
-                moved += delta
-                pos = bisect_right(tickets, own.slot)
-                tickets[pos:pos] = [own.slot] * (delta // unit)
             if i not in self.ct_satisfied:
                 self.ct_pending[i].append({(dst, msg.sender, msg.seq) for dst, msg in sent})
         elif i not in self.ct_satisfied:
@@ -489,22 +495,12 @@ class Simulation:
         for dst, gossip in zip(peers, gossips):
             append_record(code)
             append_line(heads[dst] + end)
-            channel = row[dst]
-            packets = channel.packets
+            packets = row[dst].packets
             if len(packets) < capacity:
                 packets.append((gossip, step))
             else:
                 self._overflow(gossip, i, dst)
-            if channel.dst_live:  # never empty now, and never lighter than before
-                slot = channel.slot
-                delta = 4 + 4 * len(packets) - weights[slot]
-                if delta:
-                    weights[slot] += delta
-                    moved += delta
-                    pos = bisect_right(tickets, slot)
-                    tickets[pos:pos] = [slot] * (delta // unit)
-        for k in wt.paths[group]:
-            wt.tree[k] += moved
+        self._retick_row(i)
         if delivered:
             mine = self.delivered_sets[i]
             for sender, seq in delivered:
@@ -527,9 +523,8 @@ class Simulation:
         self.live = [k for k in self.live if k != i]
         self.weights.set(i - 1, 0)
         for src in self.nodes:
-            channel = self.channels[(src, i)]
-            channel.dst_live = False  # nothing here is ever delivered
-            self._reweigh(channel)
+            self.channels[(src, i)].dst_live = False  # nothing here is ever delivered
+            self._retick_row(src)
         if i not in self.ct_satisfied:
             self.unsatisfied -= 1
         self.missing_gossip = self._count_missing_gossip()
@@ -540,8 +535,8 @@ class Simulation:
         in_channels = [self.channels[(src, i)] for src in sorted(self.nodes)]
         state = self.nodes[i].state
         corruption.inject(kind, state, in_channels, self.rng, self.step)
-        for channel in in_channels:
-            self._reweigh(channel)
+        for src in self.nodes:
+            self._retick_row(src)
         # make the damage visible to the next snapshot, not one iteration later
         state.observed = state._observe(sorted(self.nodes[i].theta.trusted_view()))
         self.last_corrupt_step = self.step
@@ -600,7 +595,8 @@ class Simulation:
             self.nodes[i].hb.reset()
         for channel in self.channel_slots:
             channel.packets.clear()
-            self._reweigh(channel)
+        for i in self.nodes:
+            self._retick_row(i)
         self._event("RESET", nodes=live)
         self.counts["resets"] += 1
         self.epoch += 1
@@ -707,7 +703,7 @@ class Simulation:
         n, channel_slots = self.cfg.n, self.channel_slots
         nodes = [None] + [self.nodes[i] for i in range(1, n + 1)]  # nodes[i] is node i
         wt = self.weights
-        tree, weights, paths, descent, lists = wt.tree, wt.weights, wt.paths, wt.descent, wt.tickets
+        tree, paths, descent, lists = wt.tree, wt.paths, wt.descent, wt.tickets
         root, unit, per, shrink, empty = len(tree) - 1, wt.unit, wt.per, 4 // wt.unit, 8 // wt.unit
         rand, getrandbits = self.rng.random, self.rng.getrandbits
         reorder, omission, duplication = self.reorder_prob, self.omission_prob, self.duplication_prob
@@ -765,7 +761,6 @@ class Simulation:
                     table = dups
                 else:
                     cut = shrink if held > 1 else empty  # the tickets of weight 4, or of 8 for the last
-                    weights[slot] -= cut * unit
                     if cut == 1:
                         del tickets[at]
                     else:  # the first `cut` of its block, which may start before the drawn ticket
@@ -819,7 +814,6 @@ class Simulation:
                                 back.packets.append((ack, step))
                                 if back.dst_live:  # it weighs 4 more, or 8 if it was empty
                                     cut, slot = shrink if len(back.packets) > 1 else empty, back.slot
-                                    weights[slot] += cut * unit
                                     back_tickets = lists[slot // per]
                                     at = bisect_right(back_tickets, slot)
                                     back_tickets[at:at] = [slot] * cut
@@ -905,7 +899,7 @@ def run_scenarios(cfgs: list[ScenarioConfig]):
         plan = cfg.fault_plan
         due = [at for _, at in plan.crashes] + [at for _, at, _ in plan.corruptions]
         first.append(min(due, default=math.inf))
-        trunk_cfg = replace(cfg, fault_plan=replace(plan, crashes=[], corruptions=[]))
+        trunk_cfg = _fault_free(cfg)
         groups.setdefault(trunk_cfg.config_hash(), (trunk_cfg, []))[1].append(index)
     for trunk_cfg, members in groups.values():
         trunk = Simulation(trunk_cfg)

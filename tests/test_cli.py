@@ -49,6 +49,16 @@ def test_run_config_error_exits_2(tmp_path, capsys):
     assert "fault_plan.omission_prob" in capsys.readouterr().err
 
 
+def test_run_refuses_n_above_the_bound_before_building_it(tmp_path, capsys, monkeypatch):
+    def refuse(cfg):
+        pytest.fail(f"a run of n = {cfg.n} was started")
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    # n^2 = 66 049 channels would be built before the first step
+    scenario = write_scenario(tmp_path, n=257)
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: n: must be at most 256\n"
+
+
 def test_run_missing_scenario_exits_2(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 

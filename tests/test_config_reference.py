@@ -8,9 +8,9 @@ replaced by another JSON value (a wrong type, an out-of-range number, an
 unknown name, an empty object), a field deleted, or an unknown key added
 at some level. Whatever the reference accepts must give an equal
 `to_dict()`, byte for byte, and `config_hash()`; whatever it refuses must
-be refused with the same error. The only exceptions are the two refusals
-the reference lacks: an unknown key below the root, and a `crashes` or
-`corruptions` that is not a list.
+be refused with the same error. The only exceptions are the three refusals
+the reference lacks: an unknown key below the root, a `crashes` or
+`corruptions` that is not a list, and an `n` above `MAX_N`.
 
 A replacement value holds no object with keys, so each case has one fault:
 where an object has several, the two readers may name different ones (the
@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import config_ba1163b as reference
 
-from ssurb.config import CORRUPTION_KINDS, SCHEDULER_PROFILES, STOP_MODES, ConfigError, from_dict
+from ssurb.config import CORRUPTION_KINDS, MAX_N, SCHEDULER_PROFILES, STOP_MODES, ConfigError, from_dict
 
 NAMES = ("asap", "x", "", *CORRUPTION_KINDS[:2], *SCHEDULER_PROFILES[:2], *STOP_MODES[:2])
 
@@ -161,6 +161,8 @@ def test_reader_agrees_with_the_reference(case):
         assert mine == ("refused", "ConfigError", f"{unknown}: unknown field")
     elif mine[:2] == ("refused", "ConfigError") and _not_a_list(raw, mine[2]):
         pass  # which the reference ran as an empty list, or refused otherwise
+    elif mine == ("refused", "ConfigError", f"n: must be at most {MAX_N}"):
+        assert theirs[0] == "read" and json.loads(theirs[1])["n"] > MAX_N
     else:
         assert mine == theirs
 

@@ -1,8 +1,8 @@
 """The incremental scheduler and cycle accounting: the step loop's
 ticket-list draw picks what `random.choices` over the explicit weighted
-action list picks, and the weights, their ticket lists, the missing-gossip
-count and the unsatisfied-node count kept up to date step by step equal the
-rule recomputed from scratch."""
+action list picks, and the ticket lists, the missing-gossip count and the
+unsatisfied-node count kept up to date step by step equal the rule
+recomputed from scratch from the channels and node liveness."""
 
 import random
 from collections import Counter
@@ -37,11 +37,11 @@ def _expected_weights(sim):
     return weights
 
 
-def _tickets_consistent(wt, row):
+def _tickets_consistent(wt, weights, row):
     """Each group of whole rows of `row` slots has a sorted ticket list that
     holds each of its slots s weights[s] // unit times, and the tree over the
     group totals holds their Fenwick range sums, its last node their sum."""
-    weights, unit, per = wt.weights, wt.unit, wt.per
+    unit, per = wt.unit, wt.per
     assert per % row == 0 and len(wt.tickets) == -(-len(weights) // per)
     totals = []
     for group, tickets in enumerate(wt.tickets):
@@ -56,11 +56,10 @@ def _tickets_consistent(wt, row):
 
 
 def _check_the_rule(sim):
-    """The incrementally kept weights, ticket lists, group tree and cycle
-    counters equal their from-scratch values; returns the weights."""
+    """The incrementally kept ticket lists, group tree and cycle counters
+    equal their from-scratch values; returns the weights the rule gives."""
     weights = _expected_weights(sim)
-    assert sim.weights.weights == weights
-    _tickets_consistent(sim.weights, sim.cfg.n)
+    _tickets_consistent(sim.weights, weights, sim.cfg.n)
     live = [i for i in sim.nodes if not sim.nodes[i].crashed]
     assert sim.live == live
     recount = sum(
@@ -219,27 +218,32 @@ def test_fused_send_and_deliver_paths_keep_the_rule_every_step():
 
 
 class _CountedWrites(list):
-    """A list that counts its item writes by index and its slice writes, the
-    ticket inserts, by the slot they insert."""
+    """A list that keeps its slice writes, each as (start, the items written),
+    and counts its item writes by index."""
 
     def __init__(self, items):
         super().__init__(items)
-        self.writes = Counter()
+        self.slices, self.writes = [], Counter()
 
     def __setitem__(self, i, value):
-        self.writes[value[0] if isinstance(i, slice) else i] += 1
+        if isinstance(i, slice):
+            self.slices.append((i.start, list(value)))
+        else:
+            self.writes[i] += 1
         super().__setitem__(i, value)
 
 
 def test_an_iteration_moves_each_channel_weight_once():
-    # an iteration's heartbeats, MSGs and gossip form one batch: each
-    # destination channel inserts its tickets once, not once per packet, and
-    # its row's group path is written once; at n = 20 row 20 is in the second group
+    # an iteration's heartbeats, MSGs and gossip form one batch: row i's
+    # channel tickets are written once, as one block, however many packets
+    # each channel received, and the row's group path is written once; at
+    # n = 20 row 20 is in the second group
     for n, i, group in ((4, 1, 0), (20, 20, 1)):
         sim = Simulation(from_dict({"n": n, "seed": 0}))
         sim._request_broadcast(i, "p")
         wt = sim.weights
         assert sim.channels[(i, i)].slot // wt.per == group
+        row = range(sim.channels[(i, 1)].slot, sim.channels[(i, n)].slot + 1)
         tickets = wt.tickets[group] = _CountedWrites(wt.tickets[group])
         tree = wt.tree = _CountedWrites(wt.tree)
         before = len(sim.trace.records)
@@ -248,10 +252,12 @@ def test_an_iteration_moves_each_channel_weight_once():
         channels = {(e["src"], e["dst"]) for e in sends}
         assert {e["kind"] for e in sends} == {"MSG", "GOSSIP", "HEARTBEAT"}
         assert len(sends) > len(channels)
-        assert tickets.writes == Counter(sim.channels[key].slot for key in channels)
+        [(start, block)] = tickets.slices
+        assert not tickets.writes
+        assert set(block) == {sim.channels[key].slot for key in channels}
+        assert tickets[start:start + len(block)] == block == [s for s in tickets if s in row]
         assert tree.writes == Counter(wt.paths[group])
-        assert wt.weights == _expected_weights(sim)
-        _tickets_consistent(wt, n)
+        _tickets_consistent(wt, _expected_weights(sim), n)
 
 
 @pytest.mark.parametrize("n, profile", [(17, "starve-one-node"), (20, "uniform"), (33, "reorder-heavy")])

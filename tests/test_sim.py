@@ -537,7 +537,7 @@ def test_reorder_pop_draws_as_randrange():
         for k in range(2, 71):
             for _ in range(40):
                 channel.packets[:] = [(Heartbeat(j, 0), 0) for j in range(k)]
-                sim._reweigh(channel)
+                sim._retick_row(1)
                 reference.setstate(sim.rng.getstate())
                 reference.random()  # the slot
                 expected = 0
