@@ -23,9 +23,10 @@ enough:
 
 With `--compare` the lines are checked against a file as they are
 produced instead of printed, the golden file unless a path is given: the
-script prints `identical, N lines` and exits 0, or names the first
-scenario and top-level field that differ and exits 1. Another checkout's
-lines serve as well:
+script prints `identical, N lines` and exits 0. Otherwise it prints each
+line that moved, with its scenario and every moved field (a metric as
+`old → new`, a digest by its name), ends with `N of M lines moved` and
+exits 1. Another checkout's lines serve as well:
 
     (cd ../parent && python3 scripts/digest_battery.py) > before.jsonl
     python3 scripts/digest_battery.py --compare before.jsonl
@@ -287,29 +288,51 @@ def battery_lines(reference=None):
     yield json.dumps({"sweep_digest": sweep_digest(reference)})
 
 
-def first_difference(before: dict, after: dict) -> str:
-    """The first top-level field, in sorted order, in which two lines differ."""
-    for field in sorted(before.keys() | after.keys()):
-        if before.get(field) != after.get(field):
-            return field
-    return ""
+def leaves(line: dict, prefix: str = "") -> dict:
+    """Each value of a battery line that is not a dict, by its dotted path
+    (`metrics.sends.MSG`, `metrics.peak_buffer.2`, `file_digest`)."""
+    out = {}
+    for key, value in line.items():
+        if isinstance(value, dict):
+            out.update(leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def moved_fields(before: dict, after: dict) -> list[str]:
+    """Each field in which two lines differ, in sorted order: a digest by its
+    name, any other as `name old → new`, a field one line lacks as absent."""
+    old, new = leaves(before), leaves(after)
+    moved = []
+    for name in sorted(old.keys() | new.keys()):
+        a, b = (json.dumps(side[name]) if name in side else "absent" for side in (old, new))
+        if a != b:
+            moved.append(name if name.endswith("digest") else f"{name} {a} → {b}")
+    return moved
 
 
 def compare(path: str, lines) -> int:
+    """Check the battery's lines against those of `path`: print `identical, N
+    lines`, or each line that moved with its moved fields and then how many
+    moved, and exit 1."""
     with open(path, encoding="utf-8") as fh:
         expected = [line.rstrip("\n") for line in fh if line.strip()]
-    count = 0
+    count = moved = 0
     for count, line in enumerate(lines, 1):
         if count > len(expected):
             print(f"line {count}: not in {path}")
-            return 1
-        if line != expected[count - 1]:
+            moved += 1
+        elif line != expected[count - 1]:
             before, after = json.loads(expected[count - 1]), json.loads(line)
             scenario = after.get("scenario", before.get("scenario", "sweep"))
-            print(f"line {count}: {scenario} differs in {first_difference(before, after)}")
-            return 1
-    if count != len(expected):
+            print(f"line {count}: {scenario}: {', '.join(moved_fields(before, after))}")
+            moved += 1
+    if count < len(expected):
         print(f"{path} has {len(expected)} lines, the battery {count}")
+        moved += len(expected) - count
+    if moved:
+        print(f"{moved} of {max(count, len(expected))} lines moved")
         return 1
     print(f"identical, {count} lines")
     return 0

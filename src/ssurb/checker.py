@@ -35,8 +35,10 @@ stale flag comes from `stale_packets_in_flight`, the one rule for
 corruption-era packets, which `drained_cycle` applies too.
 `snapshot_all_consistent` (the simulator's `stabilized` stop rule) and the
 FAIL witnesses are views of it. The walk reads the (message, birth step)
-pairs a `trace.Snapshot` keeps, as the simulator and `trace.read` build it;
-`trace.as_snapshot` decodes those of a dict-form snapshot on each call.
+pairs a `trace.Snapshot` keeps, the form `trace.compact` gives every
+SNAPSHOT record, in a `Trace` and, once, in a plain event list that
+`TraceIndex` reads; a dict-form snapshot handed to a predicate directly
+is decoded by `trace.as_snapshot` on each call.
 `TraceIndex` makes the only pass over the events. It records the positions
 of each event type the checks read, and each check bisects out its epoch's
 share of those positions and walks only them. It also evaluates each
@@ -335,7 +337,8 @@ class TraceIndex:
     once, and not at all when `verdict` can reuse the stop rule's.
 
     `records` holds the events as stored: dicts, `Snapshot`s and compact
-    packet records, a plain event list's packet dicts made compact here."""
+    packet records, a plain event list's records given that form here
+    (`trace.compact`)."""
 
     def __init__(self, header: dict, events):
         self.header = header

@@ -91,6 +91,7 @@ def cmd_check(args) -> int:
         _write_json(out / "report.json", [r.to_dict() for r in reports])
     for report in reports:
         print(report.line())
+    print(f"digest: {tr.digest()[:16]}")
     return checker.gate(reports)
 
 

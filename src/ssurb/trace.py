@@ -3,37 +3,38 @@
 A trace is a header record followed by one JSON object per event, in
 simulation order. Snapshots embed every node's full protocol state plus
 channel contents in canonical field order, which is what the state-level
-checkers consume. The digest is a SHA-256 over the canonical encoding of
-all records joined by newlines and is the replay-equality witness.
+checkers consume. The digest is a SHA-256 over the lines of all records
+joined by newlines, each line a record's canonical encoding unless a file
+read held other bytes, and is the replay-equality witness.
 
 SEND/RECV/OMIT/DUP records, nearly all of a trace, are kept compact: a
 record's code, the index of its (type, kind, cause) in `PACKET_CODES`, or
 for MSG/MSGACK the tuple (code, sender, seq, step). `compact` is the one
-rule that takes a packet dict to that form, or refuses it with a
-`ValueError`, and `Trace.append` applies it, so no trace holds a packet
-dict. Their lines have one format, which gives the same bytes as
-`canonical`, kept in one table, `PACKET_TEMPLATES`: for each code, the
-constant (head, middle, tail) around the record's dst, its optional mid
-and its src and step. The simulator renders every packet line it appends
-inline from that table and DELIVER lines from the fixed template
-`deliver_line`. It appends a SNAPSHOT as a `Snapshot`, whose channels hold
-the (message, birth step) pairs in flight rather than their dicts, with
-its line, `snapshot_line`, assembled from the `canonical` strings of its
-two halves: `canonical` of its nodes, and `snapshot_channels`, which
-renders each packet in flight from its message's fields. So every line
-format lives here. Any record appended without its line is rendered by
-`canonical`, or from its code's template if it is a packet dict of the
-simulator's exact shape.
+rule that gives each record its kept form: a packet dict that form, or a
+`ValueError`; a SNAPSHOT dict a `Snapshot` (`as_snapshot`), whose
+channels hold the (message, birth step) pairs in flight rather than their
+dicts; any other dict itself. `Trace.append` applies it, so no trace holds
+a packet dict. Every line format lives here: the simulator renders each
+packet line it appends inline from one table, `PACKET_TEMPLATES` (for each
+code, the constant (head, middle, tail) around the record's dst, its
+optional mid and its src and step), DELIVER lines from the fixed template
+`deliver_line`, and a `Snapshot`'s line, `snapshot_line`, from the
+`canonical` strings of its two halves: `canonical` of its nodes, and
+`snapshot_channels`, which renders each packet in flight from its
+message's fields. Each gives the bytes `canonical` gives. A record
+appended without its line is rendered by `canonical`.
 
-The lines are kept once, as the bytes that were hashed. `Trace` feeds
-SHA-256 one chunk of lines at a time (SHA-256 is a streaming hash, so the
-digest is the one a line-by-line update gives) and keeps each chunk,
-indexed by the position of its first event; `write` writes the header and
-the chunks. `Trace.events` is a read-only view: it hands out the appended
-plain dicts as they are and decodes any other record, a compact packet
-record or a `Snapshot`, from its line when asked, a fresh dict each time,
-so an edit to one does not persist. `read` appends each record of a trace
-file as decoded, its snapshots as `Snapshot`s (`as_snapshot`).
+The lines are kept once, as the simulator rendered them or as read, and
+they are the bytes that were hashed. `Trace` feeds SHA-256 one chunk of
+lines at a time (SHA-256 is a streaming hash, so the digest is the one a
+line-by-line update gives) and keeps each chunk, indexed by the position
+of its first event; `write` writes the header and the chunks. `Trace.events`
+is a read-only view: it hands out the appended plain dicts as they are and
+decodes any other record, a compact packet record or a `Snapshot`, from its
+line when asked, a fresh dict each time, so an edit to one does not
+persist. `read` appends each record of a trace file as decoded, with the
+file's own line, so nothing is rendered again but the header, and a file
+`write` wrote reads back with the same bytes and digest.
 """
 
 from __future__ import annotations
@@ -94,24 +95,24 @@ PACKET_TEMPLATES: tuple[tuple[str, str, str], ...] = tuple(
 
 
 _MID_KINDS = ("MSG", "MSGACK")
-# each code's keys: type, step, src, dst and kind, and mid and cause if it has them
-_KEYS = tuple(5 + (kind in _MID_KINDS) + (cause is not None) for _, kind, cause in PACKET_CODES)
 
 
-def compact(record):
+def compact(record: dict):
     """The form a record is kept in: a packet dict (of a type in
-    PACKET_TYPES) as its code or (code, sender, seq, step), any other record
-    as it is. A packet dict whose (type, kind, cause) is not in PACKET_CODES,
-    or that carries a two-field mid (a list or tuple of two) other than
-    exactly when its kind is MSG or MSGACK, is a `ValueError`. A missing
-    field reads as None."""
-    if type(record) is not dict or record.get("type") not in PACKET_TYPES:
-        return record
+    PACKET_TYPES) as its code or (code, sender, seq, step), a SNAPSHOT dict
+    as a `Snapshot` (`as_snapshot`), any other dict as it is. A packet dict
+    whose (type, kind, cause) is not in PACKET_CODES, or that carries a
+    two-field mid (a list or tuple of two) other than exactly when its kind
+    is MSG or MSGACK, is a `ValueError`, and a record that is not a dict,
+    having no `get`, an `AttributeError`. A missing field reads as None."""
     get = record.get
+    etype = get("type")
+    if etype not in PACKET_TYPES:
+        return as_snapshot(record) if etype == "SNAPSHOT" else record
     kind, cause, mid = get("kind"), get("cause"), get("mid")
     code = None
     if type(kind) is str and (cause is None or type(cause) is str):
-        code = PACKET_CODE.get((record["type"], kind, cause))
+        code = PACKET_CODE.get((etype, kind, cause))
     if code is None:
         raise ValueError(f"packet record of no (type, kind, cause) in PACKET_CODES: {record!r}")
     if kind not in _MID_KINDS:
@@ -121,24 +122,6 @@ def compact(record):
     if type(mid) not in (list, tuple) or len(mid) != 2:
         raise ValueError(f"{kind} packet record without a two-field mid: {record!r}")
     return code, mid[0], mid[1], get("step")
-
-
-def _packet_dict_line(record: dict, stored) -> str:
-    """The line of a packet dict that `compact` keeps as `stored`: its
-    code's template line when the dict holds only the template's keys, each
-    a value json renders as the template does; `canonical` otherwise (of a
-    bool, a tuple or an extra key, say)."""
-    get = record.get
-    step, src, dst = get("step"), get("src"), get("dst")
-    code = stored if type(stored) is int else stored[0]
-    if type(step) is int and type(src) is int and type(dst) is int and len(record) == _KEYS[code]:
-        head, middle, tail = PACKET_TEMPLATES[code]
-        if type(stored) is int:
-            return f'{head}{dst}{middle}"src":{src},"step":{step}{tail}'
-        mid = record["mid"]
-        if type(mid) is list and type(mid[0]) is int and type(mid[1]) is int:
-            return f'{head}{dst}{middle}"mid":[{mid[0]},{mid[1]}],"src":{src},"step":{step}{tail}'
-    return canonical(record)
 
 
 def deliver_line(step: int, node: int, sender: int, seq: int) -> str:
@@ -247,14 +230,14 @@ class Trace:
         # between the two would leave a finished trace to the cyclic collector
         self.events = TraceEvents(self.records, self._chunks, self._chunk_starts, self.pending)
 
-    def append(self, record, line: str | None = None) -> None:
-        """Record an event: a dict, whose `canonical` line the caller may pass
-        when it has rendered it already, a `Snapshot` with its
-        `snapshot_line`, or a compact packet record with its template line.
-        A packet dict is kept as `compact` makes it, or refused unappended."""
+    def append(self, record: dict, line: str | None = None) -> None:
+        """Record an event dict, or a `Snapshot` with its `snapshot_line`,
+        kept as `compact` makes it, or refused unappended. Its line is the
+        one passed, the simulator's rendering or a file's own, else
+        `canonical` of the record."""
         stored = compact(record)
         if line is None:
-            line = canonical(record) if stored is record else _packet_dict_line(record, stored)
+            line = canonical(record)
         self.records.append(stored)
         pending = self.pending
         pending.append(line)
@@ -347,13 +330,14 @@ class TraceEvents(Sequence):
 
 
 def read(path: str) -> Trace:
-    """The trace written at `path`: each record appended as decoded, its
-    snapshots as `Snapshot`s, so its packet records are compact, as the
-    simulator appends them. A header config field that is missing or not of
-    its `ScenarioConfig` type, a line json cannot decode or that is not an
-    object, a snapshot whose channels cannot be decoded, or a packet record
-    that `compact` refuses, is a `ValueError` naming the path and the line
-    number."""
+    """The trace written at `path`: each record appended as decoded, with
+    its line as the file holds it, so the trace keeps the file's own bytes
+    and `compact` keeps its packet records compact and its snapshots as
+    `Snapshot`s, as the simulator appends them. A header config field that
+    is missing or not of its `ScenarioConfig` type, a line json cannot
+    decode or that is not an object, a snapshot whose channels cannot be
+    decoded, or a packet record that `compact` refuses, is a `ValueError`
+    naming the path and the line number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = ((number, line) for number, line in enumerate((ln.strip() for ln in fh), 1) if line)
         number, first = next(lines, (0, None))
@@ -373,14 +357,9 @@ def read(path: str) -> Trace:
         trace = Trace(header)
         for number, line in lines:
             try:
-                record = json.loads(line)
-                if record.get("type") == "SNAPSHOT":
-                    trace.append(as_snapshot(record), canonical(record))
-                else:
-                    trace.append(record)
+                trace.append(json.loads(line), line)
             except ValueError as exc:  # a line json cannot decode, or a packet `compact` refuses
                 raise ValueError(f"{path}:{number}: {exc}") from None
             except (AttributeError, IndexError, KeyError, TypeError) as exc:  # not an object, or a bad snapshot
                 raise ValueError(f"{path}:{number}: a record that cannot be read: {exc!r}") from None
     return trace
-

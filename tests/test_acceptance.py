@@ -62,10 +62,12 @@ def schedule(n, count=5):
 @pytest.fixture(scope="session")
 def pool():
     """Up to two worker processes for the session's run batches; spawned, so
-    that no worker inherits the test process's state."""
+    that no worker inherits the test process's state. Runs still queued at
+    tear-down are cancelled, so a batch that failed is not waited out."""
     workers = min(2, len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as executor:
-        yield executor
+    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    yield executor
+    executor.shutdown(cancel_futures=True)
 
 
 @pytest.fixture(scope="session")

@@ -75,6 +75,18 @@ def test_check_reproduces_run_report(tmp_path, capsys):
     assert check_report == run_report
 
 
+def test_check_prints_the_digest_of_the_run(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    digest = json.loads((out / "metrics.json").read_text())["trace_digest"]
+    assert f"digest: {digest[:16]}" in capsys.readouterr().out
+    assert main(["check", "--trace", str(out / "trace.jsonl")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == f"digest: {digest[:16]}"
+    assert not any(line.startswith("digest:") for line in printed[:-1])
+
+
 def test_check_prints_no_report_when_its_out_path_cannot_be_made(tmp_path, capsys):
     scenario = write_scenario(tmp_path)
     out = tmp_path / "out"

@@ -42,6 +42,40 @@ def test_the_golden_battery_holds_a_line_per_scenario_and_the_first_runs_reprodu
     assert first == golden[:6]
 
 
+def test_compare_names_every_moved_line_and_field(tmp_path, capsys):
+    def line(scenario, steps, sends, peak, digest):
+        metrics = {"cycles": 5, "peak_buffer": peak, "sends": sends, "status": "complete-delivery",
+                   "steps": steps, "trace_digest": digest}
+        return json.dumps({"file_digest": digest, "metrics": metrics, "scenario": scenario}, sort_keys=True)
+
+    before = [
+        line("a", 90, {"MSG": 4, "MSGACK": 4}, {"1": 2}, "aa"),
+        line("b", 93, {"MSG": 4, "MSGACK": 4}, {"1": 2, "2": 3}, "bb"),
+        line("c", 95, {"MSG": 6, "MSGACK": 6}, {"1": 1}, "cc"),
+        json.dumps({"sweep_digest": "dd"}),
+    ]
+    golden = tmp_path / "golden.jsonl"
+    golden.write_text("\n".join(before) + "\n")
+    assert digest_battery.compare(str(golden), iter(before)) == 0
+    assert capsys.readouterr().out == "identical, 4 lines\n"
+    after = [
+        before[0],
+        line("b", 97, {"MSG": 5, "MSGACK": 4}, {"1": 2, "2": 4}, "bx"),
+        line("c", 95, {"MSG": 6, "MSGACK": 7}, {"1": 1}, "cx"),
+        json.dumps({"sweep_digest": "dx"}),
+    ]
+    assert digest_battery.compare(str(golden), iter(after)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "line 2: b: file_digest, metrics.peak_buffer.2 3 → 4, metrics.sends.MSG 4 → 5, "
+        "metrics.steps 93 → 97, metrics.trace_digest",
+        "line 3: c: file_digest, metrics.sends.MSGACK 6 → 7, metrics.trace_digest",
+        "line 4: sweep: sweep_digest",
+        "3 of 4 lines moved",
+    ]
+    assert digest_battery.compare(str(golden), iter(after[:2])) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [f"{golden} has 4 lines, the battery 2", "3 of 4 lines moved"]
+
+
 def test_stabilization_writes_the_window_table(tmp_path):
     out = tmp_path / "stab.json"
     done = script(ROOT / "scripts" / "complexity.py", "stabilization", "--windows", "1,2", "--seeds", "1", "--out", out)

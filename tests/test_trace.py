@@ -1,9 +1,10 @@
 """`Trace.append` keeps every packet dict compact or refuses it, by one
 rule; the packet-record template renders exactly what `canonical` renders,
-every other record is rendered by `canonical` itself, and the batched
-digest is the SHA-256 of the canonical records joined by newlines. The
-trace keeps each line once, as hashed; its events view reads the dicts
-back from the compact packet records, and `write` copies the lines."""
+a record appended without a line is rendered by `canonical` itself, and
+the batched digest is the SHA-256 of the canonical records joined by
+newlines. The trace keeps each line once, as hashed, and `read` keeps a
+file's own; its events view reads the dicts back from the compact packet
+records, and `write` copies the lines."""
 
 import gc
 import hashlib
@@ -91,9 +92,8 @@ def _stored(record):
 @given(st.one_of(simulator_packets(), packet_records()))
 @settings(max_examples=300)
 def test_packet_template_equals_canonical(record):
-    # a packet dict the rule accepts is stored compact; one of the
-    # simulator's shape gets its line from its code's template, never from
-    # canonical, and that line is canonical's
+    # a packet dict the rule accepts is stored compact, and its line, as
+    # for any record appended without one, is canonical's, rendered once
     etype, kind, cause, mid = record["type"], record["kind"], record.get("cause"), record.get("mid")
     accepted = (etype, kind, cause) in trace.PACKET_CODE and (mid is None) == (kind not in ("MSG", "MSGACK"))
     t = trace.Trace(HEADER)
@@ -104,7 +104,7 @@ def test_packet_template_equals_canonical(record):
             assert t.records == [] and t.pending == []
             return
         t.append(record)
-    assert spy.call_count == 0
+    assert spy.call_count == 1
     assert t.records == [_stored(record)]
     assert t.pending == [canonical(record)]
     assert t.events[0] == record
@@ -114,9 +114,9 @@ def test_packet_template_equals_canonical(record):
 @settings(max_examples=300)
 def test_other_records_go_through_canonical(record):
     # a record appended without a line is hashed and written as canonical
-    # renders it, unless it is a packet dict of the simulator's shape: an
-    # accepted packet dict off that shape is still stored compact, and the
-    # events view reads it back from its canonical line
+    # renders it: an accepted packet dict off the simulator's shape is
+    # still stored compact, and the events view reads it back from its
+    # canonical line
     t = trace.Trace(HEADER)
     with mock.patch.object(trace, "canonical", wraps=canonical) as spy:
         t.append(record)
@@ -519,9 +519,8 @@ def test_read_keeps_simulator_shaped_packets_compact(tmp_path):
     result.trace.write(str(path))
     with mock.patch.object(trace, "canonical", wraps=canonical) as spy:
         back = trace.read(str(path))
-    # canonical renders the header and each record that is not a packet,
-    # and no packet line
-    assert spy.call_count == 1 + sum(type(r) not in (int, tuple) for r in back.records)
+    # canonical renders the header and no line: each is kept as the file holds it
+    assert spy.call_count == 1
     assert back.digest() == result.trace.digest()
     # the same records: a snapshot is read back as a `Snapshot` too, so its
     # channels, decoded from the line written, are compared with the
@@ -532,7 +531,7 @@ def test_read_keeps_simulator_shaped_packets_compact(tmp_path):
     assert any(kept[pos]["channels"] for pos in snapshots)
     assert back.records == kept
     # a packet dict the rule accepts off the simulator's shape is read back
-    # compact too, its line rendered by canonical
+    # compact too, with the line written
     dup = {"type": "DUP", "step": 2, "src": 1, "dst": 2, "kind": "MSGACK", "mid": [2, 1], "extra": 0}
     written = trace.Trace(HEADER)
     written.append(dup)
@@ -541,6 +540,55 @@ def test_read_keeps_simulator_shaped_packets_compact(tmp_path):
     assert back.records == written.records == [(trace.PACKET_CODE[("DUP", "MSGACK", None)], 2, 1, 2)]
     assert back.digest() == written.digest()
     assert list(back.events) == [dup]
+
+
+def test_read_keeps_a_valid_line_as_the_file_holds_it(tmp_path):
+    # a hand-edited line that json reads but that is not canonical, here
+    # respaced, is kept with its own bytes: hashed and written as read
+    path = tmp_path / "trace.jsonl"
+    result = run_scenario(from_dict(TYPED_RENDER_BATTERY[0]))
+    result.trace.write(str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edited = {}
+    for etype in ("SEND", "DELIVER", "SNAPSHOT"):
+        pos = next(k for k, line in enumerate(lines) if k and json.loads(line)["type"] == etype)
+        edited[pos] = lines[pos] = json.dumps(json.loads(lines[pos]), sort_keys=True)
+        assert edited[pos] != canonical(json.loads(edited[pos]))
+    data = ("\n".join(lines) + "\n").encode()
+    path.write_bytes(data)
+    back = trace.read(str(path))
+    assert lines[0] == canonical(back.header)
+    assert back.digest() == hashlib.sha256(data[:-1]).hexdigest() != result.trace.digest()
+    copy = tmp_path / "copy.jsonl"
+    back.write(str(copy))
+    assert copy.read_bytes() == data
+    assert back.records == result.trace.records
+    for pos, line in edited.items():
+        assert back.events[pos - 1] == json.loads(line)
+
+
+def test_compact_makes_a_snapshot_dict_a_snapshot():
+    result = run_scenario(from_dict(TYPED_RENDER_BATTERY[0]))
+    snapshot = next(e for e in result.trace.events if e["type"] == "SNAPSHOT" and e["channels"])
+    kept = trace.compact(snapshot)
+    assert type(kept) is trace.Snapshot
+    assert kept == trace.as_snapshot(snapshot)
+    assert trace.compact(kept) is kept
+
+
+@pytest.mark.parametrize("raw, event", [
+    (dict(TYPED_RENDER_BATTERY[0], stop_mode="stabilized",
+          fault_plan={"corruptions": [{"node": 2, "step": 100, "kind": "RANDOMIZE-ALL"}]}), "CORRUPT"),
+    (TYPED_RENDER_BATTERY[3], "RESET"),
+], ids=["stabilized-corruption", "bounded-reset"])
+def test_check_all_of_the_decoded_events_equals_the_trace(raw, event):
+    # a plain event list's snapshots are dicts, which `TraceIndex` gives the
+    # simulator's form once; a `stabilized` trace's carry the stop rule's verdicts
+    result = run_scenario(from_dict(raw))
+    events = result.trace.events
+    assert any(e["type"] == event for e in events)
+    h = result.trace.header
+    assert checker.check_all(h, list(events)) == checker.check_all(h, events)
 
 
 # packet dicts outside the rule: a kind without a mid carrying one, a kind
